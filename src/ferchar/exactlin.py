@@ -1,10 +1,19 @@
 """Exact sparse linear algebra over the rationals and over prime fields.
 
-Scalars are `fractions.Fraction` when field is None and plain ints in
-[0, p) when field is an odd prime p.  Everything here is deterministic:
-Gauss-Jordan always produces the canonical reduced row echelon form, so
-the pivot selection rule (sparsest row first) only affects fill-in, never
-the result.
+All elimination runs through one kernel, `echelon`: each incoming row is
+reduced against the pivot rows kept so far, in input order, with no
+back-substitution, and becomes a new pivot row if anything survives.  Over
+a prime field p (entries are integers, taken mod p) pivot rows have
+leading coefficient 1.  Over the rationals (field None; entries are ints
+or `fractions.Fraction`s) each row is first scaled to integers and the
+elimination is fraction-free (Bareiss 1968): r <- a*r - b*pivot with a, b
+divided by their gcd, and a new pivot row is divided by its content.  The
+rank is the number of pivot rows; with `ncols` the kernel stops once every
+column has a pivot.
+
+`reduce_rows` adds a back-substitution pass to obtain the canonical
+reduced row echelon form, which is unique, so normal forms do not depend
+on the order in which rows arrive.
 
 The two-prime protocol lives here as well: ranks of integer matrices are
 computed modulo two independently chosen 31-bit primes and only reported
@@ -15,6 +24,7 @@ rationals and the offending prime is recorded.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,85 +32,114 @@ from fractions import Fraction
 log = logging.getLogger("ferchar.exactlin")
 
 # ---------------------------------------------------------------------------
-# scalar helpers
+# row reduction
+
+
+def _entry_row(row: dict, field: int | None) -> dict:
+    """Nonzero entries of row: reduced mod p, or scaled to integers over Q."""
+    if field is not None:
+        out = {}
+        for c, v in row.items():
+            v %= field
+            if v:
+                out[c] = v
+        return out
+    den = math.lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+
+
+def _subtract(r: dict, coef, pivot: dict, field: int | None) -> None:
+    """r -= coef * pivot in place, dropping entries that vanish."""
+    for c, v in pivot.items():
+        w = r.get(c, 0) - coef * v
+        if field is not None:
+            w %= field
+        if w:
+            r[c] = w
+        else:
+            del r[c]
+
+
+def _eliminate(r: dict, col: int, pivot: dict, field: int | None) -> dict:
+    """Clear column col of r with the pivot row led there (mod p, led by 1)."""
+    if field is not None:
+        _subtract(r, r[col], pivot, field)
+        return r
+    a, b = pivot[col], r[col]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        r = {c: a * v for c, v in r.items()}
+    _subtract(r, b, pivot, None)
+    return r
+
+
+def _new_pivot(r: dict, lead: int, field: int | None) -> dict:
+    if field is not None:
+        inv = pow(r[lead], -1, field)
+        return {c: v * inv % field for c, v in r.items()}
+    g = math.gcd(*r.values())
+    if r[lead] < 0:
+        g = -g
+    return {c: v // g for c, v in r.items()} if g != 1 else r
+
+
+def echelon(rows, field: int | None = None, ncols: int | None = None,
+            pivots: dict | None = None) -> dict:
+    """Row echelon form of the span of rows, as {leading column: row}.
+
+    Rows are sparse dicts col -> scalar and are not modified.  Pivot rows
+    hold ints: mod p with leading coefficient 1, or over Q primitive
+    integer rows with positive leading coefficient.  Passing the dict of
+    an earlier call as pivots extends that echelon in place; pivot rows
+    are inserted in the order they are found.  Stops reading rows once
+    there are ncols pivots.
+    """
+    if pivots is None:
+        pivots = {}
+    for row in rows:
+        if ncols is not None and len(pivots) >= ncols:
+            break
+        r = _entry_row(row, field)
+        while r:
+            lead = min(r)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = _new_pivot(r, lead, field)
+                break
+            r = _eliminate(r, lead, pivot, field)
+    return pivots
+
+
+def reduce_rows(rows: list[dict], field: int | None = None) -> list[tuple[int, dict]]:
+    """Canonical reduced row echelon form of the span of sparse rows.
+
+    Returns the nonzero rows as (pivot column, row dict) pairs sorted by
+    pivot column; each row has a 1 at its pivot and 0 at every other
+    pivot column.  Scalars are Fractions over Q and ints mod p.  Input
+    rows are not modified.
+    """
+    pivots = echelon(rows, field)
+    reduced: dict = {}
+    for piv in sorted(pivots, reverse=True):
+        r = dict(pivots[piv])
+        for c in [c for c in r if c != piv and c in reduced]:
+            r = _eliminate(r, c, reduced[c], field)
+        reduced[piv] = r if field is not None else _new_pivot(r, piv, None)
+    if field is not None:
+        return sorted(reduced.items())
+    return [(piv, {c: Fraction(v, r[piv]) for c, v in r.items()})
+            for piv, r in sorted(reduced.items())]
+
+
+# ---------------------------------------------------------------------------
+# matrices
 
 
 def _coerce(value, field):
     if field is None:
         return value if isinstance(value, Fraction) else Fraction(value)
     return value % field
-
-
-def _invert(value, field):
-    if field is None:
-        return Fraction(1) / value
-    return pow(value, -1, field)
-
-
-# ---------------------------------------------------------------------------
-# row reduction
-
-Row = dict
-
-
-def reduce_rows(rows: list[dict], field: int | None = None) -> list[tuple[int, dict]]:
-    """Full Gauss-Jordan on a list of sparse rows (col -> scalar).
-
-    Returns the nonzero rows of the reduced row echelon form as
-    (pivot column, row dict) pairs sorted by pivot column.  Input rows are
-    not modified.  Pivot rule: sparsest pending row, ties broken by lowest
-    leading column, then input order.
-    """
-    pending: list[dict] = []
-    for row in rows:
-        r = {}
-        for c, v in row.items():
-            v = _coerce(v, field)
-            if v:
-                r[c] = v
-        if r:
-            pending.append(r)
-
-    done: list[tuple[int, dict]] = []
-    while pending:
-        idx = min(range(len(pending)), key=lambda t: (len(pending[t]), min(pending[t])))
-        row = pending.pop(idx)
-        piv = min(row)
-        inv = _invert(row[piv], field)
-        if field is None:
-            row = {c: v * inv for c, v in row.items()}
-        else:
-            row = {c: v * inv % field for c, v in row.items()}
-        survivors = []
-        for other in pending:
-            other = _eliminate(other, piv, row, field)
-            if other:
-                survivors.append(other)
-        pending = survivors
-        done = [(p, _eliminate(r, piv, row, field)) for p, r in done]
-        done.append((piv, row))
-    done.sort(key=lambda pr: pr[0])
-    return done
-
-
-def _eliminate(target: dict, piv: int, pivot_row: dict, field: int | None) -> dict:
-    coef = target.get(piv)
-    if not coef:
-        return target
-    out = dict(target)
-    for c, v in pivot_row.items():
-        w = out.get(c, 0) - coef * v
-        if field is not None:
-            w %= field
-        if w:
-            out[c] = w
-        else:
-            out.pop(c, None)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# matrices
 
 
 @dataclass(frozen=True)
@@ -142,7 +181,7 @@ class SparseMatrix:
 
 
 def rank(m: SparseMatrix) -> int:
-    return len(reduce_rows(m.row_dicts(), m.field))
+    return len(echelon(m.row_dicts(), m.field, m.ncols))
 
 
 def row_reduce(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
@@ -222,21 +261,23 @@ class RankResult:
     dropped_primes: tuple[int, ...] = ()
 
 
-def int_rank(rows: list[dict], mode: FieldMode) -> RankResult:
+def int_rank(rows: list[dict], mode: FieldMode,
+             ncols: int | None = None) -> RankResult:
     """Rank of a matrix with integer entries, given as sparse rows.
 
-    In two-prime mode the rank is accepted only if both primes agree;
-    otherwise the exact rational rank is computed and any prime that
-    reported a smaller rank is flagged.
+    ncols, when given, is the number of columns; elimination stops once
+    the rank reaches it.  In two-prime mode the rank is accepted only if
+    both primes agree; otherwise the exact rational rank is computed and
+    any prime that reported a smaller rank is flagged.
     """
     if mode.kind == "exact":
-        return RankResult(len(reduce_rows(rows, None)))
+        return RankResult(len(echelon(rows, None, ncols)))
     if mode.kind != "two-prime" or not mode.primes:
         raise ValueError(f"bad field mode {mode!r}")
-    by_prime = [len(reduce_rows(rows, p)) for p in mode.primes]
+    by_prime = [len(echelon(rows, p, ncols)) for p in mode.primes]
     if by_prime[0] == by_prime[1]:
         return RankResult(by_prime[0])
-    exact = len(reduce_rows(rows, None))
+    exact = len(echelon(rows, None, ncols))
     dropped = tuple(p for p, r in zip(mode.primes, by_prime) if r < exact)
     log.warning("prime rank disagreement %s; exact rank %d, dropped by %s",
                 dict(zip(mode.primes, by_prime)), exact, dropped)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -327,6 +328,7 @@ class LimitFusionResult:
     reconstructed_detail: str | None
     literal_comparison: Comparison
     literal_fractional_terms: int
+    seconds: tuple[float, float, float]  # limit, reconstruction, literal routes
 
 
 def _finite_level_terms(i1, k1, i2, k2, level, q_max, u_max):
@@ -507,6 +509,7 @@ def character_L_fusion(i1: int, k1: int, i2: int, k2: int, q_max: int,
     pair.  Raises StabilizationError when stabilized_at would exceed n_max.
     """
     _check_levels(i1, k1, i2, k2)
+    t0 = time.monotonic()
     prev = None
     matched = None
     for level in range(1, n_max + 2):
@@ -519,7 +522,9 @@ def character_L_fusion(i1: int, k1: int, i2: int, k2: int, q_max: int,
         raise StabilizationError(
             f"no stabilization for ({i1},{k1})*({i2},{k2}) on q<={q_max} "
             f"within {n_max} levels")
+    t1 = time.monotonic()
     ok, detail = _reconstruction_check(i1, k1, i2, k2, matched, q_max, u_max)
+    t2 = time.monotonic()
 
     cap = q_max + 4
     literal, fractional = _literal_limit_character(i1, k1, i2, k2, q_max, u_max,
@@ -533,5 +538,6 @@ def character_L_fusion(i1: int, k1: int, i2: int, k2: int, q_max: int,
         literal = wider
     else:
         raise ResourceLimitError("literal limit sum did not exhaust its window")
-    return LimitFusionResult(cur, matched - 1, ok, detail,
-                             compare(cur, literal), fractional)
+    literal_cmp = compare(cur, literal)
+    return LimitFusionResult(cur, matched - 1, ok, detail, literal_cmp, fractional,
+                             (t1 - t0, t2 - t1, time.monotonic() - t2))

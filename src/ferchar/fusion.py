@@ -22,7 +22,7 @@ import logging
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .exactlin import FieldMode, reduce_rows
+from .exactlin import FieldMode, echelon, reduce_rows
 from .fermionic import delta_vector
 from .gradedchar import GradedCharacter, Truncation, char_reweight, compare, restrict
 from .presented import (GeneratorFamily, InitialConditions, Partition,
@@ -293,31 +293,41 @@ class FusionContext:
         return out
 
     def filtration_dimensions(self) -> dict:
-        """dims[(z, q, l)] = dim F_l of the (z, q) tensor component."""
+        """dims[(z, q, l)] = dim F_l of the (z, q) tensor component.
+
+        F_{l-1} lies in F_l, so each component keeps one echelon across l
+        and remembers which basis vectors layer l added.  E_j(m) maps
+        F_{l-m-1} of the source into F_{l-1}, so layer l only needs E_j(m)
+        applied to the vectors added at layer l - m of the source.
+        """
         w = self.spec.window
         dims: dict = {}
-        layers: dict = {}
+        added: dict = {}  # (z, q, l) -> basis vectors that F_l adds to F_{l-1}
         for big_z in range(w.z_max + 1):
             for big_q in range(w.q_max + 1):
                 if (big_z, big_q) not in self._bases:
                     continue
+                full = self.tensor_dimension(big_z, big_q)
+                basis: dict = {}
                 for l in range(w.u_max + 1):
-                    if big_z == 0:
-                        vecs = [self.vacuum()] if big_q == 0 else []
-                    else:
-                        span = []
-                        for j in range(big_q + 1):
-                            src = (big_z - 1, big_q - j)
-                            for m_op in range(min(l, self.n - 1) + 1):
-                                for v in layers.get(src + (l - m_op,), ()):
-                                    image = self.apply(j, m_op, src, v)
-                                    if image:
-                                        span.append(image)
-                        vecs = span
-                    reduced = [row for _, row in reduce_rows(vecs, self.field)]
-                    layers[(big_z, big_q, l)] = reduced
-                    dims[(big_z, big_q, l)] = len(reduced)
+                    before = len(basis)
+                    if before < full:
+                        echelon(self._layer_images(big_z, big_q, l, added),
+                                self.field, full, basis)
+                    added[(big_z, big_q, l)] = list(basis.values())[before:]
+                    dims[(big_z, big_q, l)] = len(basis)
         return dims
+
+    def _layer_images(self, big_z, big_q, l, added):
+        if big_z == 0:
+            if big_q == 0 and l == 0:
+                yield self.vacuum()
+            return
+        for j in range(big_q + 1):
+            src = (big_z - 1, big_q - j)
+            for m_op in range(min(l, self.n - 1) + 1):
+                for v in added.get(src + (l - m_op,), ()):
+                    yield self.apply(j, m_op, src, v)
 
 
 def fusion_character(spec: FusionSpec) -> GradedCharacter:

@@ -431,7 +431,7 @@ def component_dimension(p: Presentation, tridegree: tuple,
         return 0
     if not rows:
         return len(monos)
-    return len(monos) - int_rank(rows, mode).rank
+    return len(monos) - int_rank(rows, mode, len(monos)).rank
 
 
 def graded_character(p: Presentation, truncation: Truncation,

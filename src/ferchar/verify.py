@@ -60,9 +60,11 @@ class VerificationReport:
         return out
 
 
-def _finish(case, left, right, cmp_result: Comparison, t0, mode: FieldMode,
-            expected="EQUAL", informational=False) -> VerificationReport:
-    millis = int((time.monotonic() - t0) * 1000)
+def _finish(case, left, right, cmp_result: Comparison, seconds: float,
+            mode: FieldMode, expected="EQUAL",
+            informational=False) -> VerificationReport:
+    """A report whose millis is the time spent on the two compared routes."""
+    millis = int(seconds * 1000)
     verdict = cmp_result.verdict
     passed = informational or verdict == "EQUAL" or \
         (expected == "LE" and verdict == "LE")
@@ -90,7 +92,7 @@ def verify_gordon(k: int, window: Truncation, mode: FieldMode) -> list:
     brute = graded_character(build_presentation_A(Partition.make((k,))), w, mode)
     formula = fermionic.gordon_character(k, w)
     return [_finish(f"gordon k={k}", "algebra-bruteforce", "fermionic-sum",
-                    compare(brute, formula), t0, mode)]
+                    compare(brute, formula), time.monotonic() - t0, mode)]
 
 
 def verify_mf(parts, window: Truncation, mode: FieldMode) -> list:
@@ -101,7 +103,8 @@ def verify_mf(parts, window: Truncation, mode: FieldMode) -> list:
     formula = fermionic.character_A_lambda(lam, w)
     expected = "EQUAL" if lam.is_convex() else "LE"
     return [_finish(f"mf lambda={lam.parts}", "algebra-bruteforce",
-                    "fermionic-sum", compare(brute, formula), t0, mode,
+                    "fermionic-sum", compare(brute, formula),
+                    time.monotonic() - t0, mode,
                     expected=expected)]
 
 
@@ -115,7 +118,8 @@ def verify_gmf(parts, c, d, window: Truncation, mode: FieldMode) -> list:
     expected = "EQUAL" if lam.is_convex() else "LE"
     return [_finish(f"gmf lambda={lam.parts} c={ic.c} d={ic.d}",
                     "algebra-bruteforce", "fermionic-sum",
-                    compare(brute, formula), t0, mode, expected=expected)]
+                    compare(brute, formula), time.monotonic() - t0, mode,
+                    expected=expected)]
 
 
 def fusion_presentation(i1: int, k1: int, i2: int, k2: int):
@@ -135,16 +139,18 @@ def verify_fusion(i1: int, k1: int, i2: int, k2: int, window: Truncation,
     case = f"fusion ({i1},{k1})x({i2},{k2})"
     t0 = time.monotonic()
     fused = fusion.principal_fusion_character(i1, k1, i2, k2, w, mode, points)
+    t1 = time.monotonic()
     formula = fermionic.character_W_fusion(i1, k1, i2, k2, w)
-    first = _finish(case, "fusion-bruteforce", "w-fusion-sum",
-                    compare(fused, formula), t0, mode)
-    t0 = time.monotonic()
+    t2 = time.monotonic()
     algebra = graded_character(fusion_presentation(i1, k1, i2, k2), w, mode)
+    t3 = time.monotonic()
+    fused_s, formula_s, algebra_s = t1 - t0, t2 - t1, t3 - t2
+    first = _finish(case, "fusion-bruteforce", "w-fusion-sum",
+                    compare(fused, formula), fused_s + formula_s, mode)
     second = _finish(case, "fusion-bruteforce", "algebra-bruteforce",
-                     compare(fused, algebra), t0, mode)
-    t0 = time.monotonic()
+                     compare(fused, algebra), fused_s + algebra_s, mode)
     third = _finish(case, "w-fusion-sum", "algebra-bruteforce",
-                    compare(formula, algebra), t0, mode)
+                    compare(formula, algebra), formula_s + algebra_s, mode)
     return [first, second, third]
 
 
@@ -156,7 +162,7 @@ def verify_lattice(gram, shifts, window: Truncation, mode: FieldMode) -> list:
     formula = fermionic.lattice_principal_character(spec, w)
     return [_finish(f"lattice M={spec.gram} v={spec.shifts}",
                     "quadratic-bruteforce", "lattice-sum",
-                    compare(brute, formula), t0, mode)]
+                    compare(brute, formula), time.monotonic() - t0, mode)]
 
 
 def verify_limform(i1: int, k1: int, i2: int, k2: int, q_max: int,
@@ -164,14 +170,15 @@ def verify_limform(i1: int, k1: int, i2: int, k2: int, q_max: int,
     mode = FieldMode.exact()  # formula-only case
     case = f"limform ({i1},{k1})x({i2},{k2})"
     window = Truncation(q_max, None, u_max)
-    t0 = time.monotonic()
     result = fermionic.character_L_fusion(i1, k1, i2, k2, q_max, u_max, n_max)
+    limit_s, recon_s, literal_s = result.seconds
     recon = Comparison("EQUAL" if result.reconstructed_match else "MISMATCH",
                        window)
     first = _finish(case, "limit-stabilized", "reconstructed-closed-form",
-                    recon, t0, mode)
+                    recon, limit_s + recon_s, mode)
     second = _finish(case, "limit-stabilized", "literal-integer-lattice",
-                     result.literal_comparison, t0, mode, informational=True)
+                     result.literal_comparison, limit_s + literal_s, mode,
+                     informational=True)
     return [first, second]
 
 
@@ -195,7 +202,7 @@ def verify_points(levels, window: Truncation, points_a, points_b,
         chars.append(fusion.fusion_character(fusion.FusionSpec.make(mods, points, w)))
     case = f"fusion-points {levels}"
     return [_finish(case, f"points={tuple(points_a)}", f"points={tuple(points_b)}",
-                    compare(chars[0], chars[1]), t0, mode,
+                    compare(chars[0], chars[1]), time.monotonic() - t0, mode,
                     informational=len(levels) > 2)]
 
 
@@ -206,7 +213,7 @@ def verify_custom(left_desc: dict, right_desc: dict, window: Truncation,
     t0 = time.monotonic()
     a, b = left_fn(window, mode), right_fn(window, mode)
     return [_finish(f"custom {left_label} vs {right_label}", left_label,
-                    right_label, compare(a, b), t0, mode)]
+                    right_label, compare(a, b), time.monotonic() - t0, mode)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies
 
-from ferchar.exactlin import (FieldMode, RankResult, SparseMatrix, int_rank,
-                              random_prime_31, rank, reduce_rows, row_reduce)
+from ferchar.exactlin import (FieldMode, RankResult, SparseMatrix, echelon,
+                              int_rank, random_prime_31, rank, reduce_rows,
+                              row_reduce)
 
 
 def dense(reduced, ncols):
@@ -121,3 +123,84 @@ def test_two_prime_rank_matches_exact(rows, seed):
     dict_rows = [{c: v for c, v in enumerate(r) if v} for r in rows]
     exact = int_rank(dict_rows, FieldMode.exact()).rank
     assert int_rank(dict_rows, FieldMode.two_prime(seed)).rank == exact
+
+
+def reference_rref(rows, field, ncols):
+    """Textbook dense Gauss-Jordan: (pivot columns, RREF rows as lists)."""
+    def norm(v):
+        return Fraction(v) if field is None else v % field
+
+    def inv(v):
+        return 1 / v if field is None else pow(v, -1, field)
+
+    m = [[norm(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        top = len(pivots)
+        found = next((i for i in range(top, len(m)) if m[i][c]), None)
+        if found is None:
+            continue
+        m[top], m[found] = m[found], m[top]
+        s = inv(m[top][c])
+        m[top] = [norm(x * s) for x in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][c]:
+                f = m[i][c]
+                m[i] = [norm(x - f * y) for x, y in zip(m[i], m[top])]
+        pivots.append(c)
+    return pivots, m[:len(pivots)]
+
+
+FIELDS = (None, 2, 5, 7, 2**31 - 1)
+
+
+@strategies.composite
+def sparse_rows(draw):
+    """(field, ncols, rows); rows over Q may carry Fraction entries."""
+    field = draw(strategies.sampled_from(FIELDS))
+    ncols = draw(strategies.integers(1, 7))
+    scalars = strategies.integers(-6, 6)
+    if field is None:
+        scalars = scalars | strategies.fractions(-6, 6, max_denominator=5)
+    rows = draw(strategies.lists(
+        strategies.dictionaries(strategies.integers(0, ncols - 1), scalars,
+                                max_size=ncols),
+        max_size=9))
+    return field, ncols, rows
+
+
+@given(sparse_rows())
+def test_echelon_rank_matches_reference(case):
+    field, ncols, rows = case
+    expected = len(reference_rref(rows, field, ncols)[0])
+    assert len(echelon(rows, field)) == expected
+    # stopping at full rank never changes the rank
+    assert len(echelon(rows, field, ncols)) == expected
+    assert int_rank(rows, FieldMode.exact(), ncols).rank == \
+        len(reference_rref(rows, None, ncols)[0])
+
+
+@given(sparse_rows(), strategies.integers(0, 9))
+def test_echelon_extends_an_earlier_echelon(case, cut):
+    field, ncols, rows = case
+    pivots = echelon(rows[:cut], field)
+    assert echelon(rows[cut:], field, None, pivots) is pivots
+    assert len(pivots) == len(reference_rref(rows, field, ncols)[0])
+    for lead, row in pivots.items():
+        assert min(row) == lead
+        assert all(type(v) is int for v in row.values())
+        if field is None:
+            assert row[lead] > 0 and math.gcd(*row.values()) == 1
+        else:
+            assert row[lead] == 1
+
+
+@given(sparse_rows())
+def test_reduce_rows_matches_reference_rref(case):
+    field, ncols, rows = case
+    pivots, expected = reference_rref(rows, field, ncols)
+    reduced = reduce_rows(rows, field)
+    assert [p for p, _ in reduced] == pivots
+    assert dense(reduced, ncols) == expected
+    scalar = Fraction if field is None else int
+    assert all(type(v) is scalar for _, row in reduced for v in row.values())

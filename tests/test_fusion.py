@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from ferchar.errors import ConfigurationError
-from ferchar.exactlin import FieldMode
+from ferchar.exactlin import FieldMode, reduce_rows
 from ferchar.fusion import (FusionContext, FusionSpec, check_actions_commute,
                             check_cyclic, default_points,
                             diagonal_u0_dimensions, fusion_character,
@@ -145,6 +145,38 @@ def test_diagonal_u0_matches_filtration_bottom():
     full = fusion_character(spec)
     u0 = {(z, q): v for (z, u, q), v in full.coeffs.items() if u == 0}
     assert diag == u0
+
+
+def filtration_recomputed(ctx):
+    """dim F_l with every layer spanned anew from all of F_{l-m} below it."""
+    w = ctx.spec.window
+    layers, dims = {}, {}
+    for big_z in range(w.z_max + 1):
+        for big_q in range(w.q_max + 1):
+            if not ctx.tensor_dimension(big_z, big_q):
+                continue
+            for l in range(w.u_max + 1):
+                vecs = [ctx.vacuum()] if (big_z, big_q) == (0, 0) else []
+                for j in range(big_q + 1 if big_z else 0):
+                    src = (big_z - 1, big_q - j)
+                    for m in range(min(l, ctx.n - 1) + 1):
+                        for v in layers.get(src + (l - m,), ()):
+                            vecs.append(ctx.apply(j, m, src, v))
+                layers[(big_z, big_q, l)] = [r for _, r in reduce_rows(vecs, ctx.field)]
+                dims[(big_z, big_q, l)] = len(layers[(big_z, big_q, l)])
+    return dims
+
+
+@pytest.mark.parametrize("field", [None, *FieldMode.two_prime(0).primes])
+@pytest.mark.parametrize("levels", [(0, 1, 1, 1), (1, 1, 1, 2), (2, 2, 0, 2),
+                                    (1, 2, 1, 2)])
+def test_incremental_filtration_matches_recomputation(levels, field):
+    i1, k1, i2, k2 = levels
+    w = Truncation(4, 3, 3)
+    spec = FusionSpec.make((principal_subspace(i1, k1, 4, 3, field),
+                            principal_subspace(i2, k2, 4, 3, field)), (1, 0), w)
+    ctx = FusionContext(spec)
+    assert ctx.filtration_dimensions() == filtration_recomputed(ctx)
 
 
 def test_shifted_character_zero_shift_is_identity():

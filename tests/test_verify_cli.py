@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,8 +14,8 @@ from ferchar.exactlin import FieldMode
 from ferchar.gradedchar import Truncation
 from ferchar.verify import (build_evaluator, convex_partitions, run_case,
                             run_cases, scan_fusion_cases, scan_mf_cases,
-                            verify_custom, verify_gordon, verify_limform,
-                            verify_mf, verify_points)
+                            verify_custom, verify_fusion, verify_gordon,
+                            verify_limform, verify_mf, verify_points)
 
 W32 = Truncation(3, 2, 0)
 MODE = FieldMode.two_prime(0)
@@ -39,6 +41,15 @@ def test_informational_flag_only_on_literal_report():
     assert informational.to_json_dict()["informational"] is True
     assert informational.passed  # reported, never failed
     assert informational.verdict == "MISMATCH"
+
+
+def test_millis_covers_the_two_compared_routes(monkeypatch):
+    # a clock that advances one second per reading: each route takes 1 s
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+    assert [r.millis for r in verify_limform(0, 1, 0, 1, 3)] == [2000, 2000]
+    reports = verify_fusion(0, 1, 0, 1, Truncation(2, 2, 1), MODE)
+    assert [r.millis for r in reports] == [2000, 2000, 2000]
 
 
 def test_nonconvex_mf_passes_on_le():
