@@ -2,7 +2,8 @@
 
 Three commands: `char` evaluates a single character (brute force or
 closed sum) and prints it; `verify` runs one catalog case and reports
-verdicts; `scan` sweeps a family of cases.  Exit codes: 0 all passed,
+verdicts; `scan` sweeps a family of cases.  Their kinds and flags come
+from the registries in `ferchar.verify`.  Exit codes: 0 all passed,
 1 a required comparison mismatched, 2 bad configuration, 3 a resource
 or stabilization limit was hit.  FERCHAR_THREADS overrides --jobs.
 """
@@ -18,53 +19,24 @@ from . import verify as catalog
 from .errors import ConfigurationError, ResourceLimitError, StabilizationError
 from .exactlin import FieldMode
 from .gradedchar import Truncation, render_csv, render_table, to_json_dict
-from .presented import presentation_from_json
+from .verify import (Flag, choice, parse_float, parse_int, parse_ints,  # noqa: F401
+                     parse_matrix, parse_size, parse_text)
 
 EXIT_OK, EXIT_MISMATCH, EXIT_CONFIG, EXIT_RESOURCE = 0, 1, 2, 3
 
-_BRUTE_KINDS = {"algebra", "presentation", "quadratic", "fusion"}
+COMMANDS = {
+    "char": (catalog.EVALUATORS, "evaluate one character"),
+    "verify": (catalog.CASES, "run one verification case"),
+    "scan": (catalog.SCANS, "sweep a family of cases"),
+}
 
-
-# ---------------------------------------------------------------------------
-# flag parsing helpers
-
-
-def parse_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ConfigurationError(f"bad integer list {text!r}") from exc
-
-
-def parse_matrix(text: str) -> tuple:
-    rows = tuple(parse_ints(row) for row in text.strip().split(";"))
-    return rows
-
-
-def _add_window_flags(p):
-    p.add_argument("--qmax", type=int)
-    p.add_argument("--zmax", type=int)
-    p.add_argument("--umax", type=int)
-
-
-def _add_common_flags(p):
-    p.add_argument("--field", choices=["two-prime", "exact"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=["json", "csv", "table"], dest="fmt")
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--timeout", type=float)
-
-
-def _add_levels_flags(p):
-    p.add_argument("--i1", type=int)
-    p.add_argument("--k1", type=int)
-    p.add_argument("--i2", type=int)
-    p.add_argument("--k2", type=int)
+# flags of every kind, after the kind's own
+COMMON_FLAGS = (
+    Flag("qmax", parse_size, True), Flag("zmax", parse_size), Flag("umax", parse_size),
+    Flag("field", choice("two-prime", "exact")), Flag("seed", parse_int),
+    Flag("format", choice("json", "csv", "table")), Flag("out", parse_text),
+    Flag("config", parse_text), Flag("jobs", parse_int), Flag("timeout", parse_float),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,139 +44,55 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ferchar",
         description="exact verification of graded character formulas")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    char_p = commands.add_parser("char", help="evaluate one character")
-    char_sub = char_p.add_subparsers(dest="kind", required=True)
-    specs = {
-        "gordon": [("--k", int, True)],
-        "algebra": [("--lambda", "ints", True), ("--c", "ints", False),
-                    ("--d", "ints", False)],
-        "mf": [("--lambda", "ints", True)],
-        "gmf": [("--lambda", "ints", True), ("--c", "ints", True),
-                ("--d", "ints", False)],
-        "fusion-w": "levels",
-        "fusion": "levels+points",
-        "limform": "levels+nmax",
-        "lattice": [("--matrix", "matrix", True), ("--shifts", "ints", True)],
-        "quadratic": [("--matrix", "matrix", True), ("--shifts", "ints", True)],
-        "presentation": [("--file", str, True)],
-    }
-    for kind, flags in specs.items():
-        sp = char_sub.add_parser(kind)
-        _apply_flag_spec(sp, flags)
-        _add_window_flags(sp)
-        _add_common_flags(sp)
-
-    verify_p = commands.add_parser("verify", help="run one verification case")
-    verify_sub = verify_p.add_subparsers(dest="kind", required=True)
-    vspecs = {
-        "gordon": [("--k", int, True)],
-        "mf": [("--lambda", "ints", True)],
-        "gmf": [("--lambda", "ints", True), ("--c", "ints", True),
-                ("--d", "ints", False)],
-        "fusion": "levels+points",
-        "lattice": [("--matrix", "matrix", True), ("--shifts", "ints", True)],
-        "limform": "levels+nmax",
-        "points": [("--levels", "matrix", True), ("--points", "ints", True),
-                   ("--alt-points", "ints", True)],
-        "custom": [("--left", "json", True), ("--right", "json", True)],
-    }
-    for kind, flags in vspecs.items():
-        sp = verify_sub.add_parser(kind)
-        _apply_flag_spec(sp, flags)
-        _add_window_flags(sp)
-        _add_common_flags(sp)
-
-    scan_p = commands.add_parser("scan", help="sweep a family of cases")
-    scan_sub = scan_p.add_subparsers(dest="kind", required=True)
-    sp = scan_sub.add_parser("mf")
-    sp.add_argument("--max-size", type=int, dest="max_size")
-    sp.set_defaults(_required=(("--max-size", "max_size"),))
-    _add_window_flags(sp)
-    _add_common_flags(sp)
-    sp = scan_sub.add_parser("fusion")
-    sp.add_argument("--kmax", type=int)
-    sp.set_defaults(_required=(("--kmax", "kmax"),))
-    _add_window_flags(sp)
-    _add_common_flags(sp)
+    for command, (registry, help_text) in COMMANDS.items():
+        kinds = commands.add_parser(command, help=help_text).add_subparsers(
+            dest="kind", required=True)
+        for name, kind in registry.items():
+            sp = kinds.add_parser(name)
+            # argparse keeps the text: values are parsed after the config
+            # merge, so that --config files can supply them too
+            for flag in kind.flags + COMMON_FLAGS:
+                sp.add_argument("--" + flag.name, dest=flag.name)
     return parser
 
 
-def _apply_flag_spec(sp, flags):
-    # required flags are validated after the config merge (check_required),
-    # not by argparse, so --config files can supply them
-    if isinstance(flags, str):
-        _add_levels_flags(sp)
-        if flags == "levels+points":
-            sp.add_argument("--points", type=parse_ints)
-        elif flags == "levels+nmax":
-            sp.add_argument("--nmax", type=int)
-        sp.set_defaults(_required=(("--i1", "i1"), ("--k1", "k1"),
-                                   ("--i2", "i2"), ("--k2", "k2")))
-        return
-    required = []
-    for name, typ, req in flags:
-        dest = name.lstrip("-").replace("-", "_")
-        if dest == "lambda":
-            dest = "lam"
-        if typ == "ints":
-            sp.add_argument(name, type=parse_ints, dest=dest)
-        elif typ == "matrix":
-            sp.add_argument(name, type=parse_matrix, dest=dest)
-        elif typ == "json":
-            sp.add_argument(name, type=json.loads, dest=dest)
-        else:
-            sp.add_argument(name, type=typ, dest=dest)
-        if req:
-            required.append((name, dest))
-    sp.set_defaults(_required=tuple(required))
-
-
 # ---------------------------------------------------------------------------
-# config resolution
+# flag resolution
 
 
-def apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    try:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config {args.config}: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigurationError("config must be a JSON object")
-    parsers = {"lam": parse_ints, "c": parse_ints, "d": parse_ints,
-               "points": parse_ints, "alt_points": parse_ints,
-               "matrix": parse_matrix, "levels": parse_matrix,
-               "shifts": parse_ints}
-    for key, value in data.items():
-        dest = key.replace("-", "_")
-        if dest == "lambda":
-            dest = "lam"
-        if dest == "format":
-            dest = "fmt"
-        if not hasattr(args, dest):
-            raise ConfigurationError(f"config key {key!r} does not match a flag")
-        if getattr(args, dest) is None:
-            if isinstance(value, str) and dest in parsers:
-                value = parsers[dest](value)
-            setattr(args, dest, value)
-
-
-def check_required(args) -> None:
-    for flag, dest in getattr(args, "_required", ()):
-        if getattr(args, dest, None) is None:
-            raise ConfigurationError(f"{flag} is required")
+def resolve_flags(args: argparse.Namespace) -> catalog.Kind:
+    """The kind that args names.  Sets each of its flags on args to the
+    parsed value from argv or else from the --config file (whose keys are
+    flag names, with - or _)."""
+    kind = COMMANDS[args.command][0][args.kind]
+    flags = kind.flags + COMMON_FLAGS
+    raw = {f.name: getattr(args, f.name) for f in flags}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(config, dict):
+            raise ConfigurationError("config must be a JSON object")
+        for key, value in config.items():
+            name = key.replace("_", "-")
+            if name not in raw:
+                raise ConfigurationError(f"config key {key!r} does not match a flag")
+            if raw[name] is None:
+                raw[name] = value
+    values = catalog.parse_values(flags, raw)
+    for flag in flags:
+        if flag.required and values[flag.name] is None:
+            raise ConfigurationError(f"--{flag.name} is required")
+    vars(args).update(values)
+    return kind
 
 
 def resolve_mode(args) -> FieldMode:
-    field = getattr(args, "field", None) or "two-prime"
-    seed = getattr(args, "seed", None)
-    seed = 0 if seed is None else seed
-    if field == "exact":
+    if args.field == "exact":
         return FieldMode.exact()
-    return FieldMode.two_prime(seed)
+    return FieldMode.two_prime(0 if args.seed is None else args.seed)
 
 
 def resolve_jobs(args) -> int:
@@ -218,8 +106,6 @@ def resolve_jobs(args) -> int:
 
 
 def resolve_window(args, finite: bool) -> Truncation:
-    if args.qmax is None:
-        raise ConfigurationError("--qmax is required")
     z, u = args.zmax, args.umax
     if finite:
         z = args.qmax if z is None else z
@@ -227,35 +113,30 @@ def resolve_window(args, finite: bool) -> Truncation:
     return Truncation(args.qmax, z, u)
 
 
+def _case_values(kind: catalog.Kind, args) -> dict:
+    """The kind's flag values plus the window and field mode."""
+    values = {f.name: getattr(args, f.name) for f in kind.flags}
+    values.update(window=resolve_window(args, kind.finite), mode=resolve_mode(args))
+    return values
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot write {out_path}: {exc}")
 
 
-def cmd_char(args) -> int:
-    desc = {"kind": args.kind}
-    for key in ("k", "lam", "c", "d", "i1", "k1", "i2", "k2", "points",
-                "matrix", "shifts", "nmax"):
-        value = getattr(args, key, None)
-        if value is not None:
-            desc["lambda" if key == "lam" else key] = value
-    if args.kind == "presentation":
-        try:
-            with open(args.file) as fh:
-                desc["presentation"] = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot read presentation {args.file}: {exc}")
-    label, fn = catalog.build_evaluator(desc)
-    window = resolve_window(args, finite=args.kind in _BRUTE_KINDS)
-    char = fn(window, resolve_mode(args))
-    fmt = args.fmt or "table"
+def _emit_char(char, args) -> int:
+    fmt = args.format or "table"
     if fmt == "json":
         _emit(json.dumps(to_json_dict(char), indent=2) + "\n", args.out)
     elif fmt == "csv":
@@ -263,46 +144,6 @@ def cmd_char(args) -> int:
     else:
         _emit(render_table(char), args.out)
     return EXIT_OK
-
-
-def _case_descriptor(args):
-    mode = resolve_mode(args)
-    kind = args.kind
-    if kind == "gordon":
-        return ("gordon", {"k": args.k, "window": resolve_window(args, True),
-                           "mode": mode})
-    if kind == "mf":
-        return ("mf", {"parts": args.lam, "window": resolve_window(args, True),
-                       "mode": mode})
-    if kind == "gmf":
-        lam = args.lam
-        d = args.d if args.d is not None else ()
-        return ("gmf", {"parts": lam, "c": args.c, "d": d,
-                        "window": resolve_window(args, True), "mode": mode})
-    if kind == "fusion":
-        return ("fusion", {"i1": args.i1, "k1": args.k1, "i2": args.i2,
-                           "k2": args.k2, "window": resolve_window(args, True),
-                           "mode": mode, "points": args.points})
-    if kind == "lattice":
-        return ("lattice", {"gram": args.matrix, "shifts": args.shifts,
-                            "window": resolve_window(args, True), "mode": mode})
-    if kind == "limform":
-        if args.qmax is None:
-            raise ConfigurationError("--qmax is required")
-        kwargs = {"i1": args.i1, "k1": args.k1, "i2": args.i2, "k2": args.k2,
-                  "q_max": args.qmax, "u_max": args.umax}
-        if args.nmax is not None:
-            kwargs["n_max"] = args.nmax
-        return ("limform", kwargs)
-    if kind == "points":
-        return ("points", {"levels": args.levels,
-                           "window": resolve_window(args, True),
-                           "points_a": args.points,
-                           "points_b": args.alt_points})
-    if kind == "custom":
-        return ("custom", {"left_desc": args.left, "right_desc": args.right,
-                           "window": resolve_window(args, False), "mode": mode})
-    raise ConfigurationError(f"unknown verify case {kind!r}")
 
 
 def _render_reports(reports, fmt: str) -> str:
@@ -333,7 +174,7 @@ def _render_reports(reports, fmt: str) -> str:
 
 
 def _finish_reports(reports, timed_out: bool, args) -> int:
-    _emit(_render_reports(reports, args.fmt or "table"), args.out)
+    _emit(_render_reports(reports, args.format or "table"), args.out)
     if timed_out:
         return EXIT_RESOURCE
     if all(r.passed for r in reports):
@@ -341,32 +182,19 @@ def _finish_reports(reports, timed_out: bool, args) -> int:
     return EXIT_MISMATCH
 
 
-def cmd_verify(args) -> int:
-    reports = catalog.run_case(_case_descriptor(args))
-    return _finish_reports(reports, False, args)
-
-
-def cmd_scan(args) -> int:
-    mode = resolve_mode(args)
-    window = resolve_window(args, True)
-    if args.kind == "mf":
-        descs = catalog.scan_mf_cases(args.max_size, window, mode)
-    else:
-        descs = catalog.scan_fusion_cases(args.kmax, window, mode)
-    reports, timed_out = catalog.run_cases(descs, resolve_jobs(args), args.timeout)
-    return _finish_reports(reports, timed_out, args)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        apply_config(args)
-        check_required(args)
+        kind = resolve_flags(args)
+        values = _case_values(kind, args)
         if args.command == "char":
-            return cmd_char(args)
+            _, evaluate = kind.run(values)
+            return _emit_char(evaluate(values["window"], values["mode"]), args)
         if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_scan(args)
+            return _finish_reports(catalog.run_case((args.kind, values)), False, args)
+        reports, timed_out = catalog.run_cases(kind.run(values), resolve_jobs(args),
+                                               args.timeout)
+        return _finish_reports(reports, timed_out, args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

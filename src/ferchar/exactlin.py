@@ -15,16 +15,18 @@ column has a pivot.
 reduced row echelon form, which is unique, so normal forms do not depend
 on the order in which rows arrive.
 
-The two-prime protocol lives here as well: ranks of integer matrices are
-computed modulo two independently chosen 31-bit primes and only reported
-when they agree; on disagreement the computation is redone over the
-rationals and the offending prime is recorded.
+The two-prime protocol lives here as well (`two_prime`): a computation
+runs modulo two independently chosen 31-bit primes and its result is only
+reported when they agree; on disagreement it is redone over the
+rationals.  `int_rank` applies it to ranks and records the offending
+prime; the fusion filtration applies it to whole fused characters.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -261,6 +263,22 @@ class RankResult:
     dropped_primes: tuple[int, ...] = ()
 
 
+def two_prime(compute, mode: FieldMode, agree=operator.eq):
+    """(value, by_prime) of compute(field) in mode; field None is the rationals.
+
+    Two-prime mode keeps the first prime's value when agree(first, second)
+    and otherwise recomputes over the rationals; by_prime lists the
+    per-prime values when they disagreed, else None."""
+    if mode.kind == "exact":
+        return compute(None), None
+    if mode.kind != "two-prime" or not mode.primes:
+        raise ValueError(f"bad field mode {mode!r}")
+    by_prime = [compute(p) for p in mode.primes]
+    if agree(*by_prime):
+        return by_prime[0], None
+    return compute(None), by_prime
+
+
 def int_rank(rows: list[dict], mode: FieldMode,
              ncols: int | None = None) -> RankResult:
     """Rank of a matrix with integer entries, given as sparse rows.
@@ -270,15 +288,10 @@ def int_rank(rows: list[dict], mode: FieldMode,
     both primes agree; otherwise the exact rational rank is computed and
     any prime that reported a smaller rank is flagged.
     """
-    if mode.kind == "exact":
-        return RankResult(len(echelon(rows, None, ncols)))
-    if mode.kind != "two-prime" or not mode.primes:
-        raise ValueError(f"bad field mode {mode!r}")
-    by_prime = [len(echelon(rows, p, ncols)) for p in mode.primes]
-    if by_prime[0] == by_prime[1]:
-        return RankResult(by_prime[0])
-    exact = len(echelon(rows, None, ncols))
-    dropped = tuple(p for p, r in zip(mode.primes, by_prime) if r < exact)
+    rank, by_prime = two_prime(lambda field: len(echelon(rows, field, ncols)), mode)
+    if by_prime is None:
+        return RankResult(rank)
+    dropped = tuple(p for p, r in zip(mode.primes, by_prime) if r < rank)
     log.warning("prime rank disagreement %s; exact rank %d, dropped by %s",
-                dict(zip(mode.primes, by_prime)), exact, dropped)
-    return RankResult(exact, escalated=True, dropped_primes=dropped)
+                dict(zip(mode.primes, by_prime)), rank, dropped)
+    return RankResult(rank, escalated=True, dropped_primes=dropped)

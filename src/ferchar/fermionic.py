@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import ConfigurationError, ResourceLimitError, StabilizationError
 from .gradedchar import (Comparison, GradedCharacter, Truncation, compare,
                          convolve, inv_pochhammer)
-from .presented import InitialConditions, Partition, low_ranges
+from .presented import InitialConditions, Partition, check_lattice, low_ranges
 
 # ---------------------------------------------------------------------------
 # matrices
@@ -198,6 +198,20 @@ def _term_series(n: tuple, m: tuple, q_cap: int) -> tuple:
     return _poch_product(counts, q_cap)
 
 
+def _coupling(b: tuple, n: tuple, m: tuple) -> int:
+    """The coupling exponent: the sum over i, j of n_i b_ij m_j."""
+    return sum(ni * sum(bij * mj for bij, mj in zip(b[i], m) if mj)
+               for i, ni in enumerate(n) if ni)
+
+
+def _add_series(coeffs: dict, z: int, u: int, q0: int, series) -> None:
+    """Add series (coefficients of q^0, q^1, ...) to coeffs at (z, u, q0 + t)."""
+    for t, cnt in enumerate(series):
+        if cnt:
+            key = (z, u, q0 + t)
+            coeffs[key] = coeffs.get(key, 0) + cnt
+
+
 def evaluate_fermionic_sum(spec: FermionicSumSpec, window: Truncation) -> GradedCharacter:
     q_max = window.q_max
     z_cap = window.z_max
@@ -219,18 +233,10 @@ def evaluate_fermionic_sum(spec: FermionicSumSpec, window: Truncation) -> Graded
                 continue
             m = _diffs(mpart)
             q0 = qn + sum(v * (v - 1) for v in mpart)
-            q0 += sum(a * b for a, b in zip(m, spec.m_linear))
-            for i, ni in enumerate(n):
-                if ni:
-                    row = spec.b[i]
-                    q0 += ni * sum(row[j] * m[j] for j in range(len(m)) if m[j])
+            q0 += sum(a * b for a, b in zip(m, spec.m_linear)) + _coupling(spec.b, n, m)
             if q0 > q_max:
                 continue
-            series = _term_series(n, m, q_max - q0)
-            for t, cnt in enumerate(series):
-                if cnt:
-                    key = (wn + wm, wm, q0 + t)
-                    coeffs[key] = coeffs.get(key, 0) + cnt
+            _add_series(coeffs, wn + wm, wm, q0, _term_series(n, m, q_max - q0))
     return GradedCharacter.make(coeffs, window)
 
 
@@ -267,19 +273,9 @@ class LatticeSpec:
 
     @staticmethod
     def make(gram, shifts) -> LatticeSpec:
-        gram = tuple(tuple(int(x) for x in row) for row in gram)
-        n = len(gram)
-        if any(len(row) != n for row in gram):
-            raise ConfigurationError("matrix must be square")
-        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
-            raise ConfigurationError("matrix must be symmetric")
-        if any(gram[i][i] <= 0 or gram[i][i] % 2 for i in range(n)):
-            raise ConfigurationError("diagonal must be positive even")
-        if any(gram[i][j] < 0 for i in range(n) for j in range(n)):
+        gram, shifts = check_lattice(gram, shifts)
+        if any(x < 0 for row in gram for x in row):
             raise ConfigurationError("enumeration assumes nonnegative entries")
-        shifts = tuple(int(x) for x in shifts)
-        if len(shifts) != n or any(x < 0 for x in shifts):
-            raise ConfigurationError(f"need {n} nonnegative shifts, got {shifts}")
         return LatticeSpec(gram, shifts)
 
 
@@ -295,11 +291,7 @@ def lattice_principal_character(spec: LatticeSpec, window: Truncation) -> Graded
 
     def rec(i, qacc, zacc, acc):
         if i == size:
-            series = _term_series(tuple(acc), (), q_max - qacc)
-            for t, cnt in enumerate(series):
-                if cnt:
-                    key = (zacc, 0, qacc + t)
-                    coeffs[key] = coeffs.get(key, 0) + cnt
+            _add_series(coeffs, zacc, 0, qacc, _term_series(tuple(acc), (), q_max - qacc))
             return
         v = 0
         while True:
@@ -381,10 +373,7 @@ def _finite_level_terms(i1, k1, i2, k2, level, q_max, u_max):
                 continue
             m = _diffs(mpart)
             q0 = base + fn + fm + sum(a * b for a, b in zip(m, spec.m_linear)) + lin_n
-            for i, ni in enumerate(n):
-                if ni:
-                    row = spec.b[i]
-                    q0 += ni * sum(row[j] * m[j] for j in range(len(m)) if m[j])
+            q0 += _coupling(spec.b, n, m)
             if q0 > q_max:
                 continue
             wn = sum(npart)
@@ -396,11 +385,8 @@ def _finite_level_character(i1, k1, i2, k2, level, q_max, u_max) -> GradedCharac
     window = Truncation(q_max, None, u_max)
     coeffs: dict = {}
     for npart, mpart, z0, u0, q0 in _finite_level_terms(i1, k1, i2, k2, level, q_max, u_max):
-        series = _term_series(_diffs(npart), _diffs(mpart), q_max - q0)
-        for t, cnt in enumerate(series):
-            if cnt:
-                key = (z0, u0, q0 + t)
-                coeffs[key] = coeffs.get(key, 0) + cnt
+        _add_series(coeffs, z0, u0, q0,
+                    _term_series(_diffs(npart), _diffs(mpart), q_max - q0))
     return GradedCharacter.make(coeffs, window)
 
 
@@ -485,11 +471,7 @@ def _literal_limit_character(i1, k1, i2, k2, q_max, u_max,
                 p = int(p)
                 z0 = -i1 - i2 + 2 * sum(s)
                 series = _term_series(tuple(x for x in s[:-1]), m, q_max - p)
-                series = convolve(series, euler, q_max - p)
-                for t, cnt in enumerate(series):
-                    if cnt:
-                        key = (z0, wm, p + t)
-                        coeffs[key] = coeffs.get(key, 0) + cnt
+                _add_series(coeffs, z0, wm, p, convolve(series, euler, q_max - p))
             return
         lo = -s_cap if i == big - 1 else 0
         for v in range(lo, min(hi, s_cap) + 1):

@@ -22,7 +22,7 @@ import logging
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .exactlin import FieldMode, echelon, reduce_rows
+from .exactlin import FieldMode, echelon, reduce_rows, two_prime
 from .fermionic import delta_vector
 from .gradedchar import GradedCharacter, Truncation, char_reweight, compare, restrict
 from .presented import (GeneratorFamily, InitialConditions, Partition,
@@ -387,14 +387,12 @@ def principal_fusion_character(i1: int, k1: int, i2: int, k2: int,
                 principal_subspace(i2, k2, window.q_max, window.z_max, field))
         return fusion_character(FusionSpec.make(mods, points, window))
 
-    if mode.kind == "exact":
-        return run(None)
-    first, second = (run(p) for p in mode.primes)
-    if compare(first, second).verdict == "EQUAL":
-        return first
-    log.warning("fusion dims differ between primes %s; recomputing exactly",
-                mode.primes)
-    return run(None)
+    fused, by_prime = two_prime(
+        run, mode, lambda first, second: compare(first, second).verdict == "EQUAL")
+    if by_prime is not None:
+        log.warning("fusion dims differ between primes %s; recomputing exactly",
+                    mode.primes)
+    return fused
 
 
 def shifted_principal_character(i: int, k: int, shift: int,

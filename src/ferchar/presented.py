@@ -169,11 +169,9 @@ def build_presentation_A(lam: Partition, ic: InitialConditions | None = None) ->
     return Presentation.make(families, relations)
 
 
-def build_presentation_quadratic(gram, shifts) -> Presentation:
-    """Quadratic presentation from a symmetric integer matrix with positive
-    even diagonal: relations a_i^{(k)}(z) a_j^{(l)}(z) for all i <= j and
-    all k, l >= 0 with k + l < gram[i][j]; generator i starts at mode
-    -shifts[i]."""
+def check_lattice(gram, shifts) -> tuple[tuple, tuple]:
+    """gram and shifts as integer tuples, checked: a square symmetric
+    matrix with positive even diagonal, and one nonnegative shift per row."""
     gram = tuple(tuple(int(x) for x in row) for row in gram)
     n = len(gram)
     if any(len(row) != n for row in gram):
@@ -185,6 +183,16 @@ def build_presentation_quadratic(gram, shifts) -> Presentation:
     shifts = tuple(int(x) for x in shifts)
     if len(shifts) != n or any(x < 0 for x in shifts):
         raise ConfigurationError(f"need {n} nonnegative shifts, got {shifts}")
+    return gram, shifts
+
+
+def build_presentation_quadratic(gram, shifts) -> Presentation:
+    """Quadratic presentation from a symmetric integer matrix with positive
+    even diagonal: relations a_i^{(k)}(z) a_j^{(l)}(z) for all i <= j and
+    all k, l >= 0 with k + l < gram[i][j]; generator i starts at mode
+    -shifts[i]."""
+    gram, shifts = check_lattice(gram, shifts)
+    n = len(gram)
     families = [GeneratorFamily(f"a{i + 1}", 0, shifts[i]) for i in range(n)]
     relations = []
     for i in range(n):

@@ -7,18 +7,26 @@ the literal integer-lattice reading of the limit sum is surfaced (that
 lattice is known to be questionable, so it is reported, never asserted).
 Expected verdicts: EQUAL everywhere, except that the closed sum for a
 non-convex partition is only an upper bound, where LE also passes.
+
+Three registries declare every kind once: EVALUATORS (one character,
+for `char` and `custom` pairs), CASES (for `verify` and `run_case`) and
+SCANS.  A kind lists its flags; a flag's name is its command-line flag
+(`--lambda`), its config key and its descriptor key (`"lambda"`), and its
+parser takes command-line text or a JSON value alike.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import json
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from . import fermionic, fusion
 from .errors import ConfigurationError
 from .exactlin import FieldMode
-from .gradedchar import Comparison, GradedCharacter, Truncation, compare
+from .gradedchar import Comparison, Truncation, compare
 from .presented import (InitialConditions, Partition, build_presentation_A,
                         build_presentation_quadratic, graded_character,
                         presentation_from_json)
@@ -83,43 +91,268 @@ def _brute_window(window: Truncation, u_max: int | None) -> Truncation:
 
 
 # ---------------------------------------------------------------------------
+# flag values: command-line text, or the JSON value of a config file or
+# descriptor; text parses as it does on the command line
+
+
+def _scalar(value, kind):
+    if isinstance(value, str):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    elif isinstance(value, (int, kind)) and not isinstance(value, bool):
+        return kind(value)
+    raise ConfigurationError(f"bad {kind.__name__} {value!r}")
+
+
+def parse_int(value) -> int:
+    return _scalar(value, int)
+
+
+def parse_float(value) -> float:
+    return _scalar(value, float)
+
+
+def parse_size(value) -> int:
+    """A nonnegative integer: a window bound or a count."""
+    n = parse_int(value)
+    if n < 0:
+        raise ConfigurationError(f"expected a nonnegative integer, got {n}")
+    return n
+
+
+def parse_ints(value) -> tuple[int, ...]:
+    """An integer vector: comma-separated text or a JSON list."""
+    items = value
+    if isinstance(value, str):
+        items = value.split(",") if value.strip() else ()
+    if isinstance(items, (list, tuple)):
+        try:
+            return tuple(parse_int(x) for x in items)
+        except ConfigurationError:
+            pass
+    raise ConfigurationError(f"bad integer list {value!r}")
+
+
+def parse_matrix(value) -> tuple:
+    """Integer rows: semicolon-separated vectors or a JSON list of rows."""
+    rows = value.strip().split(";") if isinstance(value, str) else value
+    if not isinstance(rows, (list, tuple)):
+        raise ConfigurationError(f"bad matrix {value!r}")
+    return tuple(parse_ints(row) for row in rows)
+
+
+def parse_text(value) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"expected a string, got {value!r}")
+    return value
+
+
+def parse_json(value):
+    """A JSON value, or text holding one."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return json.loads(value)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"bad JSON {value!r}: {exc}") from None
+
+
+def choice(*options: str) -> Callable:
+    def parse(value):
+        if value not in options:
+            raise ConfigurationError(
+                f"expected one of {', '.join(options)}, got {value!r}")
+        return value
+    return parse
+
+
+def load_presentation(value):
+    """The presentation in the JSON file that value names."""
+    path = parse_text(value)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read presentation {path}: {exc}") from None
+    return presentation_from_json(data)
+
+
+@dataclass(frozen=True)
+class Flag:
+    """--name on the command line, name in config files and descriptors."""
+
+    name: str
+    parse: Callable  # command-line text or JSON value -> value
+    required: bool = False
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One registered evaluator, case or scan."""
+
+    flags: tuple
+    finite: bool  # without --zmax/--umax, z runs to q_max and u to z_max
+    run: Callable  # flag values -> evaluator, reports or case descriptors
+
+
+def parse_values(flags, raw: dict) -> dict:
+    """Each flag's parsed value from raw (name -> value); None when absent."""
+    return {f.name: None if raw.get(f.name) is None else f.parse(raw[f.name])
+            for f in flags}
+
+
+K = Flag("k", parse_int, True)
+LAMBDA = Flag("lambda", parse_ints, True)
+C, D = Flag("c", parse_ints), Flag("d", parse_ints)
+LEVELS = tuple(Flag(name, parse_int, True) for name in ("i1", "k1", "i2", "k2"))
+POINTS = Flag("points", parse_ints)
+NMAX = Flag("nmax", parse_size)
+LATTICE = (Flag("matrix", parse_matrix, True), Flag("shifts", parse_ints, True))
+
+
+def _levels(v: dict) -> tuple:
+    return v["i1"], v["k1"], v["i2"], v["k2"]
+
+
+def _n_max(v: dict) -> int:
+    return 8 if v.get("nmax") is None else v["nmax"]
+
+
+# ---------------------------------------------------------------------------
+# evaluators: (label, fn(window, mode) -> GradedCharacter), validated when built
+
+
+def _closed(label: str, spec):
+    return label, lambda w, m: fermionic.evaluate_fermionic_sum(spec, w)
+
+
+def _brute(label: str, pres, u_max: int | None = None):
+    return label, lambda w, m: graded_character(pres, _brute_window(w, u_max), m)
+
+
+def _algebra(v):
+    lam = Partition.make(v["lambda"])
+    ic = None
+    if v["c"] is not None or v["d"] is not None:
+        ic = InitialConditions.make((0,) * lam.lam0 if v["c"] is None else v["c"],
+                                    (0,) * lam.s if v["d"] is None else v["d"])
+    return _brute(f"algebra(lambda={lam.parts})", build_presentation_A(lam, ic))
+
+
+def _mf(v):
+    lam = Partition.make(v["lambda"])
+    return _closed(f"mf(lambda={lam.parts})", fermionic.mf_spec(lam))
+
+
+def _gmf(v):
+    lam = Partition.make(v["lambda"])
+    ic = InitialConditions.make(v["c"], v["d"] or ())
+    return _closed(f"gmf(lambda={lam.parts})", fermionic.gmf_spec(lam, ic))
+
+
+def _fusion(v):
+    a, points = _levels(v), v["points"] or None
+    return (f"fusion{a}", lambda w, m: fusion.principal_fusion_character(
+        *a, _brute_window(w, None), m, points))
+
+
+def _limform(v):
+    a, n_max = _levels(v), _n_max(v)
+    return (f"limform{a}", lambda w, m: fermionic.character_L_fusion(
+        *a, w.q_max, w.u_max, n_max).character)
+
+
+def _lattice(v):
+    spec = fermionic.LatticeSpec.make(v["matrix"], v["shifts"])
+    return "lattice", lambda w, m: fermionic.lattice_principal_character(spec, w)
+
+
+EVALUATORS = {
+    "gordon": Kind((K,), False, lambda v: _closed(
+        f"gordon(k={v['k']})", fermionic.gordon_spec(v["k"]))),
+    "algebra": Kind((LAMBDA, C, D), True, _algebra),
+    "mf": Kind((LAMBDA,), False, _mf),
+    "gmf": Kind((LAMBDA, Flag("c", parse_ints, True), D), False, _gmf),
+    "fusion-w": Kind(LEVELS, False, lambda v: _closed(
+        f"fusion-w{_levels(v)}", fermionic.w_fusion_spec(*_levels(v)))),
+    "fusion": Kind(LEVELS + (POINTS,), True, _fusion),
+    "limform": Kind(LEVELS + (NMAX,), False, _limform),
+    "lattice": Kind(LATTICE, False, _lattice),
+    "quadratic": Kind(LATTICE, True, lambda v: _brute(
+        "quadratic", build_presentation_quadratic(v["matrix"], v["shifts"]), 0)),
+    "presentation": Kind((Flag("file", load_presentation, True),), True,
+                         lambda v: _brute("presentation", v["file"])),
+}
+
+
+def build_evaluator(desc: dict):
+    """(label, fn(window, mode) -> GradedCharacter) from a descriptor dict:
+    "kind" plus values of that evaluator's flags."""
+    if not isinstance(desc, dict) or "kind" not in desc:
+        raise ConfigurationError(f"evaluator descriptor needs a kind: {desc!r}")
+    name = desc["kind"]
+    kind = EVALUATORS.get(name) if isinstance(name, str) else None
+    if kind is None:
+        raise ConfigurationError(f"unknown evaluator kind {name!r}")
+    names = {f.name for f in kind.flags}
+    for key in desc:
+        if key != "kind" and key not in names:
+            raise ConfigurationError(f"{name} evaluator has no key {key!r}")
+    values = parse_values(kind.flags, desc)
+    missing = [f.name for f in kind.flags if f.required and values[f.name] is None]
+    if missing:
+        raise ConfigurationError(f"{name} evaluator needs {missing}")
+    return kind.run(values)
+
+
+# ---------------------------------------------------------------------------
 # catalog
+
+_ALGEBRA_VS_SUM = ("algebra-bruteforce", "fermionic-sum")
+
+
+def _expected(lam: Partition) -> str:
+    return "EQUAL" if lam.is_convex() else "LE"
+
+
+def verify_custom(left_desc: dict, right_desc: dict, window: Truncation,
+                  mode: FieldMode, case: str | None = None,
+                  labels: tuple | None = None, expected: str = "EQUAL") -> list:
+    """One report comparing two evaluators on window.
+
+    Both are built, and so validated, before either runs.  case and the
+    (left, right) labels default to the evaluators' own labels."""
+    (left, left_fn), (right, right_fn) = (build_evaluator(left_desc),
+                                          build_evaluator(right_desc))
+    t0 = time.monotonic()
+    a, b = left_fn(window, mode), right_fn(window, mode)
+    return [_finish(case or f"custom {left} vs {right}", *(labels or (left, right)),
+                    compare(a, b), time.monotonic() - t0, mode, expected)]
 
 
 def verify_gordon(k: int, window: Truncation, mode: FieldMode) -> list:
-    w = _brute_window(window, 0)
-    t0 = time.monotonic()
-    brute = graded_character(build_presentation_A(Partition.make((k,))), w, mode)
-    formula = fermionic.gordon_character(k, w)
-    return [_finish(f"gordon k={k}", "algebra-bruteforce", "fermionic-sum",
-                    compare(brute, formula), time.monotonic() - t0, mode)]
+    return verify_custom({"kind": "algebra", "lambda": (k,)},
+                         {"kind": "gordon", "k": k}, _brute_window(window, 0),
+                         mode, f"gordon k={k}", _ALGEBRA_VS_SUM)
 
 
 def verify_mf(parts, window: Truncation, mode: FieldMode) -> list:
     lam = Partition.make(parts)
-    w = _brute_window(window, None)
-    t0 = time.monotonic()
-    brute = graded_character(build_presentation_A(lam), w, mode)
-    formula = fermionic.character_A_lambda(lam, w)
-    expected = "EQUAL" if lam.is_convex() else "LE"
-    return [_finish(f"mf lambda={lam.parts}", "algebra-bruteforce",
-                    "fermionic-sum", compare(brute, formula),
-                    time.monotonic() - t0, mode,
-                    expected=expected)]
+    return verify_custom({"kind": "algebra", "lambda": lam.parts},
+                         {"kind": "mf", "lambda": lam.parts},
+                         _brute_window(window, None), mode,
+                         f"mf lambda={lam.parts}", _ALGEBRA_VS_SUM, _expected(lam))
 
 
 def verify_gmf(parts, c, d, window: Truncation, mode: FieldMode) -> list:
-    lam = Partition.make(parts)
-    ic = InitialConditions.make(c, d)
-    w = _brute_window(window, None)
-    t0 = time.monotonic()
-    brute = graded_character(build_presentation_A(lam, ic), w, mode)
-    formula = fermionic.character_A_lambda_cd(lam, ic, w)
-    expected = "EQUAL" if lam.is_convex() else "LE"
-    return [_finish(f"gmf lambda={lam.parts} c={ic.c} d={ic.d}",
-                    "algebra-bruteforce", "fermionic-sum",
-                    compare(brute, formula), time.monotonic() - t0, mode,
-                    expected=expected)]
+    lam, ic = Partition.make(parts), InitialConditions.make(c, d)
+    values = {"lambda": lam.parts, "c": ic.c, "d": ic.d}
+    return verify_custom({"kind": "algebra", **values}, {"kind": "gmf", **values},
+                         _brute_window(window, None), mode,
+                         f"gmf lambda={lam.parts} c={ic.c} d={ic.d}",
+                         _ALGEBRA_VS_SUM, _expected(lam))
 
 
 def fusion_presentation(i1: int, k1: int, i2: int, k2: int):
@@ -156,13 +389,11 @@ def verify_fusion(i1: int, k1: int, i2: int, k2: int, window: Truncation,
 
 def verify_lattice(gram, shifts, window: Truncation, mode: FieldMode) -> list:
     spec = fermionic.LatticeSpec.make(gram, shifts)
-    w = _brute_window(window, 0)
-    t0 = time.monotonic()
-    brute = graded_character(build_presentation_quadratic(gram, shifts), w, mode)
-    formula = fermionic.lattice_principal_character(spec, w)
-    return [_finish(f"lattice M={spec.gram} v={spec.shifts}",
-                    "quadratic-bruteforce", "lattice-sum",
-                    compare(brute, formula), time.monotonic() - t0, mode)]
+    values = {"matrix": spec.gram, "shifts": spec.shifts}
+    return verify_custom({"kind": "quadratic", **values}, {"kind": "lattice", **values},
+                         _brute_window(window, 0), mode,
+                         f"lattice M={spec.gram} v={spec.shifts}",
+                         ("quadratic-bruteforce", "lattice-sum"))
 
 
 def verify_limform(i1: int, k1: int, i2: int, k2: int, q_max: int,
@@ -192,6 +423,8 @@ def verify_points(levels, window: Truncation, points_a, points_b,
     levels = tuple(tuple(x) for x in levels)
     if len(levels) < 2:
         raise ConfigurationError("need at least two (i, k) pairs")
+    if any(len(x) != 2 for x in levels):
+        raise ConfigurationError(f"levels must be (i, k) pairs, got {levels}")
     w = _brute_window(window, None)
     field = None
     t0 = time.monotonic()
@@ -206,92 +439,26 @@ def verify_points(levels, window: Truncation, points_a, points_b,
                     informational=len(levels) > 2)]
 
 
-def verify_custom(left_desc: dict, right_desc: dict, window: Truncation,
-                  mode: FieldMode) -> list:
-    left_label, left_fn = build_evaluator(left_desc)
-    right_label, right_fn = build_evaluator(right_desc)
-    t0 = time.monotonic()
-    a, b = left_fn(window, mode), right_fn(window, mode)
-    return [_finish(f"custom {left_label} vs {right_label}", left_label,
-                    right_label, compare(a, b), time.monotonic() - t0, mode)]
-
-
-# ---------------------------------------------------------------------------
-# evaluator descriptors (shared by the char command and custom pairs)
-
-
-def build_evaluator(desc: dict):
-    """(label, fn(window, mode) -> GradedCharacter) from a descriptor dict."""
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigurationError(f"evaluator descriptor needs a kind: {desc!r}")
-    d = dict(desc)
-    kind = d.pop("kind")
-
-    def need(*keys):
-        missing = [k for k in keys if k not in d]
-        if missing:
-            raise ConfigurationError(f"{kind} evaluator needs {missing}")
-
-    if kind == "gordon":
-        need("k")
-        return (f"gordon(k={d['k']})",
-                lambda w, m: fermionic.gordon_character(d["k"], w))
-    if kind == "algebra":
-        need("lambda")
-        lam = Partition.make(d["lambda"])
-        ic = None
-        if d.get("c") is not None or d.get("d") is not None:
-            ic = InitialConditions.make(d.get("c") or (0,) * lam.lam0,
-                                        d.get("d") or (0,) * lam.s)
-        pres = build_presentation_A(lam, ic)
-        return (f"algebra(lambda={lam.parts})",
-                lambda w, m: graded_character(pres, _brute_window(w, None), m))
-    if kind == "presentation":
-        need("presentation")
-        pres = presentation_from_json(d["presentation"])
-        return ("presentation",
-                lambda w, m: graded_character(pres, _brute_window(w, None), m))
-    if kind == "mf":
-        need("lambda")
-        lam = Partition.make(d["lambda"])
-        return (f"mf(lambda={lam.parts})",
-                lambda w, m: fermionic.character_A_lambda(lam, w))
-    if kind == "gmf":
-        need("lambda", "c", "d")
-        lam = Partition.make(d["lambda"])
-        ic = InitialConditions.make(d["c"], d["d"])
-        return (f"gmf(lambda={lam.parts})",
-                lambda w, m: fermionic.character_A_lambda_cd(lam, ic, w))
-    if kind == "fusion-w":
-        need("i1", "k1", "i2", "k2")
-        a = (d["i1"], d["k1"], d["i2"], d["k2"])
-        return (f"fusion-w{a}",
-                lambda w, m: fermionic.character_W_fusion(*a, w))
-    if kind == "fusion":
-        need("i1", "k1", "i2", "k2")
-        a = (d["i1"], d["k1"], d["i2"], d["k2"])
-        points = tuple(d["points"]) if d.get("points") else None
-        return (f"fusion{a}",
-                lambda w, m: fusion.principal_fusion_character(
-                    *a, _brute_window(w, None), m, points))
-    if kind == "quadratic":
-        need("matrix", "shifts")
-        pres = build_presentation_quadratic(d["matrix"], d["shifts"])
-        return ("quadratic",
-                lambda w, m: graded_character(pres, _brute_window(w, 0), m))
-    if kind == "lattice":
-        need("matrix", "shifts")
-        spec = fermionic.LatticeSpec.make(d["matrix"], d["shifts"])
-        return ("lattice",
-                lambda w, m: fermionic.lattice_principal_character(spec, w))
-    if kind == "limform":
-        need("i1", "k1", "i2", "k2")
-        a = (d["i1"], d["k1"], d["i2"], d["k2"])
-        n_max = d.get("nmax", 8)
-        return (f"limform{a}",
-                lambda w, m: fermionic.character_L_fusion(
-                    *a, w.q_max, w.u_max, n_max).character)
-    raise ConfigurationError(f"unknown evaluator kind {kind!r}")
+# a case runs on its flag values plus "window" and "mode"
+CASES = {
+    "gordon": Kind((K,), True, lambda v: verify_gordon(v["k"], v["window"], v["mode"])),
+    "mf": Kind((LAMBDA,), True, lambda v: verify_mf(v["lambda"], v["window"], v["mode"])),
+    "gmf": Kind(EVALUATORS["gmf"].flags, True, lambda v: verify_gmf(
+        v["lambda"], v["c"], v.get("d") or (), v["window"], v["mode"])),
+    "fusion": Kind(LEVELS + (POINTS,), True, lambda v: verify_fusion(
+        *_levels(v), v["window"], v["mode"], v.get("points"))),
+    "lattice": Kind(LATTICE, True, lambda v: verify_lattice(
+        v["matrix"], v["shifts"], v["window"], v["mode"])),
+    "limform": Kind(LEVELS + (NMAX,), False, lambda v: verify_limform(
+        *_levels(v), v["window"].q_max, v["window"].u_max, _n_max(v))),
+    "points": Kind((Flag("levels", parse_matrix, True), Flag("points", parse_ints, True),
+                    Flag("alt-points", parse_ints, True)), True,
+                   lambda v: verify_points(v["levels"], v["window"], v["points"],
+                                           v["alt-points"])),
+    "custom": Kind((Flag("left", parse_json, True), Flag("right", parse_json, True)),
+                   False, lambda v: verify_custom(v["left"], v["right"], v["window"],
+                                                  v["mode"])),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +485,7 @@ def convex_partitions(max_size: int) -> list[tuple]:
 
 
 def scan_mf_cases(max_size: int, window: Truncation, mode: FieldMode) -> list:
-    return [("mf", {"parts": parts, "window": window, "mode": mode})
+    return [("mf", {"lambda": parts, "window": window, "mode": mode})
             for parts in convex_partitions(max_size)]
 
 
@@ -333,24 +500,22 @@ def scan_fusion_cases(kmax: int, window: Truncation, mode: FieldMode) -> list:
     return out
 
 
-# ---------------------------------------------------------------------------
-# case runner
-
-_CASE_FUNCS = {
-    "gordon": verify_gordon,
-    "mf": verify_mf,
-    "gmf": verify_gmf,
-    "fusion": verify_fusion,
-    "lattice": verify_lattice,
-    "limform": verify_limform,
-    "points": verify_points,
-    "custom": verify_custom,
+SCANS = {
+    "mf": Kind((Flag("max-size", parse_size, True),), True,
+               lambda v: scan_mf_cases(v["max-size"], v["window"], v["mode"])),
+    "fusion": Kind((Flag("kmax", parse_size, True),), True,
+                   lambda v: scan_fusion_cases(v["kmax"], v["window"], v["mode"])),
 }
 
 
+# ---------------------------------------------------------------------------
+# case runner
+
+
 def run_case(desc) -> list:
-    kind, kwargs = desc
-    return _CASE_FUNCS[kind](**kwargs)
+    """Reports of one case descriptor (kind, values), a CASES kind."""
+    kind, values = desc
+    return CASES[kind].run(values)
 
 
 def run_cases(descs: list, jobs: int = 1,

@@ -8,7 +8,7 @@ from hypothesis import given, strategies
 
 from ferchar.exactlin import (FieldMode, RankResult, SparseMatrix, echelon,
                               int_rank, random_prime_31, rank, reduce_rows,
-                              row_reduce)
+                              row_reduce, two_prime)
 
 
 def dense(reduced, ncols):
@@ -97,6 +97,28 @@ def test_int_rank_escalates_on_prime_disagreement():
     assert res.rank == 1
     assert res.escalated
     assert res.dropped_primes == (5,)
+
+
+def test_two_prime_escalates_any_value():
+    # a value that is not a rank: a residue vector, compared by a custom rule
+    calls = []
+
+    def residues(field):
+        calls.append(field)
+        return [x % field for x in (5, 12)] if field else [5, 12]
+
+    def agree(a, b):
+        return [x == 0 for x in a] == [x == 0 for x in b]
+
+    mode = FieldMode("two-prime", None, (5, 7))
+    assert two_prime(residues, mode, agree) == ([5, 12], [[0, 2], [5, 5]])
+    assert calls == [5, 7, None]
+    calls.clear()
+    # agreeing primes keep the first prime's value and skip the rationals
+    assert two_prime(residues, FieldMode("two-prime", None, (7, 11)), agree) == \
+        ([5, 5], None)
+    assert calls == [7, 11]
+    assert two_prime(residues, FieldMode.exact(), agree) == ([5, 12], None)
 
 
 def test_int_rank_rejects_bad_mode():

@@ -7,11 +7,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies
 
-from ferchar import cli
+from ferchar import cli, verify
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode
 from ferchar.gradedchar import Truncation
+from ferchar.presented import Partition, build_presentation_A, presentation_to_json
 from ferchar.verify import (build_evaluator, convex_partitions, run_case,
                             run_cases, scan_fusion_cases, scan_mf_cases,
                             verify_custom, verify_fusion, verify_gordon,
@@ -247,6 +249,178 @@ def test_cli_parsers():
     assert cli.parse_matrix("2,1;1,2") == ((2, 1), (1, 2))
     with pytest.raises(ConfigurationError):
         cli.parse_ints("2,x")
+    # JSON values: strings parse as on the command line, other types must fit
+    assert cli.parse_ints([2, "1"]) == (2, 1)
+    assert cli.parse_matrix([[2, 1], "1,2"]) == ((2, 1), (1, 2))
+    for bad in (2, [1.5], [True], {"a": 1}):
+        with pytest.raises(ConfigurationError):
+            cli.parse_ints(bad)
+
+
+def test_config_strings_parse_as_flags(tmp_path, capsys):
+    code, expected = run_cli(capsys, "char", "gordon", "--k", "1", "--qmax", "3")
+    assert code == 0
+    for data in ({"k": "1", "qmax": 3}, {"qmax": "3", "k": 1}):
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps(data))
+        assert run_cli(capsys, "char", "gordon", "--config", str(cfg)) == (0, expected)
+
+
+def test_custom_descriptor_strings_parse_as_flags(capsys):
+    reports = []
+    for k in (2, "2"):
+        code, out = run_cli(capsys, "verify", "custom", "--left",
+                            json.dumps({"kind": "gordon", "k": k}), "--right",
+                            '{"kind": "algebra", "lambda": [2]}', "--qmax", "3",
+                            "--zmax", "2", "--umax", "0", "--format", "json")
+        assert code == 0
+        reports.append([{key: v for key, v in r.items() if key != "millis"}
+                        for r in json.loads(out)])
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("data", [{"field": "Exact"}, {"format": "yaml"},
+                                  {"lambda": {"a": 1}}, {"qmax": [3]},
+                                  {"zmax": True}, {"out": 3}])
+def test_config_values_of_the_wrong_form_exit_2(tmp_path, capsys, data):
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps({"qmax": 2, "lambda": "1", **data}))
+    code, out = run_cli(capsys, "char", "mf", "--config", str(cfg))
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("char", "mf", "--lambda", "1", "--qmax", "-1"),
+    ("char", "gordon", "--k", "1", "--qmax", "3", "--zmax", "-1"),
+    ("char", "gordon", "--k", "1", "--qmax", "3", "--umax", "-1"),
+    ("verify", "fusion", "--i1", "0", "--k1", "1", "--i2", "0", "--k2", "1",
+     "--qmax", "-2"),
+])
+def test_negative_window_exits_2(capsys, argv):
+    assert cli.main(list(argv)) == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+def test_malformed_case_values_exit_2(tmp_path, capsys):
+    # levels that are not (i, k) pairs; an unknown descriptor key; an unwritable --out
+    for argv in (("verify", "points", "--levels", "1,1,1;0,1", "--points", "1,0",
+                  "--alt-points", "2,5", "--qmax", "3", "--zmax", "2"),
+                 ("verify", "custom", "--left", '{"kind": "gordon", "k": 1, "lamda": [1]}',
+                  "--right", '{"kind": "algebra", "lambda": [1]}', "--qmax", "2",
+                  "--zmax", "2", "--umax", "0"),
+                 ("char", "gordon", "--k", "1", "--qmax", "1",
+                  "--out", str(tmp_path / "missing" / "out.txt"))):
+        assert cli.main(list(argv)) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+# ---------------------------------------------------------------------------
+# every registered kind: the registry's flags on malformed values
+
+# a valid value per flag name; with them every kind runs on a tiny window
+VALID = {"k": "1", "lambda": "1", "c": "0", "i1": "0", "k1": "1", "i2": "0",
+         "k2": "1", "matrix": "2", "shifts": "0", "levels": "0,1;0,1",
+         "points": "1,0", "alt-points": "2,5", "left": '{"kind": "gordon", "k": 1}',
+         "right": '{"kind": "mf", "lambda": [1]}', "max-size": "1", "kmax": "1",
+         "qmax": "1"}
+KINDS = [(command, name, kind) for command, (registry, _) in cli.COMMANDS.items()
+         for name, kind in registry.items()]
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    path = tmp_path_factory.mktemp("registry")
+    pres = build_presentation_A(Partition.make((1,)))
+    (path / "pres.json").write_text(json.dumps(presentation_to_json(pres)))
+    return path
+
+
+def baseline(name, kind, scratch, skip=None) -> dict:
+    """Valid text for every required flag of kind, and for --qmax."""
+    valid = dict(VALID, file=str(scratch / "pres.json"))
+    return {f.name: valid[f.name] for f in kind.flags + cli.COMMON_FLAGS
+            if f.required and f.name != skip}
+
+
+@pytest.mark.parametrize("command,name,kind", KINDS)
+def test_registry_baselines_run(capsys, scratch, command, name, kind):
+    argv = [command, name] + [f"--{k}={v}" for k, v in
+                              baseline(name, kind, scratch).items()]
+    assert cli.main(argv) in (0, 1)
+
+
+_NOT_A_NUMBER = strategies.text("xyz.;:", min_size=1)
+_CONTAINERS = strategies.one_of(
+    strategies.lists(strategies.integers(), max_size=2),
+    strategies.dictionaries(strategies.text("ab", max_size=1), strategies.integers(),
+                            max_size=1))
+_NEGATIVE = strategies.integers(max_value=-1)
+_NOT_TEXT = strategies.one_of(strategies.integers(), strategies.booleans(), _CONTAINERS)
+_BAD_VECTOR = strategies.one_of(_NOT_A_NUMBER,
+                                strategies.integers().map(lambda n: f"{n},x"))
+_BAD_CHOICE = strategies.one_of(_NOT_A_NUMBER,
+                                strategies.sampled_from(["Exact", "yaml", "JSON", ""]))
+_BAD_DESCRIPTOR = strategies.sampled_from(
+    ["{bad", "[1]", "3", '{"kind": "nope"}', '{"kind": "gordon"}',
+     '{"kind": "gordon", "k": 1, "lamda": 1}'])
+
+# parser -> (malformed command-line text, malformed JSON value); missing
+# files name a path below a directory that does not exist
+MALFORMED = {
+    verify.parse_int: (_NOT_A_NUMBER, strategies.one_of(
+        _NOT_A_NUMBER, strategies.booleans(), strategies.floats(), _CONTAINERS)),
+    verify.parse_size: (strategies.one_of(_NOT_A_NUMBER, _NEGATIVE.map(str)),
+                        strategies.one_of(_NOT_A_NUMBER, _NEGATIVE, strategies.floats(),
+                                          _CONTAINERS)),
+    verify.parse_float: (_NOT_A_NUMBER, strategies.one_of(
+        _NOT_A_NUMBER, strategies.booleans(), _CONTAINERS)),
+    verify.parse_ints: (_BAD_VECTOR, strategies.one_of(
+        _BAD_VECTOR, strategies.integers(), strategies.booleans(),
+        strategies.lists(_NOT_A_NUMBER, min_size=1),
+        strategies.lists(strategies.floats(), min_size=1))),
+    verify.parse_matrix: (_BAD_VECTOR, strategies.one_of(
+        _BAD_VECTOR, strategies.integers(),
+        strategies.lists(strategies.integers(), min_size=1),
+        strategies.lists(strategies.lists(_NOT_A_NUMBER, min_size=1), min_size=1))),
+    verify.parse_text: (strategies.just("no-such-dir/file.json"), _NOT_TEXT),
+    verify.load_presentation: (strategies.just("no-such-dir/file.json"), _NOT_TEXT),
+    verify.parse_json: (_BAD_DESCRIPTOR, strategies.one_of(
+        _BAD_DESCRIPTOR, strategies.integers(), strategies.just({"kind": 3}))),
+}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=strategies.data())
+def test_malformed_values_exit_2(capsys, scratch, data):
+    """A malformed value for any flag of any registered kind, given on the
+    command line, in a --config file or in a custom descriptor, exits 2."""
+    command, name, kind = data.draw(strategies.sampled_from(KINDS))
+    channels = ["argv", "config"] + (["descriptor"] if command == "char" else [])
+    channel = data.draw(strategies.sampled_from(channels))
+    flags = kind.flags if channel == "descriptor" else kind.flags + cli.COMMON_FLAGS
+    flag = data.draw(strategies.sampled_from(
+        [f for f in flags if not (channel == "config" and f.name == "config")]))
+    assert flag.name in ("field", "format") or flag.parse in MALFORMED
+    text, value = MALFORMED.get(flag.parse, (_BAD_CHOICE, _BAD_CHOICE))
+    values = baseline(name, kind, scratch, skip=flag.name)
+    if channel == "descriptor":
+        desc = {"kind": name, **{k: v for k, v in values.items() if k != "qmax"},
+                flag.name: data.draw(value)}
+        argv = ["verify", "custom", "--left", json.dumps(desc),
+                "--right", VALID["left"], "--qmax=1", "--zmax=1", "--umax=0"]
+    else:
+        argv = [command, name] + [f"--{k}={v}" for k, v in values.items()]
+        if channel == "argv":
+            argv.append(f"--{flag.name}={data.draw(text)}")
+        else:
+            key = flag.name.replace("-", data.draw(strategies.sampled_from("-_")))
+            cfg = scratch / "config.json"
+            cfg.write_text(json.dumps({key: data.draw(value)}))
+            argv.append(f"--config={cfg}")
+    code = cli.main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 def test_jobs_resolution(monkeypatch):
