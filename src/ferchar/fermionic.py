@@ -12,19 +12,25 @@ partial sums n_i + n_{i+1} + ..., the quadratic-minus-prefactor part is
 sum_i N_i (N_i - 1) >= 0, which drives all enumeration bounds.
 
 The limit evaluator (character_L_fusion) stabilizes a sequence of
-reweighted finite-level sums, re-derives every term exponent through the
-closed polynomial P on exactly reconstructed rational indices, and also
+reweighted finite-level sums, re-derives every term exponent of the
+stabilized level through the closed polynomial P on exactly reconstructed
+rational indices (limit_sum_polynomial, in Fraction arithmetic), and also
 evaluates the literal integer-lattice form of the limit sum so callers
-can report how it compares.
+can report how it compares.  The literal form works on K P with
+K = k1 + k2 in integers, widens its box by shells without enumerating
+the inner box again, and counts literal_fractional_terms over the final
+box.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import ConfigurationError, ResourceLimitError, StabilizationError
 from .gradedchar import (Comparison, GradedCharacter, Truncation, compare,
@@ -323,10 +329,10 @@ class LimitFusionResult:
     seconds: tuple[float, float, float]  # limit, reconstruction, literal routes
 
 
-def _finite_level_terms(i1, k1, i2, k2, level, q_max, u_max):
+def _finite_level_terms(i1, k1, i2, k2, level, q_max, u_max) -> list:
     """Terms of the level-`level` reweighted fused-character sum.
 
-    Yields (n_partial, m_partial, z_exp, u_exp, q_exp) with q_exp <= q_max.
+    Returns (n_partial, n, m, z_exp, u_exp, q_exp) with q_exp <= q_max.
     The exponent is base + sum f(N_i) + sum f(M_j) + coupling + linear with
     f(x) = x^2 - (2*level+1)*x and base = level^2(k1+k2) + level(i1+i2);
     coupling and linear parts are nonnegative, and f >= -level*(level+1),
@@ -338,7 +344,7 @@ def _finite_level_terms(i1, k1, i2, k2, level, q_max, u_max):
     f_min = -level * (level + 1)
     disc = (2 * level + 1) ** 2 + 4 * (q_max - base - (big + small - 1) * f_min)
     if disc < 0:
-        return
+        return []
     cap = ((2 * level + 1) + math.isqrt(disc)) // 2
 
     def f(x):
@@ -362,32 +368,32 @@ def _finite_level_terms(i1, k1, i2, k2, level, q_max, u_max):
         rec(0, cap, 0, [])
         return out
 
-    n_side = vectors(big, small * f_min)
-    m_side = vectors(small, big * f_min)
-    for npart, fn in n_side:
+    # per m: (m, |m|, its exponent part with the base, the vector B m)
+    m_side = []
+    for mpart, fm in vectors(small, big * f_min):
+        wm = sum(mpart)
+        if u_max is not None and wm > u_max:
+            continue
+        m = _diffs(mpart)
+        m_side.append((m, wm, base + fm + sum(map(mul, m, spec.m_linear)),
+                       tuple(sum(map(mul, row, m)) for row in spec.b)))
+    terms = []
+    for npart, fn in vectors(big, small * f_min):
         n = _diffs(npart)
-        lin_n = sum(a * b for a, b in zip(n, spec.n_linear))
-        for mpart, fm in m_side:
-            wm = sum(mpart)
-            if u_max is not None and wm > u_max:
-                continue
-            m = _diffs(mpart)
-            q0 = base + fn + fm + sum(a * b for a, b in zip(m, spec.m_linear)) + lin_n
-            q0 += _coupling(spec.b, n, m)
-            if q0 > q_max:
-                continue
-            wn = sum(npart)
-            z0 = 2 * (wn + wm) - i1 - i2 - 2 * level * big
-            yield npart, mpart, z0, wm, q0
+        qn = fn + sum(map(mul, n, spec.n_linear))
+        zn = 2 * sum(npart) - i1 - i2 - 2 * level * big
+        for m, wm, qm, bm in m_side:
+            q0 = qn + qm + sum(map(mul, n, bm))
+            if q0 <= q_max:
+                terms.append((npart, n, m, zn + 2 * wm, wm, q0))
+    return terms
 
 
-def _finite_level_character(i1, k1, i2, k2, level, q_max, u_max) -> GradedCharacter:
-    window = Truncation(q_max, None, u_max)
+def _finite_level_character(terms, q_max, u_max) -> GradedCharacter:
     coeffs: dict = {}
-    for npart, mpart, z0, u0, q0 in _finite_level_terms(i1, k1, i2, k2, level, q_max, u_max):
-        _add_series(coeffs, z0, u0, q0,
-                    _term_series(_diffs(npart), _diffs(mpart), q_max - q0))
-    return GradedCharacter.make(coeffs, window)
+    for _, n, m, z0, u0, q0 in terms:
+        _add_series(coeffs, z0, u0, q0, _term_series(n, m, q_max - q0))
+    return GradedCharacter.make(coeffs, Truncation(q_max, None, u_max))
 
 
 def limit_sum_polynomial(s, m, i1, k1, i2, k2):
@@ -410,75 +416,125 @@ def limit_sum_polynomial(s, m, i1, k1, i2, k2):
     return total
 
 
-def _reconstruction_check(i1, k1, i2, k2, level, q_max, u_max):
+def _reconstruction_check(i1, k1, i2, k2, level, terms):
     """Re-derive each term's (z, q) through P on reconstructed rational
     indices s_i = N_i - level + |m|/(k1+k2); returns (ok, detail)."""
     big = k1 + k2
-    for npart, mpart, z0, u0, q0 in _finite_level_terms(i1, k1, i2, k2, level, q_max, u_max):
-        m = _diffs(mpart)
-        mu = Fraction(sum(mpart), big)
+    for npart, n, m, z0, u0, q0 in terms:
+        mu = Fraction(u0, big)
         s = tuple(Fraction(v) - level + mu for v in npart)
         z_p = -i1 - i2 + 2 * sum(s)
         q_p = limit_sum_polynomial(s, m, i1, k1, i2, k2)
         if z_p != z0 or q_p != q0:
-            return False, (f"term n={_diffs(npart)} m={m} at level {level}: "
+            return False, (f"term n={n} m={m} at level {level}: "
                            f"direct (z,q)=({z0},{q0}), closed form ({z_p},{q_p})")
     return True, None
 
 
-def _literal_limit_character(i1, k1, i2, k2, q_max, u_max,
-                             s_cap, m_cap) -> tuple[GradedCharacter, int]:
+def _scaled_limit_polynomial(i1, k1, i2, k2):
+    """Split K P(s, m), K = k1 + k2, into integer parts for integer s, m:
+
+        K P(s, m) = s_part(s) + const + sum_i s_i coef_i,
+        (|m|, const, coef) = m_part(m),
+
+    with the coupling coefficient coef_i = K sum_{j: i+2j >= K+1} m_j - 2|m|.
+    Returns (K, the smaller level, s_part, m_part); m has that many entries.
+    """
+    if k1 > k2:
+        (i1, k1), (i2, k2) = (i2, k2), (i1, k1)
+    big, mn = k1 + k2, min(i1, i2)
+    amat = A_matrix(k1)
+
+    def s_part(s):
+        return big * (sum(x * x for x in s) - sum(s[:i1 + i2]))
+
+    def m_part(m):
+        wm = sum((j + 1) * x for j, x in enumerate(m))
+        const = big * (sum(amat[i][j] * m[i] * m[j]
+                           for i in range(k1) for j in range(k1)) // 2
+                       + sum((j - mn) * m[j - 1] for j in range(mn + 1, k1 + 1)))
+        const -= wm * (wm + big - i1 - i2)
+        coef = tuple(big * sum(m[j - 1] for j in range(1, k1 + 1) if i + 2 * j >= big + 1)
+                     - 2 * wm for i in range(1, big + 1))
+        return wm, const, coef
+
+    return big, k1, s_part, m_part
+
+
+def _literal_shell(i1, k1, i2, k2, q_max, u_max, old, cap, rows) -> tuple[int, int]:
+    """Add the literal limit sum's terms with old < max(|s_i|, m_j) <= cap
+    to rows, where rows[(z, u)][q] holds the series before the division by
+    (q)_infinity; old = -1 takes the whole box.  Returns the number of
+    integral terms added and the number of fractional terms seen.
+    """
+    big, small, s_part, m_part = _scaled_limit_polynomial(i1, k1, i2, k2)
+    k_q = big * q_max
+    all_m, new_m = [], []
+    for m in itertools.product(range(cap + 1), repeat=small):
+        wm, const, coef = m_part(m)
+        if u_max is None or wm <= u_max:
+            all_m.append((m, wm, const, coef))
+            if max(m) > old:
+                new_m.append(all_m[-1])
+    kept = fractional = 0
+    # s_1 >= ... >= s_{K-1} >= 0 (the head) and s_{K-1} >= s_K >= -cap
+    for head in itertools.combinations_with_replacement(range(cap, -1, -1), big - 1):
+        for tail in range(-cap, head[-1] + 1):
+            m_terms = all_m if max(head[0], -tail) > old else new_m
+            if not m_terms:
+                continue
+            s = head + (tail,)
+            s_k = s_part(s)
+            z = 2 * sum(s) - i1 - i2
+            for m, wm, const, coef in m_terms:
+                kp = s_k + const + sum(map(mul, s, coef))
+                if kp > k_q:
+                    continue
+                p, rem = divmod(kp, big)
+                if rem:
+                    fractional += 1
+                    continue
+                kept += 1
+                row = rows.get((z, wm))
+                if row is None:
+                    row = rows[(z, wm)] = [0] * (q_max + 1)
+                for t, cnt in enumerate(_term_series(head, m, q_max - p), p):
+                    row[t] += cnt
+    return kept, fractional
+
+
+def _literal_limit_character(i1, k1, i2, k2, q_max, u_max) -> tuple[GradedCharacter, int]:
     """The closed limit sum read literally: s over the integer lattice with
     s_1 >= ... >= s_K, denominators (q)_m prod_{i<K} (q)_{s_i}, prefactor
     1/(q)_infinity, and the u^|m| weight carried over from the finite-level
     sum.  Terms with 1/(q)_{negative} are dropped (that factor is zero);
     terms whose exponent is not an integer cannot contribute to an integer
     q-grading and are counted separately.
+
+    The exponent is evaluated as the integer K P with K = k1 + k2.  The box
+    max(|s_i|, m_j) <= cap starts at cap = q_max + 4 and widens by shells of
+    3 until a shell adds no integral term: every such term adds at least 1
+    at its own (z, u, q), so that is when the character stops changing.
+    The fractional count is over the final box.  Each (z, u) row is divided
+    by (q)_infinity once, at the end.
     """
-    if k1 > k2:
-        (i1, k1), (i2, k2) = (i2, k2), (i1, k1)
-    big = k1 + k2
-    window = Truncation(q_max, None, u_max)
+    rows: dict = {}
+    cap = q_max + 4
+    _, fractional = _literal_shell(i1, k1, i2, k2, q_max, u_max, -1, cap, rows)
+    for _ in range(6):
+        kept, shell_fractional = _literal_shell(i1, k1, i2, k2, q_max, u_max,
+                                                cap, cap + 3, rows)
+        cap += 3
+        fractional += shell_fractional
+        if not kept:
+            break
+    else:
+        raise ResourceLimitError("literal limit sum did not exhaust its window")
     euler = inv_pochhammer(None, q_max)
     coeffs: dict = {}
-    fractional = 0
-
-    m_vecs = []
-
-    def mrec(j, acc):
-        if j == k1:
-            m_vecs.append(tuple(acc))
-            return
-        for v in range(m_cap + 1):
-            mrec(j + 1, acc + [v])
-
-    mrec(0, [])
-
-    def srec(i, hi, acc):
-        nonlocal fractional
-        if i == big:
-            s = tuple(acc)
-            for m in m_vecs:
-                wm = sum((j + 1) * m[j] for j in range(k1))
-                if u_max is not None and wm > u_max:
-                    continue
-                p = limit_sum_polynomial(s, m, i1, k1, i2, k2)
-                if p > q_max:
-                    continue
-                if p.denominator != 1:
-                    fractional += 1
-                    continue
-                p = int(p)
-                z0 = -i1 - i2 + 2 * sum(s)
-                series = _term_series(tuple(x for x in s[:-1]), m, q_max - p)
-                _add_series(coeffs, z0, wm, p, convolve(series, euler, q_max - p))
-            return
-        lo = -s_cap if i == big - 1 else 0
-        for v in range(lo, min(hi, s_cap) + 1):
-            srec(i + 1, v, acc + [v])
-
-    srec(0, s_cap, [])
-    return GradedCharacter.make(coeffs, window), fractional
+    for (z, u), row in rows.items():
+        _add_series(coeffs, z, u, 0, convolve(row, euler, q_max))
+    return GradedCharacter.make(coeffs, Truncation(q_max, None, u_max)), fractional
 
 
 def character_L_fusion(i1: int, k1: int, i2: int, k2: int, q_max: int,
@@ -495,7 +551,8 @@ def character_L_fusion(i1: int, k1: int, i2: int, k2: int, q_max: int,
     prev = None
     matched = None
     for level in range(1, n_max + 2):
-        cur = _finite_level_character(i1, k1, i2, k2, level, q_max, u_max)
+        terms = _finite_level_terms(i1, k1, i2, k2, level, q_max, u_max)
+        cur = _finite_level_character(terms, q_max, u_max)
         if prev is not None and compare(prev, cur).verdict == "EQUAL":
             matched = level
             break
@@ -505,21 +562,9 @@ def character_L_fusion(i1: int, k1: int, i2: int, k2: int, q_max: int,
             f"no stabilization for ({i1},{k1})*({i2},{k2}) on q<={q_max} "
             f"within {n_max} levels")
     t1 = time.monotonic()
-    ok, detail = _reconstruction_check(i1, k1, i2, k2, matched, q_max, u_max)
+    ok, detail = _reconstruction_check(i1, k1, i2, k2, matched, terms)
     t2 = time.monotonic()
-
-    cap = q_max + 4
-    literal, fractional = _literal_limit_character(i1, k1, i2, k2, q_max, u_max,
-                                                   cap, cap)
-    for _ in range(6):
-        cap += 3
-        wider, fractional = _literal_limit_character(i1, k1, i2, k2, q_max, u_max,
-                                                     cap, cap)
-        if compare(literal, wider).verdict == "EQUAL":
-            break
-        literal = wider
-    else:
-        raise ResourceLimitError("literal limit sum did not exhaust its window")
+    literal, fractional = _literal_limit_character(i1, k1, i2, k2, q_max, u_max)
     literal_cmp = compare(cur, literal)
     return LimitFusionResult(cur, matched - 1, ok, detail, literal_cmp, fractional,
                              (t1 - t0, t2 - t1, time.monotonic() - t2))

@@ -226,12 +226,26 @@ def presentation_to_json(p: Presentation) -> dict:
     }
 
 
+def _typed(value, kind, field: str, optional: bool = False):
+    """value, if it has the JSON type kind (bools are not ints); else TypeError."""
+    if (value is None and optional) or (isinstance(value, kind)
+                                        and not isinstance(value, bool)):
+        return value
+    raise TypeError(f"{field} must be {kind.__name__}, got {value!r}")
+
+
 def presentation_from_json(data: dict) -> Presentation:
     try:
-        families = [GeneratorFamily(f["name"], f.get("u_increment", 0), f.get("min_mode", 0))
+        families = [GeneratorFamily(_typed(f["name"], str, "name"),
+                                    _typed(f.get("u_increment", 0), int, "u_increment"),
+                                    _typed(f.get("min_mode", 0), int, "min_mode"))
                     for f in data["families"]]
-        relations = [RelationFamily(tuple((n, d, pw) for n, d, pw in rel["factors"]),
-                                    rel.get("low"), rel.get("label", ""))
+        relations = [RelationFamily(tuple((_typed(n, str, "factor name"),
+                                           _typed(d, int, "factor derivative"),
+                                           _typed(pw, int, "factor power"))
+                                          for n, d, pw in rel["factors"]),
+                                    _typed(rel.get("low"), int, "low", optional=True),
+                                    _typed(rel.get("label", ""), str, "label"))
                      for rel in data["relations"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed presentation JSON: {exc}") from exc

@@ -1,19 +1,25 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies
+from hypothesis import given, settings, strategies
 
 from ferchar.errors import ConfigurationError, StabilizationError
 from ferchar.fermionic import (A_matrix, B_matrix, LatticeSpec,
-                               character_A_lambda, character_A_lambda_cd,
-                               character_L_fusion, character_W_fusion,
-                               delta_vector, fusion_partition,
-                               gordon_character, gram_matrix_for_partition,
+                               _finite_level_terms, _literal_limit_character,
+                               _literal_shell, _reconstruction_check,
+                               _scaled_limit_polynomial, character_A_lambda,
+                               character_A_lambda_cd, character_L_fusion,
+                               character_W_fusion, delta_vector,
+                               fusion_partition, gordon_character,
+                               gram_matrix_for_partition,
                                lattice_principal_character,
-                               limit_sum_polynomial, shift_vector)
-from ferchar.gradedchar import Truncation
+                               limit_sum_polynomial, shift_vector,
+                               w_fusion_spec)
+from ferchar.gradedchar import (GradedCharacter, Truncation, compare, convolve,
+                                inv_pochhammer)
 from ferchar.presented import InitialConditions, Partition
 
 
@@ -170,3 +176,144 @@ def test_limit_polynomial_parity_on_integer_vectors(m1, s1, s2):
     assert (even.denominator == 1) == (m1 % 2 == 0)
     odd = limit_sum_polynomial(s, (m1,), 0, 1, 1, 1)
     assert odd.denominator == 1
+
+
+# ---------------------------------------------------------------------------
+# the limit routes against from-scratch references
+
+
+def reference_literal(i1, k1, i2, k2, q_max, u_max):
+    """The literal limit sum term by term through the Fraction P, every box
+    enumerated from scratch: (character, fractional terms of the final box)."""
+    if k1 > k2:
+        (i1, k1), (i2, k2) = (i2, k2), (i1, k1)
+    big = k1 + k2
+    euler = inv_pochhammer(None, q_max)
+
+    def box(cap):
+        coeffs, fractional = {}, 0
+        heads = itertools.combinations_with_replacement(range(cap, -1, -1), big - 1)
+        for head in heads:
+            for tail in range(-cap, head[-1] + 1):
+                s = head + (tail,)
+                for m in itertools.product(range(cap + 1), repeat=k1):
+                    wm = sum((j + 1) * x for j, x in enumerate(m))
+                    if u_max is not None and wm > u_max:
+                        continue
+                    p = limit_sum_polynomial(s, m, i1, k1, i2, k2)
+                    if p > q_max:
+                        continue
+                    if p.denominator != 1:
+                        fractional += 1
+                        continue
+                    p = int(p)
+                    series = euler[:q_max - p + 1]
+                    for c in head + m:
+                        series = convolve(series, inv_pochhammer(c, q_max), q_max - p)
+                    z = -i1 - i2 + 2 * sum(s)
+                    for t, cnt in enumerate(series):
+                        key = (z, wm, p + t)
+                        coeffs[key] = coeffs.get(key, 0) + cnt
+        return GradedCharacter.make(coeffs, Truncation(q_max, None, u_max)), fractional
+
+    cap = q_max + 4
+    literal, _ = box(cap)
+    while True:
+        cap += 3
+        wider, fractional = box(cap)
+        if compare(literal, wider).verdict == "EQUAL":
+            return wider, fractional
+        literal = wider
+
+
+def reference_level_terms(i1, k1, i2, k2, level, q_max, u_max):
+    """(n_partial, m, z, u, q) of the level-`level` reweighted sum with
+    q <= q_max, from a box of partial sums wider than the library prunes to."""
+    spec = w_fusion_spec(i1, k1, i2, k2)
+    bound = 2 * level + q_max + 3
+
+    def partials(length):
+        return itertools.combinations_with_replacement(range(bound, -1, -1), length)
+
+    def f(x):
+        return x * x - (2 * level + 1) * x
+
+    out = []
+    for npart in partials(spec.n_len):
+        n = tuple(a - b for a, b in zip(npart, npart[1:] + (0,)))
+        for mpart in partials(spec.m_len):
+            m = tuple(a - b for a, b in zip(mpart, mpart[1:] + (0,)))
+            wm = sum(mpart)
+            if u_max is not None and wm > u_max:
+                continue
+            q = (level * level * spec.n_len + level * (i1 + i2)
+                 + sum(map(f, npart + mpart))
+                 + sum(a * b for a, b in zip(n, spec.n_linear))
+                 + sum(a * b for a, b in zip(m, spec.m_linear))
+                 + sum(n[i] * spec.b[i][j] * m[j]
+                       for i in range(spec.n_len) for j in range(spec.m_len)))
+            if q <= q_max:
+                z = 2 * (sum(npart) + wm) - i1 - i2 - 2 * level * spec.n_len
+                out.append((npart, m, z, wm, q))
+    return sorted(out)
+
+
+LEVELS = [(i1, k1, i2, k2) for k1, k2 in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3))
+          for i1 in range(k1 + 1) for i2 in range(k2 + 1)]
+
+
+@strategies.composite
+def scaled_inputs(draw):
+    i1, k1, i2, k2 = draw(strategies.sampled_from(LEVELS))
+
+    def vector(length, lo, hi):
+        return tuple(draw(strategies.lists(strategies.integers(lo, hi),
+                                           min_size=length, max_size=length)))
+
+    return (i1, k1, i2, k2), vector(k1 + k2, -6, 6), vector(min(k1, k2), 0, 5)
+
+
+@given(scaled_inputs())
+def test_scaled_polynomial_is_k_times_the_fraction_form(inputs):
+    levels, s, m = inputs
+    big, small, s_part, m_part = _scaled_limit_polynomial(*levels)
+    wm, const, coef = m_part(m)
+    kp = s_part(s) + const + sum(x * c for x, c in zip(s, coef))
+    p = limit_sum_polynomial(s, m, *levels)
+    assert (big, small) == (levels[1] + levels[3], len(m))
+    assert wm == sum((j + 1) * x for j, x in enumerate(m))
+    assert kp == big * p
+    assert (kp % big == 0) == (p.denominator == 1)
+
+
+@pytest.mark.parametrize("levels,q_max,u_max", [
+    ((0, 1, 0, 1), 3, None), ((1, 1, 0, 1), 3, 1), ((1, 1, 1, 1), 2, 0),
+    ((0, 1, 1, 2), 2, None), ((1, 1, 2, 2), 2, 1), ((2, 2, 0, 1), 2, None),
+    ((1, 2, 1, 2), 2, 1), ((0, 1, 3, 3), 1, 2),
+])
+def test_limit_routes_match_references(levels, q_max, u_max):
+    r = character_L_fusion(*levels, q_max, u_max)
+    literal, fractional = reference_literal(*levels, q_max, u_max)
+    assert r.literal_comparison == compare(r.character, literal)
+    assert r.literal_fractional_terms == fractional
+    assert _literal_limit_character(*levels, q_max, u_max) == (literal, fractional)
+    level = r.stabilized_at + 1
+    terms = _finite_level_terms(*levels, level, q_max, u_max)
+    assert sorted((t[0], t[2], t[3], t[4], t[5]) for t in terms) == \
+        reference_level_terms(*levels, level, q_max, u_max)
+    # the reconstruction on the reused terms, and on terms enumerated again
+    assert (r.reconstructed_match, r.reconstructed_detail) == \
+        _reconstruction_check(*levels, level, terms) == (True, None)
+
+
+@given(strategies.sampled_from(LEVELS), strategies.integers(0, 3),
+       strategies.sampled_from([None, 0, 2]), strategies.integers(0, 4))
+@settings(max_examples=30, deadline=None)
+def test_literal_shell_equals_the_box(levels, q_max, u_max, cap):
+    widened, from_scratch = {}, {}
+    counts = [_literal_shell(*levels, q_max, u_max, -1, cap, widened),
+              _literal_shell(*levels, q_max, u_max, cap, cap + 3, widened)]
+    kept, fractional = _literal_shell(*levels, q_max, u_max, -1, cap + 3, from_scratch)
+    assert widened == from_scratch
+    assert sum(k for k, _ in counts) == kept
+    assert sum(f for _, f in counts) == fractional

@@ -314,6 +314,24 @@ def test_malformed_case_values_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize("family,relation", [
+    ({"name": "a", "min_mode": "x"}, {"factors": [["a", 0, 2]]}),
+    ({"name": "a", "min_mode": 1.0}, {"factors": [["a", 0, 2]]}),
+    ({"name": "a", "u_increment": "0"}, {"factors": [["a", 0, 2]]}),
+    ({"name": "a", "u_increment": True}, {"factors": [["a", 0, 2]]}),
+    ({"name": 1}, {"factors": [[1, 0, 2]]}),
+    ({"name": "a"}, {"factors": [["a", "0", 2]]}),
+    ({"name": "a"}, {"factors": [["a", 0, 2.0]]}),
+    ({"name": "a"}, {"factors": [["a", 0, 2]], "low": "1"}),
+    ({"name": "a"}, {"factors": [["a", 0, 2]], "label": 7}),
+])
+def test_malformed_presentation_file_exits_2(tmp_path, capsys, family, relation):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"families": [family], "relations": [relation]}))
+    assert cli.main(["char", "presentation", "--file", str(path), "--qmax", "2"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 # ---------------------------------------------------------------------------
 # every registered kind: the registry's flags on malformed values
 
