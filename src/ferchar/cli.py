@@ -19,8 +19,7 @@ from . import verify as catalog
 from .errors import ConfigurationError, ResourceLimitError, StabilizationError
 from .exactlin import FieldMode
 from .gradedchar import Truncation, render_csv, render_table, to_json_dict
-from .verify import (Flag, choice, parse_float, parse_int, parse_ints,  # noqa: F401
-                     parse_matrix, parse_size, parse_text)
+from .verify import Flag, choice, parse_int, parse_seconds, parse_size, parse_text
 
 EXIT_OK, EXIT_MISMATCH, EXIT_CONFIG, EXIT_RESOURCE = 0, 1, 2, 3
 
@@ -35,7 +34,7 @@ COMMON_FLAGS = (
     Flag("qmax", parse_size, True), Flag("zmax", parse_size), Flag("umax", parse_size),
     Flag("field", choice("two-prime", "exact")), Flag("seed", parse_int),
     Flag("format", choice("json", "csv", "table")), Flag("out", parse_text),
-    Flag("config", parse_text), Flag("jobs", parse_int), Flag("timeout", parse_float),
+    Flag("config", parse_text), Flag("jobs", parse_size), Flag("timeout", parse_seconds),
 )
 
 
@@ -102,7 +101,7 @@ def resolve_jobs(args) -> int:
             return max(1, int(env))
         except ValueError:
             raise ConfigurationError(f"bad FERCHAR_THREADS value {env!r}")
-    return max(1, args.jobs or 1)
+    return args.jobs or 1
 
 
 def resolve_window(args, finite: bool) -> Truncation:

@@ -135,69 +135,6 @@ def reduce_rows(rows: list[dict], field: int | None = None) -> list[tuple[int, d
 
 
 # ---------------------------------------------------------------------------
-# matrices
-
-
-def _coerce(value, field):
-    if field is None:
-        return value if isinstance(value, Fraction) else Fraction(value)
-    return value % field
-
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Immutable sparse matrix; entries maps (row, col) -> nonzero scalar."""
-
-    nrows: int
-    ncols: int
-    entries: dict
-    field: int | None = None
-
-    @staticmethod
-    def make(nrows, ncols, entries, field=None) -> SparseMatrix:
-        clean = {}
-        for (r, c), v in entries.items():
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise ValueError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-            v = _coerce(v, field)
-            if v:
-                clean[(r, c)] = v
-        return SparseMatrix(nrows, ncols, clean, field)
-
-    @staticmethod
-    def from_rows(rows, field=None) -> SparseMatrix:
-        entries = {}
-        ncols = 0
-        for r, row in enumerate(rows):
-            ncols = max(ncols, len(row))
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = v
-        return SparseMatrix.make(len(rows), ncols, entries, field)
-
-    def row_dicts(self) -> list[dict]:
-        rows: list[dict] = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
-
-def rank(m: SparseMatrix) -> int:
-    return len(echelon(m.row_dicts(), m.field, m.ncols))
-
-
-def row_reduce(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
-    """Canonical RREF of m plus the tuple of pivot columns."""
-    reduced = reduce_rows(m.row_dicts(), m.field)
-    entries = {}
-    for i, (_, row) in enumerate(reduced):
-        for c, v in row.items():
-            entries[(i, c)] = v
-    rref = SparseMatrix(len(reduced), m.ncols, entries, m.field)
-    return rref, tuple(p for p, _ in reduced)
-
-
-# ---------------------------------------------------------------------------
 # primes and field modes
 
 _MR_BASES = (2, 3, 5, 7)  # deterministic Miller-Rabin below 3_215_031_751

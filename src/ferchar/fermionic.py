@@ -72,17 +72,6 @@ def gram_matrix_for_partition(lam: Partition) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
-def shift_vector(ic: InitialConditions) -> tuple[int, ...]:
-    """Cumulative sums of c then of d, matching the p,q generator order."""
-    out = []
-    for values in (ic.c, ic.d):
-        acc = 0
-        for x in values:
-            acc += x
-            out.append(acc)
-    return tuple(out)
-
-
 def fusion_partition(k1: int, k2: int) -> Partition:
     """(k1+k2, k1+k2-2, ..., |k1-k2|), one part per 0..min(k1,k2)."""
     return Partition.make(tuple(k1 + k2 - 2 * j for j in range(min(k1, k2) + 1)))

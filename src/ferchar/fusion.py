@@ -22,12 +22,14 @@ import logging
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .exactlin import FieldMode, echelon, reduce_rows, two_prime
+from .exactlin import FieldMode, echelon, two_prime
+# unused here, but perfbench/spans.py traces ferchar.fusion.reduce_rows as a
+# boundary and stops with BoundaryMissing without it
+from .exactlin import reduce_rows  # noqa: F401
 from .fermionic import delta_vector
-from .gradedchar import GradedCharacter, Truncation, char_reweight, compare, restrict
-from .presented import (GeneratorFamily, InitialConditions, Partition,
-                        Presentation, RelationFamily, build_presentation_A,
-                        graded_character, normal_form_basis)
+from .gradedchar import GradedCharacter, Truncation, compare
+from .presented import (InitialConditions, Partition, Presentation,
+                        build_presentation_A, normal_form_basis)
 
 log = logging.getLogger("ferchar.fusion")
 
@@ -111,67 +113,6 @@ def principal_subspace(i: int, k: int, q_max: int, z_max: int,
     pres = build_presentation_A(Partition.make((k,)),
                                 InitialConditions.make(delta_vector(i + 1, k), ()))
     return cyclic_module_from_presentation(pres, q_max, z_max, field, f"W[{i},{k}]")
-
-
-def trivial_module(q_max: int, z_max: int, field: int | None = None) -> CyclicModule:
-    pres = Presentation.make(
-        (GeneratorFamily("a", 0, 0),),
-        (RelationFamily((("a", 0, 1),), None, "a"),))
-    return cyclic_module_from_presentation(pres, q_max, z_max, field, "C")
-
-
-def action_on_vector(module: CyclicModule, j: int, component: tuple, vec: dict) -> dict:
-    act = module.actions.get((j,) + tuple(component))
-    out: dict = {}
-    if act is None:
-        return out
-    p = module.field
-    for src, coeff in vec.items():
-        for tgt, c in act[src]:
-            w = out.get(tgt, 0) + coeff * c
-            if p is not None:
-                w %= p
-            if w:
-                out[tgt] = w
-            else:
-                del out[tgt]
-    return out
-
-
-def check_actions_commute(module: CyclicModule) -> bool:
-    for (z, q) in sorted(module.bases):
-        for j1 in range(module.q_max + 1):
-            for j2 in range(j1, module.q_max + 1):
-                if z + 2 > module.z_max or q + j1 + j2 > module.q_max:
-                    continue
-                for src in range(module.dimension(z, q)):
-                    vec = {src: 1}
-                    one = action_on_vector(module, j2, (z + 1, q + j1),
-                                           action_on_vector(module, j1, (z, q), vec))
-                    two = action_on_vector(module, j1, (z + 1, q + j2),
-                                           action_on_vector(module, j2, (z, q), vec))
-                    if one != two:
-                        return False
-    return True
-
-
-def check_cyclic(module: CyclicModule) -> bool:
-    """The mode closure of the cyclic vector spans every stored component."""
-    spans = {(0, 0): [{0: 1}]}
-    for (z, q) in sorted(module.bases):
-        if (z, q) == (0, 0):
-            continue
-        vecs = []
-        for j in range(q + 1):
-            for v in spans.get((z - 1, q - j), []):
-                w = action_on_vector(module, j, (z - 1, q - j), v)
-                if w:
-                    vecs.append(w)
-        reduced = [row for _, row in reduce_rows(vecs, module.field)]
-        spans[(z, q)] = reduced
-        if len(reduced) != module.dimension(z, q):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -342,32 +283,6 @@ def fusion_character(spec: FusionSpec) -> GradedCharacter:
     return GradedCharacter.make(coeffs, w)
 
 
-def diagonal_u0_dimensions(spec: FusionSpec) -> dict:
-    """dims[(z, q)] of the m=0 operator closure, computed on its own."""
-    ctx = FusionContext(spec)
-    w = spec.window
-    layers = {}
-    dims = {}
-    for big_z in range(w.z_max + 1):
-        for big_q in range(w.q_max + 1):
-            if (big_z, big_q) not in ctx._bases:
-                continue
-            if big_z == 0:
-                vecs = [ctx.vacuum()] if big_q == 0 else []
-            else:
-                vecs = []
-                for j in range(big_q + 1):
-                    src = (big_z - 1, big_q - j)
-                    for v in layers.get(src, ()):
-                        image = ctx.apply(j, 0, src, v)
-                        if image:
-                            vecs.append(image)
-            reduced = [row for _, row in reduce_rows(vecs, ctx.field)]
-            layers[(big_z, big_q)] = reduced
-            dims[(big_z, big_q)] = len(reduced)
-    return dims
-
-
 def principal_fusion_character(i1: int, k1: int, i2: int, k2: int,
                                window: Truncation,
                                mode: FieldMode | None = None,
@@ -394,19 +309,3 @@ def principal_fusion_character(i1: int, k1: int, i2: int, k2: int,
                     mode.primes)
     return fused
 
-
-def shifted_principal_character(i: int, k: int, shift: int,
-                                window: Truncation,
-                                mode: FieldMode | None = None) -> GradedCharacter:
-    """Character of W_{i,k} with every mode lowered by 2*shift z-steps:
-    a (z, u, q) contribution moves to (z, u, q - 2*shift*z)."""
-    if shift < 0:
-        raise ConfigurationError("shift must be nonnegative")
-    if window.z_max is None:
-        raise ConfigurationError("shifted characters need a finite z window")
-    pres = build_presentation_A(Partition.make((k,)),
-                                InitialConditions.make(delta_vector(i + 1, k), ()))
-    source = graded_character(
-        pres, Truncation(window.q_max + 2 * shift * window.z_max, window.z_max, 0),
-        mode)
-    return restrict(char_reweight(source, 1, 0, -2 * shift, 0), window)

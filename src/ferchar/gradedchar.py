@@ -61,14 +61,6 @@ class GradedCharacter:
         clean = {k: v for k, v in coeffs.items() if v and truncation.contains(k)}
         return GradedCharacter(clean, truncation)
 
-    @staticmethod
-    def one(truncation: Truncation) -> GradedCharacter:
-        return GradedCharacter({(0, 0, 0): 1}, truncation)
-
-    @staticmethod
-    def zero(truncation: Truncation) -> GradedCharacter:
-        return GradedCharacter({}, truncation)
-
     def get(self, z: int, u: int, q: int) -> int:
         return self.coeffs.get((z, u, q), 0)
 
@@ -76,19 +68,6 @@ class GradedCharacter:
 def restrict(a: GradedCharacter, truncation: Truncation) -> GradedCharacter:
     window = a.truncation.meet(truncation)
     return GradedCharacter.make(a.coeffs, window)
-
-
-def char_add(a: GradedCharacter, b: GradedCharacter) -> GradedCharacter:
-    window = a.truncation.meet(b.truncation)
-    out = {k: v for k, v in a.coeffs.items() if window.contains(k)}
-    for k, v in b.coeffs.items():
-        if window.contains(k):
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            else:
-                del out[k]
-    return GradedCharacter(out, window)
 
 
 def char_mul(a: GradedCharacter, b: GradedCharacter) -> GradedCharacter:
@@ -209,13 +188,6 @@ def to_json_dict(a: GradedCharacter) -> dict:
             for z, u, q in sorted(a.coeffs)
         ],
     }
-
-
-def from_json_dict(data: dict) -> GradedCharacter:
-    t = data["truncation"]
-    window = Truncation(t["q_max"], t.get("z_max"), t.get("u_max"))
-    coeffs = {(r["z"], r["u"], r["q"]): r["dim"] for r in data["coefficients"]}
-    return GradedCharacter.make(coeffs, window)
 
 
 def render_csv(a: GradedCharacter) -> str:

@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .exactlin import FieldMode, SparseMatrix, int_rank, reduce_rows
+from .exactlin import FieldMode, int_rank, reduce_rows
 from .gradedchar import GradedCharacter, Truncation
 
 Mode = tuple  # (family index, q-degree n) for the coefficient a_{f,-n}
@@ -210,20 +210,6 @@ def build_presentation_quadratic(gram, shifts) -> Presentation:
 
 # ---------------------------------------------------------------------------
 # JSON form
-
-
-def presentation_to_json(p: Presentation) -> dict:
-    return {
-        "families": [
-            {"name": f.name, "u_increment": f.u_increment, "min_mode": f.min_mode}
-            for f in p.families
-        ],
-        "relations": [
-            {"factors": [list(fac) for fac in rel.factors],
-             "low": rel.low, "label": rel.label}
-            for rel in p.relations
-        ],
-    }
 
 
 def _typed(value, kind, field: str, optional: bool = False):
@@ -429,16 +415,6 @@ def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple]
                 if row:
                     rows.append(row)
     return rows, monos
-
-
-def relation_generators(p: Presentation, tridegree: tuple) -> tuple[SparseMatrix, tuple]:
-    """The relation rows as an exact SparseMatrix plus the column monomials."""
-    rows, monos = relation_rows(p, tridegree)
-    entries = {}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            entries[(r, c)] = v
-    return SparseMatrix.make(len(rows), len(monos), entries), monos
 
 
 # ---------------------------------------------------------------------------

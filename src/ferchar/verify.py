@@ -110,8 +110,12 @@ def parse_int(value) -> int:
     return _scalar(value, int)
 
 
-def parse_float(value) -> float:
-    return _scalar(value, float)
+def parse_seconds(value) -> float:
+    """A nonnegative number of seconds (not NaN)."""
+    x = _scalar(value, float)
+    if not x >= 0:
+        raise ConfigurationError(f"expected a nonnegative number of seconds, got {x}")
+    return x
 
 
 def parse_size(value) -> int:
@@ -413,29 +417,24 @@ def verify_limform(i1: int, k1: int, i2: int, k2: int, q_max: int,
     return [first, second]
 
 
-def verify_points(levels, window: Truncation, points_a, points_b,
-                  mode: FieldMode | None = None) -> list:
+def verify_points(levels, window: Truncation, points_a, points_b) -> list:
     """Compare a multi-factor fusion character across two point sets.
 
     Equality is guaranteed for two factors; for more it is reported
     without being asserted.  Always computed over the rationals."""
-    mode = FieldMode.exact()
     levels = tuple(tuple(x) for x in levels)
     if len(levels) < 2:
         raise ConfigurationError("need at least two (i, k) pairs")
     if any(len(x) != 2 for x in levels):
         raise ConfigurationError(f"levels must be (i, k) pairs, got {levels}")
     w = _brute_window(window, None)
-    field = None
     t0 = time.monotonic()
-    chars = []
-    for points in (points_a, points_b):
-        mods = tuple(fusion.principal_subspace(i, k, w.q_max, w.z_max, field)
-                     for i, k in levels)
-        chars.append(fusion.fusion_character(fusion.FusionSpec.make(mods, points, w)))
-    case = f"fusion-points {levels}"
-    return [_finish(case, f"points={tuple(points_a)}", f"points={tuple(points_b)}",
-                    compare(chars[0], chars[1]), time.monotonic() - t0, mode,
+    mods = tuple(fusion.principal_subspace(i, k, w.q_max, w.z_max) for i, k in levels)
+    a, b = (fusion.fusion_character(fusion.FusionSpec.make(mods, points, w))
+            for points in (points_a, points_b))
+    return [_finish(f"fusion-points {levels}", f"points={tuple(points_a)}",
+                    f"points={tuple(points_b)}", compare(a, b),
+                    time.monotonic() - t0, FieldMode.exact(),
                     informational=len(levels) > 2)]
 
 

@@ -16,8 +16,7 @@ from ferchar.fermionic import (A_matrix, B_matrix, LatticeSpec,
                                fusion_partition, gordon_character,
                                gram_matrix_for_partition,
                                lattice_principal_character,
-                               limit_sum_polynomial, shift_vector,
-                               w_fusion_spec)
+                               limit_sum_polynomial, w_fusion_spec)
 from ferchar.gradedchar import (GradedCharacter, Truncation, compare, convolve,
                                 inv_pochhammer)
 from ferchar.presented import InitialConditions, Partition
@@ -40,11 +39,6 @@ def test_B_matrix():
 def test_gram_matrix_for_partition():
     assert gram_matrix_for_partition(Partition.make((2, 1))) == \
         ((2, 0, 0), (0, 2, 1), (0, 1, 2))
-
-
-def test_shift_vector():
-    assert shift_vector(InitialConditions.make((1, 0), (1,))) == (1, 1, 1)
-    assert shift_vector(InitialConditions.make((2, 1, 1), ())) == (2, 3, 4)
 
 
 def test_fusion_partition():

@@ -4,14 +4,78 @@ import pytest
 
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode, reduce_rows
-from ferchar.fusion import (FusionContext, FusionSpec, check_actions_commute,
-                            check_cyclic, default_points,
-                            diagonal_u0_dimensions, fusion_character,
-                            principal_fusion_character, principal_subspace,
-                            shifted_principal_character, trivial_module)
+from ferchar.fusion import (CyclicModule, FusionContext, FusionSpec,
+                            cyclic_module_from_presentation, default_points,
+                            fusion_character, principal_fusion_character,
+                            principal_subspace)
 from ferchar.gradedchar import Truncation, char_mul, compare
-from ferchar.presented import (InitialConditions, Partition,
+from ferchar.presented import (GeneratorFamily, InitialConditions, Partition,
+                               Presentation, RelationFamily,
                                build_presentation_A, graded_character)
+
+
+def trivial_module(q_max: int, z_max: int, field: int | None = None) -> CyclicModule:
+    """The trivial module C: its one generator is a relation."""
+    pres = Presentation.make(
+        (GeneratorFamily("a", 0, 0),),
+        (RelationFamily((("a", 0, 1),), None, "a"),))
+    return cyclic_module_from_presentation(pres, q_max, z_max, field, "C")
+
+
+def action_on_vector(module: CyclicModule, j: int, component: tuple, vec: dict) -> dict:
+    """e_{-j} applied to a vector of the (z, q) component."""
+    act = module.actions.get((j,) + tuple(component))
+    out: dict = {}
+    if act is None:
+        return out
+    p = module.field
+    for src, coeff in vec.items():
+        for tgt, c in act[src]:
+            w = out.get(tgt, 0) + coeff * c
+            if p is not None:
+                w %= p
+            if w:
+                out[tgt] = w
+            else:
+                del out[tgt]
+    return out
+
+
+def check_actions_commute(module: CyclicModule) -> bool:
+    """e_{-j1} e_{-j2} = e_{-j2} e_{-j1} on every basis vector the window holds."""
+    for (z, q) in sorted(module.bases):
+        for j1 in range(module.q_max + 1):
+            for j2 in range(j1, module.q_max + 1):
+                if z + 2 > module.z_max or q + j1 + j2 > module.q_max:
+                    continue
+                for src in range(module.dimension(z, q)):
+                    vec = {src: 1}
+                    one = action_on_vector(module, j2, (z + 1, q + j1),
+                                           action_on_vector(module, j1, (z, q), vec))
+                    two = action_on_vector(module, j1, (z + 1, q + j2),
+                                           action_on_vector(module, j2, (z, q), vec))
+                    if one != two:
+                        return False
+    return True
+
+
+def check_cyclic(module: CyclicModule) -> bool:
+    """The mode closure of the cyclic vector spans every stored component."""
+    spans = {(0, 0): [{0: 1}]}
+    for (z, q) in sorted(module.bases):
+        if (z, q) == (0, 0):
+            continue
+        vecs = []
+        for j in range(q + 1):
+            for v in spans.get((z - 1, q - j), []):
+                w = action_on_vector(module, j, (z - 1, q - j), v)
+                if w:
+                    vecs.append(w)
+        reduced = [row for _, row in reduce_rows(vecs, module.field)]
+        spans[(z, q)] = reduced
+        if len(reduced) != module.dimension(z, q):
+            return False
+    return True
 
 
 def w_char(i, k, q_max, z_max):
@@ -137,18 +201,10 @@ def test_diagonal_current_power_annihilates():
     assert alive
 
 
-def test_diagonal_u0_matches_filtration_bottom():
-    w = Truncation(3, 3, 2)
-    spec = FusionSpec.make((principal_subspace(1, 1, 3, 3),
-                            principal_subspace(0, 2, 3, 3)), (1, 0), w)
-    diag = {k: v for k, v in diagonal_u0_dimensions(spec).items() if v}
-    full = fusion_character(spec)
-    u0 = {(z, q): v for (z, u, q), v in full.coeffs.items() if u == 0}
-    assert diag == u0
-
-
 def filtration_recomputed(ctx):
-    """dim F_l with every layer spanned anew from all of F_{l-m} below it."""
+    """dim F_l with every layer spanned anew from all of F_{l-m} below it.
+
+    Its l = 0 layer is the closure of the vacuum under the m = 0 operators."""
     w = ctx.spec.window
     layers, dims = {}, {}
     for big_z in range(w.z_max + 1):
@@ -169,7 +225,7 @@ def filtration_recomputed(ctx):
 
 @pytest.mark.parametrize("field", [None, *FieldMode.two_prime(0).primes])
 @pytest.mark.parametrize("levels", [(0, 1, 1, 1), (1, 1, 1, 2), (2, 2, 0, 2),
-                                    (1, 2, 1, 2)])
+                                    (1, 2, 1, 2), (1, 1, 0, 2)])
 def test_incremental_filtration_matches_recomputation(levels, field):
     i1, k1, i2, k2 = levels
     w = Truncation(4, 3, 3)
@@ -178,23 +234,3 @@ def test_incremental_filtration_matches_recomputation(levels, field):
     ctx = FusionContext(spec)
     assert ctx.filtration_dimensions() == filtration_recomputed(ctx)
 
-
-def test_shifted_character_zero_shift_is_identity():
-    w = Truncation(4, 2, 0)
-    assert shifted_principal_character(0, 1, 0, w).coeffs == \
-        w_char(0, 1, 4, 2).coeffs
-
-
-def test_shifted_character_frozen():
-    c = shifted_principal_character(0, 1, 1, Truncation(2, 2, 0))
-    assert dict(sorted(c.coeffs.items())) == {
-        (0, 0, 0): 1,
-        (1, 0, -1): 1, (1, 0, 0): 1, (1, 0, 1): 1, (1, 0, 2): 1,
-        (2, 0, 0): 1, (2, 0, 1): 1, (2, 0, 2): 2}
-
-
-def test_shifted_character_validation():
-    with pytest.raises(ConfigurationError):
-        shifted_principal_character(0, 1, -1, Truncation(2, 2, 0))
-    with pytest.raises(ConfigurationError):
-        shifted_principal_character(0, 1, 1, Truncation(2, None, 0))

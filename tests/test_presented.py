@@ -15,7 +15,8 @@ from ferchar.presented import (GeneratorFamily, InitialConditions, Partition,
                                component_dimension, component_monomials,
                                graded_character, low_ranges,
                                normal_form_basis, presentation_from_json,
-                               presentation_to_json, relation_generators)
+                               relation_rows)
+from helpers import presentation_to_json
 
 
 def test_partition_validation():
@@ -122,11 +123,12 @@ def test_normal_form_reduction():
     assert nf.basis_monomials() == (((0, 1), (0, 1)),)
 
 
-def test_relation_generators_shape():
+def test_relation_rows_shape():
     p = build_presentation_A(Partition.make((1,)))
-    m, monos = relation_generators(p, (2, 0, 2))
-    assert m.ncols == len(monos) == 2
-    assert m.nrows == 1
+    rows, monos = relation_rows(p, (2, 0, 2))
+    assert len(monos) == 2
+    # the z^2 coefficient of a(z)^2: 2 a_0 a_{-2} + a_{-1}^2
+    assert rows == [{0: 2, 1: 1}]
 
 
 def test_gordon_level_one_character():

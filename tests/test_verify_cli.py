@@ -13,11 +13,13 @@ from ferchar import cli, verify
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode
 from ferchar.gradedchar import Truncation
-from ferchar.presented import Partition, build_presentation_A, presentation_to_json
-from ferchar.verify import (build_evaluator, convex_partitions, run_case,
-                            run_cases, scan_fusion_cases, scan_mf_cases,
-                            verify_custom, verify_fusion, verify_gordon,
-                            verify_limform, verify_mf, verify_points)
+from ferchar.presented import Partition, build_presentation_A
+from ferchar.verify import (build_evaluator, convex_partitions, parse_ints,
+                            parse_matrix, run_case, run_cases,
+                            scan_fusion_cases, scan_mf_cases, verify_custom,
+                            verify_fusion, verify_gordon, verify_limform,
+                            verify_mf, verify_points)
+from helpers import presentation_to_json
 
 W32 = Truncation(3, 2, 0)
 MODE = FieldMode.two_prime(0)
@@ -244,17 +246,17 @@ def test_cli_config_errors(tmp_path, capsys):
 
 
 def test_cli_parsers():
-    assert cli.parse_ints("2,1") == (2, 1)
-    assert cli.parse_ints("") == ()
-    assert cli.parse_matrix("2,1;1,2") == ((2, 1), (1, 2))
+    assert parse_ints("2,1") == (2, 1)
+    assert parse_ints("") == ()
+    assert parse_matrix("2,1;1,2") == ((2, 1), (1, 2))
     with pytest.raises(ConfigurationError):
-        cli.parse_ints("2,x")
+        parse_ints("2,x")
     # JSON values: strings parse as on the command line, other types must fit
-    assert cli.parse_ints([2, "1"]) == (2, 1)
-    assert cli.parse_matrix([[2, 1], "1,2"]) == ((2, 1), (1, 2))
+    assert parse_ints([2, "1"]) == (2, 1)
+    assert parse_matrix([[2, 1], "1,2"]) == ((2, 1), (1, 2))
     for bad in (2, [1.5], [True], {"a": 1}):
         with pytest.raises(ConfigurationError):
-            cli.parse_ints(bad)
+            parse_ints(bad)
 
 
 def test_config_strings_parse_as_flags(tmp_path, capsys):
@@ -295,6 +297,10 @@ def test_config_values_of_the_wrong_form_exit_2(tmp_path, capsys, data):
     ("char", "gordon", "--k", "1", "--qmax", "3", "--umax", "-1"),
     ("verify", "fusion", "--i1", "0", "--k1", "1", "--i2", "0", "--k2", "1",
      "--qmax", "-2"),
+    # budgets: a negative or NaN --timeout, a negative --jobs
+    ("scan", "mf", "--max-size", "1", "--qmax", "1", "--timeout", "-1"),
+    ("scan", "mf", "--max-size", "1", "--qmax", "1", "--timeout", "nan"),
+    ("scan", "mf", "--max-size", "1", "--qmax", "1", "--jobs", "-3"),
 ])
 def test_negative_window_exits_2(capsys, argv):
     assert cli.main(list(argv)) == 2
@@ -373,6 +379,8 @@ _CONTAINERS = strategies.one_of(
     strategies.dictionaries(strategies.text("ab", max_size=1), strategies.integers(),
                             max_size=1))
 _NEGATIVE = strategies.integers(max_value=-1)
+_NOT_SECONDS = strategies.one_of(_NEGATIVE, strategies.floats(max_value=-1e-6),
+                                 strategies.just(float("nan")))
 _NOT_TEXT = strategies.one_of(strategies.integers(), strategies.booleans(), _CONTAINERS)
 _BAD_VECTOR = strategies.one_of(_NOT_A_NUMBER,
                                 strategies.integers().map(lambda n: f"{n},x"))
@@ -390,8 +398,9 @@ MALFORMED = {
     verify.parse_size: (strategies.one_of(_NOT_A_NUMBER, _NEGATIVE.map(str)),
                         strategies.one_of(_NOT_A_NUMBER, _NEGATIVE, strategies.floats(),
                                           _CONTAINERS)),
-    verify.parse_float: (_NOT_A_NUMBER, strategies.one_of(
-        _NOT_A_NUMBER, strategies.booleans(), _CONTAINERS)),
+    verify.parse_seconds: (strategies.one_of(_NOT_A_NUMBER, _NOT_SECONDS.map(str)),
+                           strategies.one_of(_NOT_A_NUMBER, _NOT_SECONDS,
+                                             strategies.booleans(), _CONTAINERS)),
     verify.parse_ints: (_BAD_VECTOR, strategies.one_of(
         _BAD_VECTOR, strategies.integers(), strategies.booleans(),
         strategies.lists(_NOT_A_NUMBER, min_size=1),
