@@ -95,12 +95,14 @@ def resolve_mode(args) -> FieldMode:
 
 
 def resolve_jobs(args) -> int:
+    """Scan workers: FERCHAR_THREADS if set, else --jobs; both parse as
+    --jobs does, and 0 means 1."""
     env = os.environ.get("FERCHAR_THREADS")
     if env:
         try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(f"bad FERCHAR_THREADS value {env!r}")
+            return parse_size(env) or 1
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"FERCHAR_THREADS: {exc}") from None
     return args.jobs or 1
 
 

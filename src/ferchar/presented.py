@@ -13,10 +13,20 @@ complementary monomials into integer rows, and take the corank.  Monomial
 columns are ordered by graded reverse lexicographic order on exponent
 vectors, with modes ordered family-major and by q-degree inside a family,
 so pivots and normal forms are deterministic.
+
+A component is built in one pass, already in column order, by extending
+the (z-1)-components with their largest mode (see component_monomials).
+Relation rows find a product's column by an additive code: a monomial's
+exponent vector packed into fields of z.bit_length() bits, so a product's
+code is the sum of its factors' codes and no field carries.  Components,
+their codes and the relation expansions are cached per presentation, and
+clear_caches() drops them; verify.run_case calls it after every case,
+since the next case has another presentation.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -116,6 +126,33 @@ class Presentation:
             if rel.low is not None and rel.low < 1:
                 raise ConfigurationError(f"LOW range must be >= 1, got {rel.low}")
         return Presentation(families, relations)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # the component caches key on the presentation: hash it once
+        return hash((self.families, self.relations))
+
+    @functools.cached_property
+    def _reach(self) -> tuple[int, int, int]:
+        """(least, largest) u-increment and least mode: z modes carry u in
+        [z * least, z * largest] and q at least z * least mode."""
+        return (min(f.u_increment for f in self.families),
+                max(f.u_increment for f in self.families),
+                min(f.min_mode for f in self.families))
+
+    @functools.cached_property
+    def _relation_degrees(self) -> tuple:
+        """Per relation: its z-degree, u-degree and total derivative order."""
+        out = []
+        for rel in self.relations:
+            out.append((sum(pw for _, _, pw in rel.factors),
+                        sum(pw * self.families[self.family_index(nm)].u_increment
+                            for nm, _, pw in rel.factors),
+                        sum(d * pw for _, d, pw in rel.factors)))
+        return tuple(out)
 
     def family_index(self, name: str) -> int:
         for i, f in enumerate(self.families):
@@ -242,81 +279,47 @@ def presentation_from_json(data: dict) -> Presentation:
 # monomial enumeration
 
 
-def _partitions_exact(total, count, min_part, max_part=None):
-    """Weakly decreasing tuples of the given length and sum, parts >= min_part."""
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-    hi = total - min_part * (count - 1)
-    if max_part is not None:
-        hi = min(hi, max_part)
-    lo = max(min_part, -(-total // count))
-    for p in range(lo, hi + 1):
-        for rest in _partitions_exact(total - p, count - 1, min_part, p):
-            yield (p,) + rest
+def _largest_mode_key(mono: Monomial) -> tuple:
+    """Ascending along a component: its monomials run by decreasing largest mode."""
+    f, n = mono[-1]
+    return -f, -n
 
 
-def _family_splits(p: Presentation, z: int, u: int):
-    fams = p.families
-    out = []
-
-    def rec(i, z_left, u_left, acc):
-        if i == len(fams):
-            if z_left == 0 and u_left == 0:
-                out.append(tuple(acc))
-            return
-        for cnt in range(z_left + 1):
-            du = cnt * fams[i].u_increment
-            if du > u_left:
-                break
-            rec(i + 1, z_left - cnt, u_left - du, acc + [cnt])
-
-    rec(0, z, u, [])
-    return out
-
-
-def _grevlex_index(p: Presentation, q_cap: int) -> dict:
-    pos = {}
-    for f, fam in enumerate(p.families):
-        for n in range(fam.min_mode, q_cap + 1):
-            pos[(f, n)] = len(pos)
-    return pos
+def _feasible(p: Presentation, z: int, u: int, q: int) -> bool:
+    """Necessary for the component to hold a monomial."""
+    u_lo, u_hi, mode_lo = p._reach
+    return z * u_lo <= u <= z * u_hi and q >= z * mode_lo
 
 
 @functools.lru_cache(maxsize=None)
 def component_monomials(p: Presentation, tridegree: tuple) -> tuple:
-    """All free monomials of the tridegree, in increasing grevlex order."""
+    """All free monomials of the tridegree, in increasing grevlex order.
+
+    For monomials of one z-degree, increasing grevlex is decreasing order of
+    the mode tuple read from its largest mode down.  So the component is
+    built from the (z-1)-components: for each largest mode v, from the
+    highest down, the monomials m of (z-1, u - u_v, q - n_v) whose largest
+    mode is at most v (a tail of that component), each extended to m + (v,).
+    The (z-1)-components come from the cache, so a cold call recurses z
+    levels deep; a window built by increasing z stays one level deep.
+    """
     z, u, q = tridegree
-    if z < 0 or u < 0 or q < 0:
+    if z == 0:
+        return ((),) if u == q == 0 else ()
+    if z < 0 or not _feasible(p, z, u, q):
         return ()
-    fams = p.families
     out = []
-
-    def rec(split, f_idx, q_left, acc):
-        if f_idx == len(fams):
-            if q_left == 0:
-                out.append(tuple(sorted(acc)))
-            return
-        cnt, min_f = split[f_idx], fams[f_idx].min_mode
-        later = sum(split[g] * fams[g].min_mode for g in range(f_idx + 1, len(fams)))
-        for q_f in range(cnt * min_f, q_left - later + 1):
-            for part in _partitions_exact(q_f, cnt, min_f):
-                rec(split, f_idx + 1, q_left - q_f,
-                    acc + [(f_idx, n) for n in part])
-
-    for split in _family_splits(p, z, u):
-        rec(split, 0, q, [])
-    pos = _grevlex_index(p, q)
-    nvars = len(pos)
-
-    def key(mono):
-        expo = [0] * nvars
-        for mode in mono:
-            expo[pos[mode]] += 1
-        return tuple(-x for x in reversed(expo))
-
-    out.sort(key=key)
+    for f in range(len(p.families) - 1, -1, -1):
+        fam = p.families[f]
+        u_rest = u - fam.u_increment
+        for n in range(q, fam.min_mode - 1, -1):
+            if not _feasible(p, z - 1, u_rest, q - n):
+                continue
+            v = (f, n)
+            rest = component_monomials(p, (z - 1, u_rest, q - n))
+            if z > 1:
+                rest = rest[bisect.bisect_left(rest, (-f, -n), key=_largest_mode_key):]
+            out.extend(m + (v,) for m in rest)
     return tuple(out)
 
 
@@ -360,36 +363,71 @@ def _series_mul(s1: dict, s2: dict, z_cap: int) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def _relation_series(p: Presentation, rel: RelationFamily, z_cap: int) -> dict:
+def _relation_series(p: Presentation, rel_index: int, z_cap: int) -> dict:
     """z-coefficients of the relation series, {z_exp: {monomial: int}}."""
     series = {0: {(): 1}}
-    for name, der, power in rel.factors:
+    for name, der, power in p.relations[rel_index].factors:
         base = _family_series(p, p.family_index(name), der, z_cap)
         for _ in range(power):
             series = _series_mul(series, base, z_cap)
     return series
 
 
-def _relation_degrees(p: Presentation, rel: RelationFamily) -> tuple[int, int, int]:
-    z_g = sum(pw for _, _, pw in rel.factors)
-    u_g = sum(pw * p.families[p.family_index(nm)].u_increment
-              for nm, _, pw in rel.factors)
-    der = sum(d * pw for _, d, pw in rel.factors)
-    return z_g, u_g, der
+def _mode_codes(p: Presentation, q: int, width: int) -> dict:
+    """Mode (f, n) -> 1 << width * (n * F + f), for every mode up to q.
+
+    A monomial's code, the sum of its modes' codes, packs its exponent
+    vector in fields of `width` bits.  While every exponent stays below
+    1 << width, the code of a product is the sum of its factors' codes.
+    """
+    nfam = len(p.families)
+    return {(f, n): 1 << width * (n * nfam + f)
+            for f in range(nfam) for n in range(q + 1)}
+
+
+@functools.lru_cache(maxsize=None)
+def _component_codes(p: Presentation, tridegree: tuple, width: int) -> list:
+    """The codes of component_monomials(p, tridegree), in column order."""
+    codes = _mode_codes(p, tridegree[2], width).__getitem__
+    return [sum(map(codes, m)) for m in component_monomials(p, tridegree)]
+
+
+@functools.lru_cache(maxsize=None)
+def _relation_terms(p: Presentation, rel_index: int, r_hi: int, width: int) -> list:
+    """Per r <= r_hi, the z^r coefficient of the relation series as
+    (code, coefficient) pairs."""
+    series = _relation_series(p, rel_index, r_hi)
+    codes = _mode_codes(p, r_hi + p._relation_degrees[rel_index][2], width).__getitem__
+    return [[(sum(map(codes, mono)), c) for mono, c in series.get(r, {}).items()]
+            for r in range(r_hi + 1)]
+
+
+# bound here, since tracing may replace the module's names with wrappers
+_CACHES = (component_monomials, _component_codes, _relation_series, _relation_terms)
+
+
+def clear_caches() -> None:
+    """Drop the cached components and relation expansions."""
+    for cache in _CACHES:
+        cache.cache_clear()
 
 
 def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple]:
     """Integer rows spanning the relation subspace of the free component.
 
     Rows are coefficient-of-z^r of a relation family times a complementary
-    free monomial; columns index component_monomials(p, tridegree).
+    free monomial; columns index component_monomials(p, tridegree).  A
+    product's column is found by its code, the sum of its factors' codes;
+    exponents are at most z, so codes of width z.bit_length() never carry.
     """
     z, u, q = tridegree
     monos = component_monomials(p, tridegree)
-    index = {m: i for i, m in enumerate(monos)}
+    if not monos:
+        return [], monos
+    width = z.bit_length()
+    index = {code: i for i, code in enumerate(_component_codes(p, tridegree, width))}
     rows: list[dict] = []
-    for rel in p.relations:
-        z_g, u_g, der = _relation_degrees(p, rel)
+    for i, (rel, (z_g, u_g, der)) in enumerate(zip(p.relations, p._relation_degrees)):
         zc, uc = z - z_g, u - u_g
         if zc < 0 or uc < 0:
             continue
@@ -398,22 +436,11 @@ def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple]
             r_hi = min(r_hi, rel.low - 1)
         if r_hi < 0:
             continue
-        series = _relation_series(p, rel, r_hi)
-        for r in range(r_hi + 1):
-            terms = series.get(r)
-            if not terms:
-                continue
-            for mc in component_monomials(p, (zc, uc, q - der - r)):
-                row: dict = {}
-                for mono, coef in terms.items():
-                    col = index[tuple(sorted(mono + mc))]
-                    w = row.get(col, 0) + coef
-                    if w:
-                        row[col] = w
-                    else:
-                        del row[col]
-                if row:
-                    rows.append(row)
+        for r, terms in enumerate(_relation_terms(p, i, r_hi, width)):
+            if terms:
+                # distinct terms times one monomial are distinct columns
+                rows.extend({index[tc + cc]: c for tc, c in terms}
+                            for cc in _component_codes(p, (zc, uc, q - der - r), width))
     return rows, monos
 
 

@@ -28,8 +28,8 @@ from .errors import ConfigurationError
 from .exactlin import FieldMode
 from .gradedchar import Comparison, Truncation, compare
 from .presented import (InitialConditions, Partition, build_presentation_A,
-                        build_presentation_quadratic, graded_character,
-                        presentation_from_json)
+                        build_presentation_quadratic, clear_caches,
+                        graded_character, presentation_from_json)
 
 
 @dataclass(frozen=True)
@@ -512,9 +512,15 @@ SCANS = {
 
 
 def run_case(desc) -> list:
-    """Reports of one case descriptor (kind, values), a CASES kind."""
+    """Reports of one case descriptor (kind, values), a CASES kind.
+
+    The caches of built components live for one case: the next case has
+    another presentation, so they would only hold memory."""
     kind, values = desc
-    return CASES[kind].run(values)
+    try:
+        return CASES[kind].run(values)
+    finally:
+        clear_caches()
 
 
 def run_cases(descs: list, jobs: int = 1,

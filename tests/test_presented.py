@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies
+from hypothesis import given, settings, strategies
 
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode
@@ -11,7 +11,7 @@ from ferchar.gradedchar import Truncation
 from ferchar.presented import (GeneratorFamily, InitialConditions, Partition,
                                Presentation, RelationFamily,
                                build_presentation_A,
-                               build_presentation_quadratic,
+                               build_presentation_quadratic, clear_caches,
                                component_dimension, component_monomials,
                                graded_character, low_ranges,
                                normal_form_basis, presentation_from_json,
@@ -179,3 +179,183 @@ def test_low_components_are_free(k, z, q):
     p = build_presentation_A(Partition.make((k,)))
     free = len(component_monomials(p, (z, 0, q)))
     assert component_dimension(p, (z, 0, q)) == free
+
+
+# ---------------------------------------------------------------------------
+# reference construction: every monomial enumerated family by family, then
+# sorted by its exponent vector; every product monomial sorted and looked up
+
+
+def _ref_partitions(total, count, min_part, max_part=None):
+    """Weakly decreasing tuples of the given length and sum, parts >= min_part."""
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+    hi = total - min_part * (count - 1)
+    if max_part is not None:
+        hi = min(hi, max_part)
+    lo = max(min_part, -(-total // count))
+    for p in range(lo, hi + 1):
+        for rest in _ref_partitions(total - p, count - 1, min_part, p):
+            yield (p,) + rest
+
+
+def _ref_splits(p, z, u):
+    """Per-family mode counts with z modes in all and u-degree u."""
+    fams = p.families
+    out = []
+
+    def rec(i, z_left, u_left, acc):
+        if i == len(fams):
+            if z_left == 0 and u_left == 0:
+                out.append(tuple(acc))
+            return
+        for cnt in range(z_left + 1):
+            du = cnt * fams[i].u_increment
+            if du > u_left:
+                break
+            rec(i + 1, z_left - cnt, u_left - du, acc + [cnt])
+
+    rec(0, z, u, [])
+    return out
+
+
+def ref_component_monomials(p, tridegree):
+    z, u, q = tridegree
+    if z < 0 or u < 0 or q < 0:
+        return ()
+    fams = p.families
+    out = []
+
+    def rec(split, f_idx, q_left, acc):
+        if f_idx == len(fams):
+            if q_left == 0:
+                out.append(tuple(sorted(acc)))
+            return
+        cnt, min_f = split[f_idx], fams[f_idx].min_mode
+        later = sum(split[g] * fams[g].min_mode for g in range(f_idx + 1, len(fams)))
+        for q_f in range(cnt * min_f, q_left - later + 1):
+            for part in _ref_partitions(q_f, cnt, min_f):
+                rec(split, f_idx + 1, q_left - q_f, acc + [(f_idx, n) for n in part])
+
+    for split in _ref_splits(p, z, u):
+        rec(split, 0, q, [])
+    pos = {}
+    for f, fam in enumerate(fams):
+        for n in range(fam.min_mode, q + 1):
+            pos[(f, n)] = len(pos)
+
+    def grevlex(mono):
+        expo = [0] * len(pos)
+        for mode in mono:
+            expo[pos[mode]] += 1
+        return tuple(-x for x in reversed(expo))
+
+    return tuple(sorted(out, key=grevlex))
+
+
+def _ref_series(p, rel, z_cap):
+    """{z exponent: {monomial: coefficient}} of the relation series."""
+    series = {0: {(): 1}}
+    for name, der, power in rel.factors:
+        f = p.family_index(name)
+        base = {}
+        for n in range(max(p.families[f].min_mode, der), z_cap + der + 1):
+            coef = 1
+            for t in range(der):
+                coef *= n - t
+            if coef:
+                base[n - der] = {((f, n),): coef}
+        for _ in range(power):
+            out = {}
+            for r1, terms1 in series.items():
+                for r2, terms2 in base.items():
+                    if r1 + r2 > z_cap:
+                        continue
+                    bucket = out.setdefault(r1 + r2, {})
+                    for m1, c1 in terms1.items():
+                        for m2, c2 in terms2.items():
+                            m = tuple(sorted(m1 + m2))
+                            bucket[m] = bucket.get(m, 0) + c1 * c2
+            series = {r: {m: c for m, c in terms.items() if c}
+                      for r, terms in out.items()}
+    return series
+
+
+def ref_relation_rows(p, tridegree):
+    z, u, q = tridegree
+    monos = ref_component_monomials(p, tridegree)
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for rel in p.relations:
+        z_g = sum(pw for _, _, pw in rel.factors)
+        u_g = sum(pw * p.families[p.family_index(nm)].u_increment
+                  for nm, _, pw in rel.factors)
+        der = sum(d * pw for _, d, pw in rel.factors)
+        zc, uc = z - z_g, u - u_g
+        if zc < 0 or uc < 0:
+            continue
+        r_hi = q - der if rel.low is None else min(q - der, rel.low - 1)
+        if r_hi < 0:
+            continue
+        series = _ref_series(p, rel, r_hi)
+        for r in range(r_hi + 1):
+            for mc in ref_component_monomials(p, (zc, uc, q - der - r)):
+                row = {}
+                for mono, coef in series.get(r, {}).items():
+                    col = index[tuple(sorted(mono + mc))]
+                    row[col] = row.get(col, 0) + coef
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return rows, monos
+
+
+@strategies.composite
+def presentations(draw):
+    """Quadratic (lattice) presentations, and presentations of 1-3
+    families with mixed u-increments, minimal modes and relations."""
+    ints = strategies.integers
+    if draw(strategies.booleans()):
+        n = draw(ints(1, 2))
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = draw(strategies.sampled_from((2, 4)))
+            for j in range(i + 1, n):
+                gram[i][j] = gram[j][i] = draw(ints(0, 2))
+        return build_presentation_quadratic(gram, [draw(ints(0, 1)) for _ in range(n)])
+    nfam = draw(ints(1, 3))
+    families = [GeneratorFamily(f"g{i}", draw(ints(0, 1)), draw(ints(0, 2)))
+                for i in range(nfam)]
+    relations = [RelationFamily(tuple((f"g{draw(ints(0, nfam - 1))}", draw(ints(0, 2)),
+                                       draw(ints(1, 2)))
+                                      for _ in range(draw(ints(1, 2)))),
+                                draw(strategies.one_of(strategies.none(), ints(1, 3))))
+                 for _ in range(draw(ints(1, 3)))]
+    return Presentation.make(families, relations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(), strategies.data())
+def test_component_build_matches_reference(p, data):
+    # a tridegree within reach of the families, most of the time
+    z = data.draw(strategies.integers(0, 5))
+    u = data.draw(strategies.integers(0, z if any(f.u_increment for f in p.families) else 0))
+    q = data.draw(strategies.integers(-1, 6)) + z * min(f.min_mode for f in p.families)
+    try:
+        assert component_monomials(p, (z, u, q)) == ref_component_monomials(p, (z, u, q))
+        assert relation_rows(p, (z, u, q)) == ref_relation_rows(p, (z, u, q))
+    finally:
+        clear_caches()
+
+
+def test_relation_rows_at_large_z_degree():
+    # a(z)^2 at z^0 is a_0^2: one row on the one monomial a_0^z, whose
+    # exponent z overflows any code field narrower than z.bit_length()
+    p = Presentation.make((GeneratorFamily("a"),), (RelationFamily((("a", 0, 2),)),))
+    for z in (256, 300):
+        rows, monos = relation_rows(p, (z, 0, 0))
+        assert monos == (((0, 0),) * z,)
+        assert rows == [{0: 1}]
+    clear_caches()

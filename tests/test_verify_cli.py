@@ -13,7 +13,7 @@ from ferchar import cli, verify
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode
 from ferchar.gradedchar import Truncation
-from ferchar.presented import Partition, build_presentation_A
+from ferchar.presented import Partition, build_presentation_A, component_monomials
 from ferchar.verify import (build_evaluator, convex_partitions, parse_ints,
                             parse_matrix, run_case, run_cases,
                             scan_fusion_cases, scan_mf_cases, verify_custom,
@@ -113,6 +113,34 @@ def test_run_cases_parallel():
     reports, timed_out = run_cases(descs, jobs=2)
     assert not timed_out
     assert [r.case for r in reports] == ["gordon k=2", "gordon k=1"]
+
+
+def test_caches_live_for_one_case(monkeypatch):
+    desc = ("mf", {"lambda": (2, 1), "window": Truncation(4, 3, 2), "mode": MODE})
+    run_case(desc)
+    assert component_monomials.cache_info().currsize == 0
+    warm = []
+
+    def fail(*args):
+        warm.append(component_monomials.cache_info().currsize)
+        raise RuntimeError("comparison failed")
+
+    monkeypatch.setattr(verify, "compare", fail)
+    with pytest.raises(RuntimeError):
+        run_case(desc)
+    assert warm[0] > 0
+    assert component_monomials.cache_info().currsize == 0
+
+
+def test_repeated_scan_in_one_process(capsys):
+    argv = ["scan", "mf", "--max-size", "2", "--qmax", "4", "--zmax", "3",
+            "--umax", "2", "--format", "json"]
+    runs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        runs.append([{k: v for k, v in r.items() if k != "millis"}
+                     for r in json.loads(capsys.readouterr().out)])
+    assert len(runs[0]) == 3 and runs[0] == runs[1]
 
 
 def test_scan_helpers():
@@ -416,6 +444,30 @@ MALFORMED = {
 }
 
 
+# parser -> fixed malformed (command-line texts, JSON values) that the
+# parser itself rejects; a path or descriptor that fails only once it is
+# used is left to the property below
+MALFORMED_FIXED = {
+    verify.parse_int: (["x", "", "1.5", "1,2"], ["x", True, 1.5, [1], {"a": 1}]),
+    verify.parse_size: (["x", "-1", "1.5"], [-1, -7, 2.0, True, "-1", [1], {"a": 1}]),
+    verify.parse_seconds: (["x", "-1", "-1e-06", "nan", "NaN"],
+                           [-1, -0.5, float("nan"), True, "nan", [1], {"a": 1}]),
+    verify.parse_ints: (["x", "1,x", "1,,2", "1.5"], [3, True, ["x"], [1.5], {"a": 1}]),
+    verify.parse_matrix: (["x", "1,x;2", "2,1;1,y"], [3, [1, 2], [["x"]], {"a": 1}]),
+    verify.parse_text: ([], [3, True, 1.5, [1], {"a": 1}]),
+    verify.load_presentation: (["no-such-dir/file.json", ""], [3, True, [1]]),
+    verify.parse_json: (["{bad", "[1", ""], []),
+}
+
+
+@pytest.mark.parametrize("parse", list(MALFORMED), ids=lambda parse: parse.__name__)
+def test_each_parser_rejects_fixed_malformed_values(parse):
+    texts, values = MALFORMED_FIXED[parse]
+    for value in texts + values:
+        with pytest.raises(ConfigurationError):
+            parse(value)
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=strategies.data())
@@ -450,15 +502,23 @@ def test_malformed_values_exit_2(capsys, scratch, data):
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
-def test_jobs_resolution(monkeypatch):
+def test_jobs_resolution(monkeypatch, capsys):
     ns = type("NS", (), {"jobs": 3})()
     monkeypatch.delenv("FERCHAR_THREADS", raising=False)
     assert cli.resolve_jobs(ns) == 3
+    ns.jobs = 0
+    assert cli.resolve_jobs(ns) == 1
     monkeypatch.setenv("FERCHAR_THREADS", "5")
     assert cli.resolve_jobs(ns) == 5
-    monkeypatch.setenv("FERCHAR_THREADS", "zero")
-    with pytest.raises(ConfigurationError):
-        cli.resolve_jobs(ns)
+    monkeypatch.setenv("FERCHAR_THREADS", "0")  # as --jobs 0
+    ns.jobs = 2
+    assert cli.resolve_jobs(ns) == 1
+    for bad in ("zero", "-3", "1.5"):
+        monkeypatch.setenv("FERCHAR_THREADS", bad)
+        with pytest.raises(ConfigurationError):
+            cli.resolve_jobs(ns)
+        assert cli.main(["scan", "mf", "--max-size", "1", "--qmax", "1"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: FERCHAR_THREADS")
 
 
 def test_installed_entry_point():
