@@ -1,15 +1,19 @@
 """Brute-force fusion of cyclic modules over a single current.
 
-A CyclicModule packages exact per-component monomial bases of a quotient
-algebra (components keyed by (z, q), u unused) together with the matrices
-of multiplication by each generator mode e_{-j}.  Fusion evaluates n >= 2
-such modules at pairwise distinct points z_1..z_n and filters the tensor
-product by total point-power: the operators are
+A CyclicModule numbers the exact monomial basis of a quotient algebra
+(components keyed by (z, q), u unused) once: a basis vector's global index
+runs by increasing (z, q), then by column order inside its component.  Its
+matrices of multiplication by each generator mode e_{-j} are keyed by
+(j, global index).  Fusion evaluates n >= 2 such modules at pairwise
+distinct points z_1..z_n and filters the tensor product by total
+point-power: the operators are
 
     E_j(m) = sum_t z_t^m  (e_{-j} acting in slot t),
 
 and F_l is spanned by products of operators with m-weights summing to at
-most l applied to the tensor of cyclic vectors.  Powers m >= n are linear
+most l applied to the tensor of cyclic vectors.  A tensor basis element is
+the tuple of its slots' global indices; inside a (z, q) component the
+elements run in lexicographic order.  Powers m >= n are linear
 combinations of m <= n-1 (Vandermonde), so the recursion only uses
 m = 0..n-1.  The u-degree-l layer of the fused character is
 dim F_l - dim F_{l-1} per (z, q) component; all of this is exact on a
@@ -43,13 +47,9 @@ class CyclicModule:
     label: str
     q_max: int
     z_max: int
-    bases: dict  # (z, q) -> tuple of basis monomials
-    actions: dict  # (j, z, q) -> per source index: ((target index, coeff), ...)
-    offsets: dict  # (z, q) -> global index of the component's first basis vector
+    degrees: tuple  # global index -> (z, q) of the basis vector
+    actions: dict  # (j, global index) -> ((target global index, coeff), ...)
     field: int | None = None
-
-    def dimension(self, z: int, q: int) -> int:
-        return len(self.bases.get((z, q), ()))
 
 
 def cyclic_module_from_presentation(p: Presentation, q_max: int, z_max: int,
@@ -58,51 +58,26 @@ def cyclic_module_from_presentation(p: Presentation, q_max: int, z_max: int,
     """Exact bases and mode-action matrices for a one-family quotient."""
     if len(p.families) != 1 or p.families[0].u_increment != 0:
         raise ConfigurationError("cyclic modules need a single u-trivial family")
-    min_mode = p.families[0].min_mode
-    comps = {}
+    degrees = []
+    comps = {}  # (z, q) -> (global index of its first vector, basis, expansion)
     for z in range(z_max + 1):
         for q in range(q_max + 1):
-            nf = normal_form_basis(p, (z, 0, q), field)
-            if nf.dimension:
-                comps[(z, q)] = nf
-    if (0, 0) not in comps or comps[(0, 0)].basis_monomials() != ((),):
-        raise ConfigurationError("the cyclic vector was killed by the relations")
-    bases = {zq: nf.basis_monomials() for zq, nf in comps.items()}
-    offsets = {}
-    total = 0
-    for zq in sorted(bases):
-        offsets[zq] = total
-        total += len(bases[zq])
-    # expansion of an arbitrary free monomial in the component basis
-    expand = {}
-    for zq, nf in comps.items():
-        piv = set(nf.pivots)
-        basis_pos = {}
-        for i, mono in enumerate(nf.monomials):
-            if i not in piv:
-                basis_pos[i] = len(basis_pos)
-        table = {}
-        for i, mono in enumerate(nf.monomials):
-            if i in piv:
-                table[mono] = tuple((basis_pos[c], v) for c, v in nf.reductions[i])
-            else:
-                table[mono] = ((basis_pos[i], 1),)
-        expand[zq] = table
+            basis, expansion = normal_form_basis(p, (z, 0, q), field)
+            if (z, q) == (0, 0) and expansion != {(): ((0, 1),)}:
+                raise ConfigurationError("the cyclic vector was killed by the relations")
+            if basis:
+                comps[(z, q)] = len(degrees), basis, expansion
+                degrees.extend([(z, q)] * len(basis))
     actions = {}
-    for (z, q), monos in bases.items():
-        for j in range(min_mode, q_max - q + 1):
-            target = expand.get((z + 1, q + j))
-            if z + 1 > z_max:
+    for (z, q), (first, basis, _) in comps.items():
+        for j in range(p.families[0].min_mode, q_max - q + 1):
+            if (z + 1, q + j) not in comps:
                 continue
-            images = []
-            for mono in monos:
-                if target is None:
-                    images.append(())
-                    continue
-                merged = tuple(sorted(mono + ((0, j),)))
-                images.append(target[merged])
-            actions[(j, z, q)] = tuple(images)
-    return CyclicModule(label, q_max, z_max, bases, actions, offsets, field)
+            target, _, expansion = comps[(z + 1, q + j)]
+            for g, mono in enumerate(basis, first):
+                image = expansion[tuple(sorted(mono + ((0, j),)))]
+                actions[(j, g)] = tuple((target + pos, c) for pos, c in image)
+    return CyclicModule(label, q_max, z_max, tuple(degrees), actions, field)
 
 
 def principal_subspace(i: int, k: int, q_max: int, z_max: int,
@@ -155,75 +130,45 @@ class FusionContext:
         self.spec = spec
         self.field = spec.modules[0].field
         self.n = len(spec.modules)
-        self._bases: dict = {}
         w = spec.window
-        for big_z in range(w.z_max + 1):
-            for big_q in range(w.q_max + 1):
-                elems = self._build_elements(big_z, big_q)
-                if elems:
-                    self._bases[(big_z, big_q)] = (elems, {e: i for i, e in enumerate(elems)})
-
-    def _build_elements(self, big_z, big_q):
-        mods = self.spec.modules
-        elems = []
-
-        def rec(t, z_left, q_left, split):
-            if t == self.n:
-                if z_left == 0 and q_left == 0:
-                    ranges = [range(mods[i].dimension(*split[i])) for i in range(self.n)]
-                    idxs = [0] * self.n
-
-                    def prod(i):
-                        if i == self.n:
-                            elems.append((tuple(split), tuple(idxs)))
-                            return
-                        for v in ranges[i]:
-                            idxs[i] = v
-                            prod(i + 1)
-
-                    prod(0)
-                return
-            for z_t in range(z_left + 1):
-                for q_t in range(q_left + 1):
-                    if mods[t].dimension(z_t, q_t):
-                        rec(t + 1, z_left - z_t, q_left - q_t, split + [(z_t, q_t)])
-
-        rec(0, big_z, big_q, [])
-        elems.sort(key=lambda e: tuple(self.spec.modules[t].offsets[e[0][t]] + e[1][t]
-                                       for t in range(self.n)))
-        return tuple(elems)
+        # one lexicographic sweep over the slots, kept to the window
+        sweep = [((), 0, 0)]
+        for module in spec.modules:
+            sweep = [(elem + (g,), z + dz, q + dq) for elem, z, q in sweep
+                     for g, (dz, dq) in enumerate(module.degrees)
+                     if z + dz <= w.z_max and q + dq <= w.q_max]
+        self._elems: dict = {}  # (z, q) -> its elements, in column order
+        for elem, z, q in sweep:
+            self._elems.setdefault((z, q), []).append(elem)
+        # an element's position in its (z, q) component
+        self._pos = {elem: i for elems in self._elems.values()
+                     for i, elem in enumerate(elems)}
 
     def tensor_dimension(self, big_z: int, big_q: int) -> int:
-        entry = self._bases.get((big_z, big_q))
-        return len(entry[0]) if entry else 0
+        return len(self._elems.get((big_z, big_q), ()))
 
     def vacuum(self) -> dict:
-        return {self._bases[(0, 0)][1][(((0, 0),) * self.n, (0,) * self.n)]: 1}
+        return {self._pos[(0,) * self.n]: 1}
 
     def apply(self, j: int, m: int, component: tuple, vec: dict) -> dict:
         """E_j(m) applied to a vector in the (z, q) component."""
         big_z, big_q = component
-        target = self._bases.get((big_z + 1, big_q + j))
         out: dict = {}
-        if target is None:
+        if (big_z + 1, big_q + j) not in self._elems:
             return out
-        elems = self._bases[(big_z, big_q)][0]
-        pos = target[1]
         p = self.field
-        for src_pos, coeff in vec.items():
-            split, idxs = elems[src_pos]
-            for t, module in enumerate(self.spec.modules):
-                point = self.spec.points[t]
-                if m and not point:
-                    continue
-                scale = pow(point, m, p) if p is not None else point ** m
-                act = module.actions.get((j,) + tuple(split[t]))
-                if act is None:
-                    continue
-                for tgt_local, c in act[idxs[t]]:
-                    new_split = split[:t] + ((split[t][0] + 1, split[t][1] + j),) + split[t + 1:]
-                    new_idxs = idxs[:t] + (tgt_local,) + idxs[t + 1:]
-                    key = pos[(new_split, new_idxs)]
+        # slots whose z_t^m vanishes in the field contribute nothing
+        slots = []
+        for t, (module, point) in enumerate(zip(self.spec.modules, self.spec.points)):
+            scale = pow(point, m, p) if p is not None else point ** m
+            if scale:
+                slots.append((t, module.actions, scale))
+        elems, pos = self._elems[component], self._pos
+        for src, coeff in vec.items():
+            elem = elems[src]
+            for t, actions, scale in slots:
+                for tgt, c in actions.get((j, elem[t]), ()):
+                    key = pos[elem[:t] + (tgt,) + elem[t + 1:]]
                     w = out.get(key, 0) + coeff * scale * c
                     if p is not None:
                         w %= p
@@ -246,9 +191,9 @@ class FusionContext:
         added: dict = {}  # (z, q, l) -> basis vectors that F_l adds to F_{l-1}
         for big_z in range(w.z_max + 1):
             for big_q in range(w.q_max + 1):
-                if (big_z, big_q) not in self._bases:
-                    continue
                 full = self.tensor_dimension(big_z, big_q)
+                if not full:
+                    continue
                 basis: dict = {}
                 for l in range(w.u_max + 1):
                     before = len(basis)

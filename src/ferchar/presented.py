@@ -475,35 +475,21 @@ def graded_character(p: Presentation, truncation: Truncation,
     return GradedCharacter(coeffs, truncation)
 
 
-@dataclass(frozen=True)
-class ComponentBasis:
-    """Monomial normal form of one graded component.
-
-    monomials: every free monomial of the component, in column order;
-    pivots: indices of monomials eliminated as leading terms;
-    reductions: pivot index -> ((monomial index, coefficient), ...) writing
-    the pivot monomial as a combination of non-pivot monomials.
-    """
-
-    monomials: tuple
-    pivots: tuple[int, ...]
-    reductions: dict
-    field: int | None = None
-
-    @property
-    def dimension(self) -> int:
-        return len(self.monomials) - len(self.pivots)
-
-    def basis_monomials(self) -> tuple:
-        piv = set(self.pivots)
-        return tuple(m for i, m in enumerate(self.monomials) if i not in piv)
-
-
 def normal_form_basis(p: Presentation, tridegree: tuple,
-                      field: int | None = None) -> ComponentBasis:
+                      field: int | None = None) -> tuple[tuple, dict]:
+    """Monomial normal forms of one graded component, as (basis, expansion).
+
+    basis: the monomials that lead no reduced relation row, in column order;
+    expansion: every free monomial of the component -> ((basis position,
+    coefficient), ...), its normal form in that basis.
+    """
     rows, monos = relation_rows(p, tridegree)
-    reduced = reduce_rows(rows, field)
-    reductions = {}
-    for piv, row in reduced:
-        reductions[piv] = tuple((c, -v) for c, v in sorted(row.items()) if c != piv)
-    return ComponentBasis(monos, tuple(piv for piv, _ in reduced), reductions, field)
+    reduced = dict(reduce_rows(rows, field))
+    free = [col for col in range(len(monos)) if col not in reduced]
+    position = {col: i for i, col in enumerate(free)}
+    expansion = {}
+    for col, mono in enumerate(monos):
+        row = reduced.get(col)
+        expansion[mono] = ((position[col], 1),) if row is None else tuple(
+            (position[c], -v) for c, v in sorted(row.items()) if c != col)
+    return tuple(monos[col] for col in free), expansion

@@ -22,15 +22,12 @@ def trivial_module(q_max: int, z_max: int, field: int | None = None) -> CyclicMo
     return cyclic_module_from_presentation(pres, q_max, z_max, field, "C")
 
 
-def action_on_vector(module: CyclicModule, j: int, component: tuple, vec: dict) -> dict:
-    """e_{-j} applied to a vector of the (z, q) component."""
-    act = module.actions.get((j,) + tuple(component))
+def action_on_vector(module: CyclicModule, j: int, vec: dict) -> dict:
+    """e_{-j} applied to a vector, both keyed by global index."""
     out: dict = {}
-    if act is None:
-        return out
     p = module.field
     for src, coeff in vec.items():
-        for tgt, c in act[src]:
+        for tgt, c in module.actions.get((j, src), ()):
             w = out.get(tgt, 0) + coeff * c
             if p is not None:
                 w %= p
@@ -43,37 +40,34 @@ def action_on_vector(module: CyclicModule, j: int, component: tuple, vec: dict) 
 
 def check_actions_commute(module: CyclicModule) -> bool:
     """e_{-j1} e_{-j2} = e_{-j2} e_{-j1} on every basis vector the window holds."""
-    for (z, q) in sorted(module.bases):
+    for src, (z, q) in enumerate(module.degrees):
         for j1 in range(module.q_max + 1):
             for j2 in range(j1, module.q_max + 1):
                 if z + 2 > module.z_max or q + j1 + j2 > module.q_max:
                     continue
-                for src in range(module.dimension(z, q)):
-                    vec = {src: 1}
-                    one = action_on_vector(module, j2, (z + 1, q + j1),
-                                           action_on_vector(module, j1, (z, q), vec))
-                    two = action_on_vector(module, j1, (z + 1, q + j2),
-                                           action_on_vector(module, j2, (z, q), vec))
-                    if one != two:
-                        return False
+                vec = {src: 1}
+                one = action_on_vector(module, j2, action_on_vector(module, j1, vec))
+                two = action_on_vector(module, j1, action_on_vector(module, j2, vec))
+                if one != two:
+                    return False
     return True
 
 
 def check_cyclic(module: CyclicModule) -> bool:
     """The mode closure of the cyclic vector spans every stored component."""
     spans = {(0, 0): [{0: 1}]}
-    for (z, q) in sorted(module.bases):
+    for (z, q) in sorted(set(module.degrees)):
         if (z, q) == (0, 0):
             continue
         vecs = []
         for j in range(q + 1):
             for v in spans.get((z - 1, q - j), []):
-                w = action_on_vector(module, j, (z - 1, q - j), v)
+                w = action_on_vector(module, j, v)
                 if w:
                     vecs.append(w)
         reduced = [row for _, row in reduce_rows(vecs, module.field)]
         spans[(z, q)] = reduced
-        if len(reduced) != module.dimension(z, q):
+        if len(reduced) != module.degrees.count((z, q)):
             return False
     return True
 

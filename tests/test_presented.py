@@ -115,12 +115,12 @@ def test_component_monomials_grevlex_order():
 
 def test_normal_form_reduction():
     p = build_presentation_A(Partition.make((1,)))
-    nf = normal_form_basis(p, (2, 0, 2))
-    assert nf.dimension == 1
-    assert nf.pivots == (0,)
-    # coefficient of z^2 in a(z)^2 is 2 a_0 a_{-2} + a_{-1}^2
-    assert nf.reductions == {0: ((1, Fraction(-1, 2)),)}
-    assert nf.basis_monomials() == (((0, 1), (0, 1)),)
+    basis, expansion = normal_form_basis(p, (2, 0, 2))
+    # coefficient of z^2 in a(z)^2 is 2 a_0 a_{-2} + a_{-1}^2: the pivot
+    # a_0 a_{-2} leaves the basis and reduces to -1/2 a_{-1}^2
+    assert basis == (((0, 1), (0, 1)),)
+    assert expansion == {((0, 0), (0, 2)): ((0, Fraction(-1, 2)),),
+                         ((0, 1), (0, 1)): ((0, 1),)}
 
 
 def test_relation_rows_shape():

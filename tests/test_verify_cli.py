@@ -56,6 +56,17 @@ def test_millis_covers_the_two_compared_routes(monkeypatch):
     assert [r.millis for r in reports] == [2000, 2000, 2000]
 
 
+def test_fusion_levels_in_either_order():
+    # k1 > k2 takes the swap branches of fusion_presentation and w_fusion_spec
+    w = Truncation(5, 3, 3)
+    for levels in ((1, 2, 0, 1), (0, 2, 1, 1)):
+        i1, k1, i2, k2 = levels
+        swapped = verify_fusion(i2, k2, i1, k1, w, MODE)
+        reports = verify_fusion(i1, k1, i2, k2, w, MODE)
+        assert ([(r.verdict, r.first_diff) for r in reports]
+                == [(r.verdict, r.first_diff) for r in swapped])
+
+
 def test_nonconvex_mf_passes_on_le():
     report, = verify_mf((4, 2, 1), Truncation(3, 3, 2), MODE)
     assert report.verdict in ("EQUAL", "LE")
@@ -203,6 +214,27 @@ def test_cli_verify_exit_codes(capsys):
     assert code == 3
 
 
+def test_cli_fusion_point_divisible_by_a_prime(capsys):
+    # z_1 = p vanishes mod p, so E_j(m) for m > 0 skips its slot there
+    p = MODE.primes[0]
+    argv = ["verify", "fusion", "--i1", "0", "--k1", "1", "--i2", "0", "--k2", "1",
+            "--qmax", "3", "--zmax", "2", "--umax", "2", "--format", "json"]
+    runs = []
+    for extra in ([], ["--points", f"{p},1"]):
+        code, out = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        runs.append([(r["verdict"], r["first_diff"]) for r in json.loads(out)])
+    assert runs[0] == runs[1]
+
+
+def test_cli_verify_exact_field(capsys):
+    code, out = run_cli(capsys, "verify", "mf", "--lambda", "2,1", "--qmax", "4",
+                        "--field", "exact", "--format", "json")
+    assert code == 0
+    report, = json.loads(out)
+    assert report["field"] == "exact" and report["verdict"] == "EQUAL"
+
+
 def test_cli_verify_table_marks(capsys):
     code, out = run_cli(capsys, "verify", "limform", "--i1", "0", "--k1", "1",
                         "--i2", "0", "--k2", "1", "--qmax", "3")
@@ -234,10 +266,18 @@ def test_cli_verify_custom(capsys):
     assert code == 0
 
 
-def test_cli_scan(capsys):
+def test_cli_scan(capsys, monkeypatch):
     code, out = run_cli(capsys, "scan", "mf", "--max-size", "2", "--qmax", "3")
     assert code == 0
     assert len(out.strip().splitlines()) == 3
+    # a spent budget stops the scan between cases and exits 3
+    monkeypatch.delenv("FERCHAR_THREADS", raising=False)
+    argv = ["scan", "mf", "--max-size", "3", "--qmax", "2", "--format", "json"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    code, cut = run_cli(capsys, *argv, "--timeout", "0")
+    assert code == 3
+    assert len(json.loads(cut)) < len(json.loads(out))
 
 
 def test_cli_config_merge(tmp_path, capsys):
