@@ -192,10 +192,9 @@ def main(argv=None) -> int:
             _, evaluate = kind.run(values)
             return _emit_char(evaluate(values["window"], values["mode"]), args)
         if args.command == "verify":
-            return _finish_reports(catalog.run_case((args.kind, values)), False, args)
-        reports, timed_out = catalog.run_cases(kind.run(values), resolve_jobs(args),
-                                               args.timeout)
-        return _finish_reports(reports, timed_out, args)
+            return _finish_reports(*catalog.run_cases([(args.kind, values)]), args)
+        return _finish_reports(*catalog.run_cases(kind.run(values), resolve_jobs(args),
+                                                  args.timeout), args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,9 +4,9 @@ A CyclicModule numbers the exact monomial basis of a quotient algebra
 (components keyed by (z, q), u unused) once: a basis vector's global index
 runs by increasing (z, q), then by column order inside its component.  Its
 matrices of multiplication by each generator mode e_{-j} are keyed by
-(j, global index).  Fusion evaluates n >= 2 such modules at pairwise
-distinct points z_1..z_n and filters the tensor product by total
-point-power: the operators are
+(j, global index).  Fusion evaluates n >= 2 such modules at points
+z_1..z_n, pairwise distinct in the modules' field, and filters the
+tensor product by total point-power: the operators are
 
     E_j(m) = sum_t z_t^m  (e_{-j} acting in slot t),
 
@@ -22,6 +22,7 @@ finite window because the operators strictly raise z and never lower q.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -80,6 +81,7 @@ def cyclic_module_from_presentation(p: Presentation, q_max: int, z_max: int,
     return CyclicModule(label, q_max, z_max, tuple(degrees), actions, field)
 
 
+@functools.lru_cache(maxsize=None)
 def principal_subspace(i: int, k: int, q_max: int, z_max: int,
                        field: int | None = None) -> CyclicModule:
     """W_{i,k}: C[e modes]/(e(z)^{k+1}, e(z)^l divisible by z^{l-i} for l > i)."""
@@ -98,6 +100,11 @@ def default_points(n: int) -> tuple[int, ...]:
     return ((1, 0) + tuple(range(2, n)))[:n]
 
 
+def _distinct(points: tuple, field: int | None) -> bool:
+    """Whether the points are pairwise distinct in the field (None: Q)."""
+    return len({x if field is None else x % field for x in points}) == len(points)
+
+
 @dataclass(frozen=True)
 class FusionSpec:
     modules: tuple
@@ -111,10 +118,11 @@ class FusionSpec:
             raise ConfigurationError("fusion needs at least two modules")
         if len(points) != len(modules):
             raise ConfigurationError("one evaluation point per module")
-        if len(set(points)) != len(points):
-            raise ConfigurationError(f"points must be pairwise distinct: {points}")
         if len({m.field for m in modules}) != 1:
             raise ConfigurationError("all modules must share one field")
+        if not _distinct(points, modules[0].field):
+            raise ConfigurationError(
+                f"points must be pairwise distinct in the modules' field: {points}")
         if window.z_max is None or window.u_max is None:
             raise ConfigurationError("fusion needs a finite window")
         for m in modules:
@@ -235,12 +243,18 @@ def principal_fusion_character(i1: int, k1: int, i2: int, k2: int,
     """Fused character of W_{i1,k1} and W_{i2,k2} by the filtration.
 
     In two-prime mode the whole computation runs once per prime and the
-    results must agree; otherwise it is redone over the rationals.
+    results must agree; otherwise, or when a prime makes two points
+    coincide, it is done over the rationals.
     """
     mode = mode or FieldMode.exact()
     points = default_points(2) if points is None else tuple(points)
     if window.z_max is None or window.u_max is None:
         raise ConfigurationError("fusion needs a finite window")
+    if _distinct(points, None) and not all(_distinct(points, p)
+                                           for p in mode.primes or ()):
+        log.warning("points %s coincide modulo a prime of %s; computing exactly",
+                    points, mode.primes)
+        mode = FieldMode.exact()
 
     def run(field):
         mods = (principal_subspace(i1, k1, window.q_max, window.z_max, field),

@@ -13,11 +13,17 @@ for `char` and `custom` pairs), CASES (for `verify` and `run_case`) and
 SCANS.  A kind lists its flags; a flag's name is its command-line flag
 (`--lambda`), its config key and its descriptor key (`"lambda"`), and its
 parser takes command-line text or a JSON value alike.
+
+`run_cases` runs every case of `verify` and `scan`.  Built components are
+cached for one case; the cyclic modules and predicted-algebra characters
+of the fusion route are memoized for one `run_cases` call, so a scan
+builds each once.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -370,6 +376,15 @@ def fusion_presentation(i1: int, k1: int, i2: int, k2: int):
     return build_presentation_A(lam, ic)
 
 
+# A fusion scan meets each cyclic module and each predicted algebra (which
+# depends only on the sorted levels, i1 + i2 and min(i1, i2)) many times;
+# no other brute-force character repeats within a scan.
+_fusion_algebra = functools.lru_cache(maxsize=None)(graded_character)
+# bound at import, as a traced run replaces fusion.principal_subspace by a
+# wrapper without cache_clear; run_cases clears both
+_MEMOS = (fusion.principal_subspace, _fusion_algebra)
+
+
 def verify_fusion(i1: int, k1: int, i2: int, k2: int, window: Truncation,
                   mode: FieldMode, points=None) -> list:
     w = _brute_window(window, None)
@@ -379,7 +394,7 @@ def verify_fusion(i1: int, k1: int, i2: int, k2: int, window: Truncation,
     t1 = time.monotonic()
     formula = fermionic.character_W_fusion(i1, k1, i2, k2, w)
     t2 = time.monotonic()
-    algebra = graded_character(fusion_presentation(i1, k1, i2, k2), w, mode)
+    algebra = _fusion_algebra(fusion_presentation(i1, k1, i2, k2), w, mode)
     t3 = time.monotonic()
     fused_s, formula_s, algebra_s = t1 - t0, t2 - t1, t3 - t2
     first = _finish(case, "fusion-bruteforce", "w-fusion-sum",
@@ -525,29 +540,37 @@ def run_case(desc) -> list:
 
 def run_cases(descs: list, jobs: int = 1,
               timeout: float | None = None) -> tuple[list, bool]:
-    """Run cases in declared order; returns (reports, timed_out)."""
+    """Run cases in declared order; returns (reports, timed_out).
+
+    The memos of cyclic modules and predicted-algebra characters live for
+    one call: later cases of a scan reuse what earlier ones built.  With
+    jobs > 1 each worker keeps its own, and they end with the pool."""
     reports: list = []
     start = time.monotonic()
-    if jobs <= 1:
-        for desc in descs:
-            if timeout is not None and time.monotonic() - start > timeout:
-                return reports, True
-            reports.extend(run_case(desc))
-        return reports, False
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_case, d) for d in descs]
-        for fut in futures:
-            remaining = None
-            if timeout is not None:
-                remaining = timeout - (time.monotonic() - start)
-                if remaining <= 0:
+    try:
+        if jobs <= 1:
+            for desc in descs:
+                if timeout is not None and time.monotonic() - start > timeout:
+                    return reports, True
+                reports.extend(run_case(desc))
+            return reports, False
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(run_case, d) for d in descs]
+            for fut in futures:
+                remaining = None
+                if timeout is not None:
+                    remaining = timeout - (time.monotonic() - start)
+                    if remaining <= 0:
+                        for other in futures:
+                            other.cancel()
+                        return reports, True
+                try:
+                    reports.extend(fut.result(timeout=remaining))
+                except concurrent.futures.TimeoutError:
                     for other in futures:
                         other.cancel()
                     return reports, True
-            try:
-                reports.extend(fut.result(timeout=remaining))
-            except concurrent.futures.TimeoutError:
-                for other in futures:
-                    other.cancel()
-                return reports, True
-    return reports, False
+        return reports, False
+    finally:
+        for memo in _MEMOS:
+            memo.cache_clear()

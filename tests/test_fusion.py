@@ -115,6 +115,10 @@ def test_fusion_spec_validation():
         FusionSpec.make((a, a), (1, 1), w)
     with pytest.raises(ConfigurationError):
         FusionSpec.make((a, b), (1, 0), w)
+    # distinct integers, one point of the field of 5 elements
+    with pytest.raises(ConfigurationError):
+        FusionSpec.make((b, b), (6, 1), w)
+    FusionSpec.make((a, a), (6, 1), w)
     with pytest.raises(ConfigurationError):
         FusionSpec.make((a, a), (1, 0), Truncation(2, None, 2))
     with pytest.raises(ConfigurationError):

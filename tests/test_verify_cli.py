@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import subprocess
@@ -143,6 +144,92 @@ def test_caches_live_for_one_case(monkeypatch):
     assert component_monomials.cache_info().currsize == 0
 
 
+def without_millis(reports) -> list:
+    return [dataclasses.replace(r, millis=0) for r in reports]
+
+
+def clear_memos() -> None:
+    for memo in verify._MEMOS:
+        memo.cache_clear()
+
+
+FUSION_SCAN = scan_fusion_cases(2, Truncation(3, 2, 2), MODE)
+
+
+def test_fusion_scan_builds_each_module_and_algebra_once(monkeypatch):
+    # 5 level pairs x 2 primes modules; 14 distinct predicted presentations
+    clear_memos()
+    info = []
+    run_one = verify.run_case
+
+    def counted(desc):
+        reports = run_one(desc)
+        info.append([memo.cache_info() for memo in verify._MEMOS])
+        return reports
+
+    monkeypatch.setattr(verify, "run_case", counted)
+    run_cases(FUSION_SCAN)
+    (module_hits, module_misses, _, _), (algebra_hits, algebra_misses, _, _) = info[-1]
+    assert len(info) == 25
+    assert (module_misses, module_hits) == (10, 90)
+    assert (algebra_misses, algebra_hits) == (14, 11)
+    assert [memo.cache_info().currsize for memo in verify._MEMOS] == [0, 0]
+
+
+def test_fusion_memos_live_for_one_scan(monkeypatch):
+    clear_memos()
+    warm = []
+    compare = verify.compare
+
+    def fail(*args):
+        warm.append([memo.cache_info().currsize for memo in verify._MEMOS])
+        raise RuntimeError("comparison failed")
+
+    monkeypatch.setattr(verify, "compare", fail)
+    with pytest.raises(RuntimeError):
+        run_cases(FUSION_SCAN)
+    assert warm[0] == [2, 1]  # (0,1) over two primes; one predicted algebra
+    assert [memo.cache_info().currsize for memo in verify._MEMOS] == [0, 0]
+    # a clock that advances one second per reading: the scan times out
+    # after its first case
+    monkeypatch.setattr(verify, "compare", compare)
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+    reports, timed_out = run_cases(FUSION_SCAN, timeout=1.5)
+    assert timed_out and len(reports) == 3
+    assert [memo.cache_info().currsize for memo in verify._MEMOS] == [0, 0]
+
+
+def test_fusion_memos_never_change_a_report():
+    scanned, _ = run_cases(FUSION_SCAN)
+    alone = []
+    for desc in FUSION_SCAN:
+        clear_memos()
+        alone.extend(run_case(desc))
+    clear_memos()
+    assert without_millis(scanned) == without_millis(alone)
+    parallel, _ = run_cases(FUSION_SCAN, jobs=2)
+    assert without_millis(parallel) == without_millis(scanned)
+
+
+def test_fusion_memo_keys_hold_window_and_mode():
+    # over a field of characteristic 2 the (0,1)x(0,1) characters differ
+    # from the exact ones, so a key without the mode shows in the reports
+    runs = list(itertools.product(
+        (Truncation(3, 2, 2), Truncation(4, 3, 2)),
+        (MODE, FieldMode.exact(), FieldMode("two-prime", None, (2, 2)))))
+    fresh = []
+    for window, mode in runs:
+        clear_memos()
+        fresh.append(without_millis(verify_fusion(0, 1, 0, 1, window, mode)))
+    clear_memos()
+    warm = [without_millis(verify_fusion(0, 1, 0, 1, window, mode))
+            for window, mode in runs]
+    clear_memos()
+    assert warm == fresh
+    assert len({tuple(r.verdict for r in reports) for reports in fresh}) > 1
+
+
 def test_repeated_scan_in_one_process(capsys):
     argv = ["scan", "mf", "--max-size", "2", "--qmax", "4", "--zmax", "3",
             "--umax", "2", "--format", "json"]
@@ -214,17 +301,20 @@ def test_cli_verify_exit_codes(capsys):
     assert code == 3
 
 
-def test_cli_fusion_point_divisible_by_a_prime(capsys):
-    # z_1 = p vanishes mod p, so E_j(m) for m > 0 skips its slot there
-    p = MODE.primes[0]
+def test_cli_fusion_point_divisible_by_a_prime(capsys, caplog):
+    # z_1 = p vanishes mod p, so E_j(m) for m > 0 skips its slot there;
+    # p * p2 + 1 and 1 are one point modulo either prime, so that run
+    # computes over the rationals
+    p, p2 = MODE.primes
     argv = ["verify", "fusion", "--i1", "0", "--k1", "1", "--i2", "0", "--k2", "1",
             "--qmax", "3", "--zmax", "2", "--umax", "2", "--format", "json"]
     runs = []
-    for extra in ([], ["--points", f"{p},1"]):
+    for extra in ([], ["--points", f"{p},1"], ["--points", f"{p * p2 + 1},1"]):
         code, out = run_cli(capsys, *argv, *extra)
         assert code == 0
         runs.append([(r["verdict"], r["first_diff"]) for r in json.loads(out)])
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
+    assert "computing exactly" in caplog.text
 
 
 def test_cli_verify_exact_field(capsys):
