@@ -18,10 +18,13 @@ A component is built in one pass, already in column order, by extending
 the (z-1)-components with their largest mode (see component_monomials).
 Relation rows find a product's column by an additive code: a monomial's
 exponent vector packed into fields of z.bit_length() bits, so a product's
-code is the sum of its factors' codes and no field carries.  Components,
-their codes and the relation expansions are cached per presentation, and
-clear_caches() drops them; verify.run_case calls it after every case,
-since the next case has another presentation.
+code is the sum of its factors' codes and no field carries.  Relation
+coefficients are expanded straight into codes, one cache entry per
+relation, z-power and code width, so every cap on the z-power reuses the
+coefficients below it.  Components, their codes and the relation terms
+are cached per presentation, and clear_caches() drops them;
+verify.run_case calls it after every case, since the next case has
+another presentation.
 """
 
 from __future__ import annotations
@@ -109,6 +112,8 @@ class Presentation:
     @staticmethod
     def make(families, relations) -> Presentation:
         families, relations = tuple(families), tuple(relations)
+        if not families:
+            raise ConfigurationError("a presentation needs a generator family")
         names = [f.name for f in families]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate family names: {names}")
@@ -144,15 +149,18 @@ class Presentation:
                 min(f.min_mode for f in self.families))
 
     @functools.cached_property
+    def _relation_slots(self) -> tuple:
+        """Per relation: its factor copies (family index, derivative order),
+        one per unit of power."""
+        return tuple(tuple((self.family_index(nm), d)
+                           for nm, d, pw in rel.factors for _ in range(pw))
+                     for rel in self.relations)
+
+    @functools.cached_property
     def _relation_degrees(self) -> tuple:
         """Per relation: its z-degree, u-degree and total derivative order."""
-        out = []
-        for rel in self.relations:
-            out.append((sum(pw for _, _, pw in rel.factors),
-                        sum(pw * self.families[self.family_index(nm)].u_increment
-                            for nm, _, pw in rel.factors),
-                        sum(d * pw for _, d, pw in rel.factors)))
-        return tuple(out)
+        return tuple((len(slots), sum(self.families[f].u_increment for f, _ in slots),
+                      sum(d for _, d in slots)) for slots in self._relation_slots)
 
     def family_index(self, name: str) -> int:
         for i, f in enumerate(self.families):
@@ -334,76 +342,50 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
-def _family_series(p: Presentation, f_idx: int, der: int, z_cap: int) -> dict:
-    fam = p.families[f_idx]
-    out = {}
-    for n in range(max(fam.min_mode, der), z_cap + der + 1):
-        coef = _falling(n, der)
-        if coef:
-            out[n - der] = {((f_idx, n),): coef}
-    return out
-
-
-def _series_mul(s1: dict, s2: dict, z_cap: int) -> dict:
-    out: dict = {}
-    for r1, terms1 in s1.items():
-        for r2, terms2 in s2.items():
-            if r1 + r2 > z_cap:
-                continue
-            bucket = out.setdefault(r1 + r2, {})
-            for m1, c1 in terms1.items():
-                for m2, c2 in terms2.items():
-                    m = tuple(sorted(m1 + m2))
-                    w = bucket.get(m, 0) + c1 * c2
-                    if w:
-                        bucket[m] = w
-                    else:
-                        del bucket[m]
-    return {r: terms for r, terms in out.items() if terms}
-
-
-@functools.lru_cache(maxsize=None)
-def _relation_series(p: Presentation, rel_index: int, z_cap: int) -> dict:
-    """z-coefficients of the relation series, {z_exp: {monomial: int}}."""
-    series = {0: {(): 1}}
-    for name, der, power in p.relations[rel_index].factors:
-        base = _family_series(p, p.family_index(name), der, z_cap)
-        for _ in range(power):
-            series = _series_mul(series, base, z_cap)
-    return series
-
-
-def _mode_codes(p: Presentation, q: int, width: int) -> dict:
-    """Mode (f, n) -> 1 << width * (n * F + f), for every mode up to q.
+def _mode_code(nfam: int, width: int, f: int, n: int) -> int:
+    """The code of mode (f, n): 1 in field n * nfam + f of `width` bits.
 
     A monomial's code, the sum of its modes' codes, packs its exponent
-    vector in fields of `width` bits.  While every exponent stays below
-    1 << width, the code of a product is the sum of its factors' codes.
+    vector in these fields.  While every exponent stays below 1 << width,
+    the code of a product is the sum of its factors' codes.
     """
-    nfam = len(p.families)
-    return {(f, n): 1 << width * (n * nfam + f)
-            for f in range(nfam) for n in range(q + 1)}
+    return 1 << width * (n * nfam + f)
 
 
 @functools.lru_cache(maxsize=None)
 def _component_codes(p: Presentation, tridegree: tuple, width: int) -> list:
     """The codes of component_monomials(p, tridegree), in column order."""
-    codes = _mode_codes(p, tridegree[2], width).__getitem__
+    nfam = len(p.families)
+    codes = {(f, n): _mode_code(nfam, width, f, n)
+             for f in range(nfam) for n in range(tridegree[2] + 1)}.__getitem__
     return [sum(map(codes, m)) for m in component_monomials(p, tridegree)]
 
 
 @functools.lru_cache(maxsize=None)
-def _relation_terms(p: Presentation, rel_index: int, r_hi: int, width: int) -> list:
-    """Per r <= r_hi, the z^r coefficient of the relation series as
-    (code, coefficient) pairs."""
-    series = _relation_series(p, rel_index, r_hi)
-    codes = _mode_codes(p, r_hi + p._relation_degrees[rel_index][2], width).__getitem__
-    return [[(sum(map(codes, mono)), c) for mono, c in series.get(r, {}).items()]
-            for r in range(r_hi + 1)]
+def _relation_terms(p: Presentation, rel_index: int, r: int, width: int,
+                    slot: int = 0) -> tuple:
+    """The z^r coefficient of the product of the relation's factor copies
+    from `slot` on, as (code, coefficient) pairs.
+
+    A copy (f, der) contributes der-th derivative terms n!/(n-der)! a_{f,-n}
+    z^{n-der}, so its mode n leaves z^{r-n+der} to the later copies.
+    """
+    slots = p._relation_slots[rel_index]
+    if slot == len(slots):
+        return ((0, 1),) if r == 0 else ()
+    f, der = slots[slot]
+    nfam = len(p.families)
+    out: dict = {}
+    for n in range(max(p.families[f].min_mode, der), r + der + 1):
+        code, weight = _mode_code(nfam, width, f, n), _falling(n, der)
+        for c, v in _relation_terms(p, rel_index, r - n + der, width, slot + 1):
+            out[c + code] = out.get(c + code, 0) + weight * v
+    # every weight is positive (n >= der), so no coefficient cancels
+    return tuple(out.items())
 
 
 # bound here, since tracing may replace the module's names with wrappers
-_CACHES = (component_monomials, _component_codes, _relation_series, _relation_terms)
+_CACHES = (component_monomials, _component_codes, _relation_terms)
 
 
 def clear_caches() -> None:
@@ -419,6 +401,8 @@ def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple]
     free monomial; columns index component_monomials(p, tridegree).  A
     product's column is found by its code, the sum of its factors' codes;
     exponents are at most z, so codes of width z.bit_length() never carry.
+    Each z^r coefficient is expanded in codes once per (relation, r, width)
+    and cached, whatever the cap on r.
     """
     z, u, q = tridegree
     monos = component_monomials(p, tridegree)
@@ -436,7 +420,8 @@ def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple]
             r_hi = min(r_hi, rel.low - 1)
         if r_hi < 0:
             continue
-        for r, terms in enumerate(_relation_terms(p, i, r_hi, width)):
+        for r in range(r_hi + 1):
+            terms = _relation_terms(p, i, r, width)
             if terms:
                 # distinct terms times one monomial are distinct columns
                 rows.extend({index[tc + cc]: c for tc, c in terms}

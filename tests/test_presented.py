@@ -350,11 +350,34 @@ def test_component_build_matches_reference(p, data):
         clear_caches()
 
 
+@settings(max_examples=100, deadline=None)
+@given(presentations(), strategies.data())
+def test_component_builds_share_one_cache_lifetime(p, data):
+    # several tridegrees in one cache lifetime, the largest q first and z of
+    # different bit lengths, so cached relation terms meet other caps on
+    # the z-power and other code widths than those they were built for
+    ints = strategies.integers
+    u_reach = max(f.u_increment for f in p.families)
+    mode_lo = min(f.min_mode for f in p.families)
+    drawn = data.draw(strategies.lists(strategies.tuples(ints(1, 5), ints(0, 5), ints(0, 6)),
+                                       min_size=2, max_size=4))
+    tridegrees = [(z, min(u, z * u_reach), q + z * mode_lo)
+                  for z, u, q in sorted(drawn, key=lambda t: -t[2])]
+    try:
+        for t in tridegrees:
+            assert component_monomials(p, t) == ref_component_monomials(p, t)
+            assert relation_rows(p, t) == ref_relation_rows(p, t)
+    finally:
+        clear_caches()
+
+
 def test_relation_rows_at_large_z_degree():
-    # a(z)^2 at z^0 is a_0^2: one row on the one monomial a_0^z, whose
-    # exponent z overflows any code field narrower than z.bit_length()
-    p = Presentation.make((GeneratorFamily("a"),), (RelationFamily((("a", 0, 2),)),))
-    for z in (256, 300):
+    # a(z)^k at z^0 is a_0^k: one row on the one monomial a_0^z, whose
+    # exponent z overflows any code field narrower than z.bit_length();
+    # the terms of a(z)^300 recurse once per factor copy, 300 levels deep
+    for power, z in ((2, 256), (2, 300), (300, 300)):
+        p = Presentation.make((GeneratorFamily("a"),),
+                              (RelationFamily((("a", 0, power),)),))
         rows, monos = relation_rows(p, (z, 0, 0))
         assert monos == (((0, 0),) * z,)
         assert rows == [{0: 1}]

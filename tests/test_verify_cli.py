@@ -10,11 +10,11 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies
 
-from ferchar import cli, verify
+from ferchar import cli, presented, verify
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode
 from ferchar.gradedchar import Truncation
-from ferchar.presented import Partition, build_presentation_A, component_monomials
+from ferchar.presented import Partition, build_presentation_A
 from ferchar.verify import (build_evaluator, convex_partitions, parse_ints,
                             parse_matrix, run_case, run_cases,
                             scan_fusion_cases, scan_mf_cases, verify_custom,
@@ -128,20 +128,27 @@ def test_run_cases_parallel():
 
 
 def test_caches_live_for_one_case(monkeypatch):
+    # every cache of the module is one that clear_caches() drops
+    assert {f for f in vars(presented).values() if hasattr(f, "cache_clear")} == \
+        set(presented._CACHES)
+
+    def sizes():
+        return [cache.cache_info().currsize for cache in presented._CACHES]
+
     desc = ("mf", {"lambda": (2, 1), "window": Truncation(4, 3, 2), "mode": MODE})
     run_case(desc)
-    assert component_monomials.cache_info().currsize == 0
+    assert sizes() == [0] * len(presented._CACHES)
     warm = []
 
     def fail(*args):
-        warm.append(component_monomials.cache_info().currsize)
+        warm.append(sizes())
         raise RuntimeError("comparison failed")
 
     monkeypatch.setattr(verify, "compare", fail)
     with pytest.raises(RuntimeError):
         run_case(desc)
-    assert warm[0] > 0
-    assert component_monomials.cache_info().currsize == 0
+    assert all(warm[0])
+    assert sizes() == [0] * len(presented._CACHES)
 
 
 def without_millis(reports) -> list:
@@ -494,6 +501,23 @@ def test_malformed_presentation_file_exits_2(tmp_path, capsys, family, relation)
     path.write_text(json.dumps({"families": [family], "relations": [relation]}))
     assert cli.main(["char", "presentation", "--file", str(path), "--qmax", "2"]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_presentation_without_families_exits_2(tmp_path, capsys):
+    # a presentation file with no family, and the empty lattice, whose
+    # quadratic presentation has none; the lattice sum alone is 1
+    pres, lattice = tmp_path / "f.json", tmp_path / "q.json"
+    pres.write_text(json.dumps({"families": [], "relations": []}))
+    lattice.write_text(json.dumps({"matrix": [], "shifts": []}))
+    for argv in (("char", "presentation", "--file", str(pres)),
+                 ("char", "quadratic", "--config", str(lattice)),
+                 ("verify", "lattice", "--config", str(lattice))):
+        assert cli.main([*argv, "--qmax", "2"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+    code, out = run_cli(capsys, "char", "lattice", "--config", str(lattice),
+                        "--qmax", "2", "--format", "json")
+    assert code == 0
+    assert [r["dim"] for r in json.loads(out)["coefficients"]] == [1]
 
 
 # ---------------------------------------------------------------------------
