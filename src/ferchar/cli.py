@@ -192,9 +192,10 @@ def main(argv=None) -> int:
             _, evaluate = kind.run(values)
             return _emit_char(evaluate(values["window"], values["mode"]), args)
         if args.command == "verify":
-            return _finish_reports(*catalog.run_cases([(args.kind, values)]), args)
-        return _finish_reports(*catalog.run_cases(kind.run(values), resolve_jobs(args),
-                                                  args.timeout), args)
+            descs, jobs = [(args.kind, values)], 1
+        else:
+            descs, jobs = kind.run(values), resolve_jobs(args)
+        return _finish_reports(*catalog.run_cases(descs, jobs, args.timeout), args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,25 +1,32 @@
-"""Exact sparse linear algebra over the rationals and over prime fields.
+"""Exact sparse linear algebra over the rationals and modulo an integer.
 
 All elimination runs through one kernel, `echelon`: each incoming row is
 reduced against the pivot rows kept so far, in input order, with no
-back-substitution, and becomes a new pivot row if anything survives.  Over
-a prime field p (entries are integers, taken mod p) pivot rows have
-leading coefficient 1.  Over the rationals (field None; entries are ints
-or `fractions.Fraction`s) each row is first scaled to integers and the
-elimination is fraction-free (Bareiss 1968): r <- a*r - b*pivot with a, b
-divided by their gcd, and a new pivot row is divided by its content.  The
-rank is the number of pivot rows; with `ncols` the kernel stops once every
-column has a pivot.
+back-substitution, and becomes a new pivot row if anything survives.
+Modulo N (entries are integers, taken mod N) pivot rows have leading
+coefficient 1; a new pivot whose leading entry is not a unit mod N raises
+`NonUnit`, which for a prime N never happens.  Over the rationals (field
+None; entries are ints or `fractions.Fraction`s) each row is first scaled
+to integers and the elimination is fraction-free (Bareiss 1968):
+r <- a*r - b*pivot with a, b divided by their gcd, and a new pivot row is
+divided by its content.  The rank is the number of pivot rows; with
+`ncols` the kernel stops once every column has a pivot.
 
 `reduce_rows` adds a back-substitution pass to obtain the canonical
 reduced row echelon form, which is unique, so normal forms do not depend
 on the order in which rows arrive.
 
-The two-prime protocol lives here as well (`two_prime`): a computation
-runs modulo two independently chosen 31-bit primes and its result is only
-reported when they agree; on disagreement it is redone over the
-rationals.  `int_rank` applies it to ranks and records the offending
-prime; the fusion filtration applies it to whole fused characters.
+The two-prime protocol lives here as well (`two_prime`): a computation's
+result is only reported when it agrees modulo two independently chosen
+31-bit primes p1, p2; on disagreement it is redone over the rationals.
+Both primes run in one elimination modulo p1*p2 (Z/p1p2 = F_p1 x F_p2):
+clearing a column against a pivot led by 1 is the same step in both
+fields, and a pivot is only made where its leading entry is a unit, so
+the elimination is the two per-prime ones side by side, with the same
+pivot columns.  Only a non-unit leading entry, where the primes may
+diverge, sends the computation back to one run per prime.  `int_rank`
+applies the protocol to ranks and records the offending prime; the
+fusion filtration applies it to whole fused characters.
 """
 
 from __future__ import annotations
@@ -32,6 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 log = logging.getLogger("ferchar.exactlin")
+
+
+class NonUnit(ArithmeticError):
+    """A new pivot's leading entry is not invertible modulo the field."""
+
 
 # ---------------------------------------------------------------------------
 # row reduction
@@ -59,7 +71,8 @@ def _subtract(r: dict, coef, pivot: dict, field: int | None) -> None:
         if w:
             r[c] = w
         else:
-            del r[c]
+            # mod a composite N, coef * v may vanish where r had no entry
+            r.pop(c, None)
 
 
 def _eliminate(r: dict, col: int, pivot: dict, field: int | None) -> dict:
@@ -78,7 +91,10 @@ def _eliminate(r: dict, col: int, pivot: dict, field: int | None) -> dict:
 
 def _new_pivot(r: dict, lead: int, field: int | None) -> dict:
     if field is not None:
-        inv = pow(r[lead], -1, field)
+        try:
+            inv = pow(r[lead], -1, field)
+        except ValueError:
+            raise NonUnit(f"pivot {r[lead]} at column {lead} mod {field}") from None
         return {c: v * inv % field for c, v in r.items()}
     g = math.gcd(*r.values())
     if r[lead] < 0:
@@ -91,8 +107,9 @@ def echelon(rows, field: int | None = None, ncols: int | None = None,
     """Row echelon form of the span of rows, as {leading column: row}.
 
     Rows are sparse dicts col -> scalar and are not modified.  Pivot rows
-    hold ints: mod p with leading coefficient 1, or over Q primitive
-    integer rows with positive leading coefficient.  Passing the dict of
+    hold ints: mod N with leading coefficient 1, or over Q primitive
+    integer rows with positive leading coefficient.  Raises NonUnit when
+    a new pivot's leading entry is not a unit mod N.  Passing the dict of
     an earlier call as pivots extends that echelon in place; pivot rows
     are inserted in the order they are found.  Stops reading rows once
     there are ncols pivots.
@@ -118,7 +135,7 @@ def reduce_rows(rows: list[dict], field: int | None = None) -> list[tuple[int, d
 
     Returns the nonzero rows as (pivot column, row dict) pairs sorted by
     pivot column; each row has a 1 at its pivot and 0 at every other
-    pivot column.  Scalars are Fractions over Q and ints mod p.  Input
+    pivot column.  Scalars are Fractions over Q and ints mod N.  Input
     rows are not modified.
     """
     pivots = echelon(rows, field)
@@ -203,13 +220,22 @@ class RankResult:
 def two_prime(compute, mode: FieldMode, agree=operator.eq):
     """(value, by_prime) of compute(field) in mode; field None is the rationals.
 
-    Two-prime mode keeps the first prime's value when agree(first, second)
-    and otherwise recomputes over the rationals; by_prime lists the
-    per-prime values when they disagreed, else None."""
+    compute must do its linear algebra with `echelon`/`reduce_rows` and
+    return a value that does not depend on the field as long as the
+    elimination picks the same pivot columns (a rank, dimensions, a
+    character).  Two-prime mode then runs it once modulo p1*p2.  Only when
+    that run raises NonUnit does it run once per prime: it keeps the first
+    prime's value when agree(first, second) and otherwise recomputes over
+    the rationals; by_prime lists the per-prime values when they
+    disagreed, else None."""
     if mode.kind == "exact":
         return compute(None), None
     if mode.kind != "two-prime" or not mode.primes:
         raise ValueError(f"bad field mode {mode!r}")
+    try:
+        return compute(math.prod(mode.primes)), None
+    except NonUnit:
+        pass
     by_prime = [compute(p) for p in mode.primes]
     if agree(*by_prime):
         return by_prime[0], None

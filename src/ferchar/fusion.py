@@ -5,8 +5,9 @@ A CyclicModule numbers the exact monomial basis of a quotient algebra
 runs by increasing (z, q), then by column order inside its component.  Its
 matrices of multiplication by each generator mode e_{-j} are keyed by
 (j, global index).  Fusion evaluates n >= 2 such modules at points
-z_1..z_n, pairwise distinct in the modules' field, and filters the
-tensor product by total point-power: the operators are
+z_1..z_n whose pairwise differences are units in the modules' field (or
+ring of integers mod N), and filters the tensor product by total
+point-power: the operators are
 
     E_j(m) = sum_t z_t^m  (e_{-j} acting in slot t),
 
@@ -23,7 +24,9 @@ finite window because the operators strictly raise z and never lower q.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -101,8 +104,10 @@ def default_points(n: int) -> tuple[int, ...]:
 
 
 def _distinct(points: tuple, field: int | None) -> bool:
-    """Whether the points are pairwise distinct in the field (None: Q)."""
-    return len({x if field is None else x % field for x in points}) == len(points)
+    """Whether every pairwise difference of the points is a unit in the
+    field (None: Q; an integer N: the integers mod N)."""
+    return all(x != y if field is None else math.gcd(x - y, field) == 1
+               for x, y in itertools.combinations(points, 2))
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,7 @@ class FusionContext:
                     if w:
                         out[key] = w
                     else:
-                        del out[key]
+                        out.pop(key, None)
         return out
 
     def filtration_dimensions(self) -> dict:
@@ -242,9 +247,11 @@ def principal_fusion_character(i1: int, k1: int, i2: int, k2: int,
                                points: tuple | None = None) -> GradedCharacter:
     """Fused character of W_{i1,k1} and W_{i2,k2} by the filtration.
 
-    In two-prime mode the whole computation runs once per prime and the
-    results must agree; otherwise, or when a prime makes two points
-    coincide, it is done over the rationals.
+    In two-prime mode the modules and the filtration are built once,
+    modulo the product of the two primes, and run once per prime only when
+    that meets a non-unit pivot; the per-prime results must agree.
+    Otherwise, or when a prime makes two points coincide, it is done over
+    the rationals.
     """
     mode = mode or FieldMode.exact()
     points = default_points(2) if points is None else tuple(points)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies
 
-from ferchar.exactlin import (FieldMode, RankResult, echelon, int_rank,
+from ferchar.exactlin import (FieldMode, NonUnit, RankResult, echelon, int_rank,
                               random_prime_31, reduce_rows, two_prime)
 
 
@@ -92,25 +92,43 @@ def test_int_rank_escalates_on_prime_disagreement():
 
 
 def test_two_prime_escalates_any_value():
-    # a value that is not a rank: a residue vector, compared by a custom rule
+    # a value that is not a rank: which entries survive, compared by a
+    # custom rule.  Like an elimination, it raises NonUnit where an entry
+    # is a non-unit mod a composite field, the one place its primes may
+    # diverge; otherwise its value is the same in every field.
     calls = []
 
-    def residues(field):
-        calls.append(field)
-        return [x % field for x in (5, 12)] if field else [5, 12]
+    def surviving(entries):
+        def compute(field):
+            calls.append(field)
+            if field is None:
+                return [x != 0 for x in entries]
+            if any(x % field and math.gcd(x, field) != 1 for x in entries):
+                raise NonUnit(field)
+            return [x % field != 0 for x in entries]
+        return compute
 
     def agree(a, b):
-        return [x == 0 for x in a] == [x == 0 for x in b]
+        return sum(a) == sum(b)
 
     mode = FieldMode("two-prime", None, (5, 7))
-    assert two_prime(residues, mode, agree) == ([5, 12], [[0, 2], [5, 5]])
-    assert calls == [5, 7, None]
+    assert two_prime(surviving((5, 12)), mode, agree) == \
+        ([True, True], [[False, True], [True, True]])
+    assert calls == [35, 5, 7, None]
     calls.clear()
-    # agreeing primes keep the first prime's value and skip the rationals
-    assert two_prime(residues, FieldMode("two-prime", None, (7, 11)), agree) == \
-        ([5, 5], None)
-    assert calls == [7, 11]
-    assert two_prime(residues, FieldMode.exact(), agree) == ([5, 12], None)
+    # agreeing primes keep the first prime's value and skip the rationals:
+    # after a non-unit, per prime ...
+    assert two_prime(surviving((5, 14)), mode, agree) == ([False, True], None)
+    assert calls == [35, 5, 7]
+    calls.clear()
+    # ... and otherwise in the one run modulo their product
+    assert two_prime(surviving((5, 12)), FieldMode("two-prime", None, (7, 11)),
+                     agree) == ([True, True], None)
+    assert calls == [77]
+    calls.clear()
+    assert two_prime(surviving((5, 12)), FieldMode.exact(), agree) == \
+        ([True, True], None)
+    assert calls == [None]
 
 
 def test_int_rank_rejects_bad_mode():
@@ -218,3 +236,42 @@ def test_reduce_rows_matches_reference_rref(case):
     assert dense(reduced, ncols) == expected
     scalar = Fraction if field is None else int
     assert all(type(v) is scalar for _, row in reduced for v in row.values())
+
+
+def per_prime_rank(rows, primes, ncols):
+    """The two-prime protocol run once per prime, as a reference."""
+    by_prime = [len(echelon(rows, p, ncols)) for p in primes]
+    if by_prime[0] == by_prime[1]:
+        return RankResult(by_prime[0])
+    exact = len(echelon(rows, None, ncols))
+    return RankResult(exact, True,
+                      tuple(p for p, r in zip(primes, by_prime) if r < exact))
+
+
+SMALL_PRIME_PAIRS = ((2, 3), (3, 5), (5, 7), (7, 11))
+
+
+@given(strategies.sampled_from(SMALL_PRIME_PAIRS), strategies.integers(1, 6),
+       strategies.data())
+def test_product_modulus_matches_per_prime_protocol(primes, ncols, data):
+    rows = data.draw(strategies.lists(
+        strategies.dictionaries(strategies.integers(0, ncols - 1),
+                                strategies.integers(-12, 12), max_size=ncols),
+        max_size=8))
+    mode = FieldMode("two-prime", None, primes)
+    assert int_rank(rows, mode, ncols) == per_prime_rank(rows, primes, ncols)
+    try:
+        pivots = echelon(rows, math.prod(primes))
+    except NonUnit:
+        return
+    for p in primes:
+        assert list(echelon(rows, p)) == list(pivots)
+        assert {lead: {c: v % p for c, v in row.items() if v % p}
+                for lead, row in pivots.items()} == echelon(rows, p)
+
+
+def test_product_modulus_drops_entries_that_vanish():
+    # 3 * 2 = 0 mod 6 where the row has no entry
+    assert echelon([{0: 1, 1: 2}, {0: 3}], 6) == {0: {0: 1, 1: 2}}
+    with pytest.raises(NonUnit):
+        echelon([{0: 2}], 6)

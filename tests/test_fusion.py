@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from ferchar.errors import ConfigurationError
@@ -119,10 +121,25 @@ def test_fusion_spec_validation():
     with pytest.raises(ConfigurationError):
         FusionSpec.make((b, b), (6, 1), w)
     FusionSpec.make((a, a), (6, 1), w)
+    # over the integers mod p1*p2, points equal modulo p1 alone
+    p1, p2 = FieldMode.two_prime(0).primes
+    c = principal_subspace(1, 1, 2, 2, field=p1 * p2)
+    with pytest.raises(ConfigurationError):
+        FusionSpec.make((c, c), (1, 1 + p1), w)
+    FusionSpec.make((c, c), (2, 1), w)
     with pytest.raises(ConfigurationError):
         FusionSpec.make((a, a), (1, 0), Truncation(2, None, 2))
     with pytest.raises(ConfigurationError):
         FusionSpec.make((a, a), (1, 0), Truncation(3, 2, 2))
+
+
+def test_apply_drops_terms_that_vanish_mod_a_composite():
+    # mod 6: coefficient 2 at point 3 vanishes where out had no entry
+    line = CyclicModule("line", 1, 1, ((0, 0), (1, 1)), {(1, 0): ((1, 1),)}, 6)
+    ctx = FusionContext(FusionSpec.make((line, line), (3, 2), Truncation(1, 1, 1)))
+    assert ctx.apply(1, 1, (0, 0), {0: 2}) == {ctx._pos[(0, 1)]: 4}
+    assert ctx.apply(1, 1, (0, 0), {0: 1}) == {ctx._pos[(1, 0)]: 3,
+                                                ctx._pos[(0, 1)]: 2}
 
 
 def test_fusion_with_trivial_factor_is_u_trivial():
@@ -155,6 +172,17 @@ def test_fusion_two_prime_matches_exact():
     exact = principal_fusion_character(1, 1, 1, 1, w, FieldMode.exact())
     two = principal_fusion_character(1, 1, 1, 1, w, FieldMode.two_prime(0))
     assert compare(exact, two).verdict == "EQUAL"
+
+
+@pytest.mark.parametrize("primes", [(5, 7), (3, 5)])
+@pytest.mark.parametrize("levels", [(0, 1, 0, 1), (1, 1, 0, 2), (2, 2, 1, 2)])
+def test_fusion_small_primes_match_exact(levels, primes):
+    # small forced primes: modulo 35 the run meets no non-unit; modulo 15
+    # (1,1,0,2) and (2,2,1,2) meet one, run per prime and escalate
+    w = Truncation(4, 3, 3)
+    exact = principal_fusion_character(*levels, w, FieldMode.exact())
+    small = principal_fusion_character(*levels, w, FieldMode("two-prime", None, primes))
+    assert compare(exact, small).verdict == "EQUAL"
 
 
 def compositions(n, parts):
@@ -221,7 +249,8 @@ def filtration_recomputed(ctx):
     return dims
 
 
-@pytest.mark.parametrize("field", [None, *FieldMode.two_prime(0).primes])
+@pytest.mark.parametrize("field", [None, *FieldMode.two_prime(0).primes,
+                                   math.prod(FieldMode.two_prime(0).primes)])
 @pytest.mark.parametrize("levels", [(0, 1, 1, 1), (1, 1, 1, 2), (2, 2, 0, 2),
                                     (1, 2, 1, 2), (1, 1, 0, 2)])
 def test_incremental_filtration_matches_recomputation(levels, field):

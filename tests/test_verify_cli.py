@@ -164,7 +164,8 @@ FUSION_SCAN = scan_fusion_cases(2, Truncation(3, 2, 2), MODE)
 
 
 def test_fusion_scan_builds_each_module_and_algebra_once(monkeypatch):
-    # 5 level pairs x 2 primes modules; 14 distinct predicted presentations
+    # 5 level pairs, each built once modulo the product of the two primes;
+    # 14 distinct predicted presentations
     clear_memos()
     info = []
     run_one = verify.run_case
@@ -178,7 +179,7 @@ def test_fusion_scan_builds_each_module_and_algebra_once(monkeypatch):
     run_cases(FUSION_SCAN)
     (module_hits, module_misses, _, _), (algebra_hits, algebra_misses, _, _) = info[-1]
     assert len(info) == 25
-    assert (module_misses, module_hits) == (10, 90)
+    assert (module_misses, module_hits) == (5, 45)
     assert (algebra_misses, algebra_hits) == (14, 11)
     assert [memo.cache_info().currsize for memo in verify._MEMOS] == [0, 0]
 
@@ -195,7 +196,7 @@ def test_fusion_memos_live_for_one_scan(monkeypatch):
     monkeypatch.setattr(verify, "compare", fail)
     with pytest.raises(RuntimeError):
         run_cases(FUSION_SCAN)
-    assert warm[0] == [2, 1]  # (0,1) over two primes; one predicted algebra
+    assert warm[0] == [1, 1]  # (0,1) mod p1*p2; one predicted algebra
     assert [memo.cache_info().currsize for memo in verify._MEMOS] == [0, 0]
     # a clock that advances one second per reading: the scan times out
     # after its first case
@@ -375,6 +376,16 @@ def test_cli_scan(capsys, monkeypatch):
     code, cut = run_cli(capsys, *argv, "--timeout", "0")
     assert code == 3
     assert len(json.loads(cut)) < len(json.loads(out))
+
+
+def test_cli_verify_honours_timeout(capsys):
+    # verify and scan share one budget rule: a spent budget exits 3
+    argv = ["verify", "mf", "--lambda", "2,1", "--qmax", "3", "--format", "json"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)
+    code, cut = run_cli(capsys, *argv, "--timeout", "0")
+    assert code == 3
+    assert json.loads(cut) == []
 
 
 def test_cli_config_merge(tmp_path, capsys):
