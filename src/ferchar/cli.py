@@ -3,9 +3,13 @@
 Three commands: `char` evaluates a single character (brute force or
 closed sum) and prints it; `verify` runs one catalog case and reports
 verdicts; `scan` sweeps a family of cases.  Their kinds and flags come
-from the registries in `ferchar.verify`.  Exit codes: 0 all passed,
-1 a required comparison mismatched, 2 bad configuration, 3 a resource
-or stabilization limit was hit.  FERCHAR_THREADS overrides --jobs.
+from the registries in `ferchar.verify`; each call builds only the
+parser of the command and kind that its argv names.  `--timeout` is
+checked before `char` evaluates and before each case of `verify` and
+`scan`; `--jobs` sets the worker count of `scan` alone.  Exit codes:
+0 all passed, 1 a required comparison mismatched, 2 bad configuration,
+3 a resource or stabilization limit was hit.  FERCHAR_THREADS overrides
+--jobs.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import verify as catalog
 from .errors import ConfigurationError, ResourceLimitError, StabilizationError
@@ -38,20 +43,33 @@ COMMON_FLAGS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list) -> argparse.ArgumentParser:
+    """The parser for argv.  Every command is registered with its help
+    text, but only the command that argv names gets its kinds, and only
+    the kind it names gets its flags.  Help, usage and error text are
+    those of the whole tree: argparse descends only into the command and
+    kind that argv names, and refuses any other name where it stands."""
+    # the first two arguments that do not start with "-" are the ones
+    # argparse reads as command and kind: no parser above a kind has an
+    # option that takes a value
+    names = (a for a in argv if not a.startswith("-"))
+    chosen_command, chosen_kind = next(names, None), next(names, None)
     parser = argparse.ArgumentParser(
         prog="ferchar",
         description="exact verification of graded character formulas")
     commands = parser.add_subparsers(dest="command", required=True)
     for command, (registry, help_text) in COMMANDS.items():
-        kinds = commands.add_parser(command, help=help_text).add_subparsers(
-            dest="kind", required=True)
+        command_parser = commands.add_parser(command, help=help_text)
+        if command != chosen_command:
+            continue
+        kinds = command_parser.add_subparsers(dest="kind", required=True)
         for name, kind in registry.items():
             sp = kinds.add_parser(name)
-            # argparse keeps the text: values are parsed after the config
-            # merge, so that --config files can supply them too
-            for flag in kind.flags + COMMON_FLAGS:
-                sp.add_argument("--" + flag.name, dest=flag.name)
+            if name == chosen_kind:
+                # argparse keeps the text: values are parsed after the
+                # config merge, so that --config files can supply them too
+                for flag in kind.flags + COMMON_FLAGS:
+                    sp.add_argument("--" + flag.name, dest=flag.name)
     return parser
 
 
@@ -184,12 +202,18 @@ def _finish_reports(reports, timed_out: bool, args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         kind = resolve_flags(args)
         values = _case_values(kind, args)
         if args.command == "char":
+            # the rule of run_cases: a budget spent before the work starts
+            start = time.monotonic()
             _, evaluate = kind.run(values)
+            if args.timeout is not None and time.monotonic() - start > args.timeout:
+                raise ResourceLimitError(
+                    f"--timeout {args.timeout:g} s spent before evaluating")
             return _emit_char(evaluate(values["window"], values["mode"]), args)
         if args.command == "verify":
             descs, jobs = [(args.kind, values)], 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import itertools
 import json
@@ -20,7 +21,7 @@ from ferchar.verify import (build_evaluator, convex_partitions, parse_ints,
                             scan_fusion_cases, scan_mf_cases, verify_custom,
                             verify_fusion, verify_gordon, verify_limform,
                             verify_mf, verify_points)
-from helpers import presentation_to_json
+from helpers import build_parser, presentation_to_json
 
 W32 = Truncation(3, 2, 0)
 MODE = FieldMode.two_prime(0)
@@ -388,6 +389,14 @@ def test_cli_verify_honours_timeout(capsys):
     assert json.loads(cut) == []
 
 
+def test_cli_char_honours_timeout(capsys):
+    # char checks the budget before it evaluates, as verify does per case
+    argv = ["char", "gordon", "--k", "1", "--qmax", "3"]
+    code, out = run_cli(capsys, *argv, "--timeout", "60")
+    assert code == 0 and out
+    assert run_cli(capsys, *argv, "--timeout", "0") == (3, "")
+
+
 def test_cli_config_merge(tmp_path, capsys):
     cfg = tmp_path / "case.json"
     cfg.write_text(json.dumps({"k": 2, "qmax": 3, "zmax": 2, "format": "json"}))
@@ -684,6 +693,76 @@ def test_jobs_resolution(monkeypatch, capsys):
             cli.resolve_jobs(ns)
         assert cli.main(["scan", "mf", "--max-size", "1", "--qmax", "1"]) == 2
         assert capsys.readouterr().err.startswith("configuration error: FERCHAR_THREADS")
+
+
+# every kind's help, and the errors of each level of the tree
+GOLDEN_ARGVS = (
+    [[], ["-h"]]
+    + [[command, *h] for command in cli.COMMANDS for h in ([], ["-h"])]
+    + [[command, kind, "-h"] for command, (registry, _) in cli.COMMANDS.items()
+       for kind in registry]
+    + [["bogus"], ["verify", "bogus"], ["verify", "lattice", "--bogus", "1"],
+       ["verify", "lattice", "--qmax"]]
+    # names after other arguments, which argparse reads as options or
+    # refuses as names
+    + [["--x", "verify", "lattice", "-h"], ["-1", "verify", "lattice"],
+       ["verify", "-x", "lattice", "--qmax", "1"], ["verify", "--qmax", "1"],
+       ["--", "verify", "lattice", "-h"], ["char", "verify", "-h"]])
+
+
+def exit_of(capsys, parse, argv) -> tuple:
+    """(exit code, stdout, stderr) of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=lambda a: " ".join(a) or "(none)")
+def test_cli_text_matches_the_whole_tree(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+    assert exit_of(capsys, cli.main, argv) == \
+        exit_of(capsys, build_parser().parse_args, argv)
+
+
+def test_cli_builds_only_the_selected_kind(capsys, monkeypatch):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    argv = ["verify", "lattice", "--matrix", "2", "--shifts", "0", "--qmax", "1"]
+    flags = len(verify.CASES["lattice"].flags) + len(cli.COMMON_FLAGS)
+    # one -h per parser: the top level, each command, each verify kind
+    helps = 1 + len(cli.COMMANDS) + len(verify.CASES)
+    for calls_made in (1, 2):  # a second call builds a second parser
+        assert cli.main(argv) == 0
+        assert len([c for c in calls if c != "-h"]) == calls_made * flags
+        assert calls.count("-h") == calls_made * helps
+
+
+@pytest.mark.parametrize("argv", [
+    ["char", "gordon", "--k", "1", "--qmax", "3"],
+    ["verify", "lattice", "-h"],
+    ["verify", "lattice", "--bogus", "1"],
+])
+def test_cli_reads_sys_argv(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run(*args) -> tuple:
+        try:
+            code = cli.main(*args)
+        except SystemExit as stop:
+            code = stop.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    expected = run(argv)
+    monkeypatch.setattr(sys, "argv", ["ferchar", *argv])
+    assert run() == expected
 
 
 def test_installed_entry_point():
