@@ -6,7 +6,8 @@ verdicts; `scan` sweeps a family of cases.  Their kinds and flags come
 from the registries in `ferchar.verify`; each call builds only the
 parser of the command and kind that its argv names.  `--timeout` is
 checked before `char` evaluates and before each case of `verify` and
-`scan`; `--jobs` sets the worker count of `scan` alone.  Exit codes:
+`scan`, and is spent once the elapsed time reaches it; `--jobs` sets the
+worker count of `scan` alone.  Exit codes:
 0 all passed, 1 a required comparison mismatched, 2 bad configuration,
 3 a resource or stabilization limit was hit.  FERCHAR_THREADS overrides
 --jobs.
@@ -211,7 +212,7 @@ def main(argv=None) -> int:
             # the rule of run_cases: a budget spent before the work starts
             start = time.monotonic()
             _, evaluate = kind.run(values)
-            if args.timeout is not None and time.monotonic() - start > args.timeout:
+            if args.timeout is not None and time.monotonic() - start >= args.timeout:
                 raise ResourceLimitError(
                     f"--timeout {args.timeout:g} s spent before evaluating")
             return _emit_char(evaluate(values["window"], values["mode"]), args)

@@ -1,15 +1,22 @@
 """Closed fermionic sum evaluators.
 
-Every evaluator here expands a sum of the shape
+One enumerator, _lattice_sum, expands every closed sum
 
-    sum over nonnegative integer vectors n (and m)
-        u^|m| (z/q)^(|n|+|m|) q^(nAn/2 + nBm + mAm/2 + linear terms)
-        / ((q)_n (q)_m)
+    sum over nonnegative integer vectors x
+        z^(z_weights.x) u^(u_weights.x) q^(xGx/2 - sum_i G_ii x_i/2 + shifts.x)
+        / (q)_x
 
-into a truncated GradedCharacter, where |n| = n_1 + 2 n_2 + 3 n_3 + ...
-is the weighted length and (q)_n = prod_i (q)_{n_i}.  Writing N_i for the
-partial sums n_i + n_{i+1} + ..., the quadratic-minus-prefactor part is
-sum_i N_i (N_i - 1) >= 0, which drives all enumeration bounds.
+into a truncated GradedCharacter, where (q)_x = prod_i (q)_{x_i}.  The
+lattice characters weight every coordinate z^1 u^0.  The fermionic sums
+
+    sum over n (and m) u^|m| (z/q)^(|n|+|m|)
+        q^(nAn/2 + nBm + mAm/2 + linear terms) / ((q)_n (q)_m),
+
+with |n| = n_1 + 2 n_2 + 3 n_3 + ... the weighted length, are the case
+x = (n, m) with the block Gram matrix [[A, B], [B^T, A']]: the diagonal
+of A(k) is 2, 4, ..., 2k, so sum_i G_ii x_i / 2 is |n| + |m|.  Every entry
+of G, of the shifts and of the weights is nonnegative, so the exponent
+never decreases as one coordinate grows, which bounds the enumeration.
 
 The limit evaluator (character_L_fusion) stabilizes a sequence of
 reweighted finite-level sums, re-derives every term exponent of the
@@ -85,7 +92,7 @@ def delta_vector(index: int, length: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# generic double sum
+# closed sums
 
 
 @dataclass(frozen=True)
@@ -108,8 +115,7 @@ class FermionicSumSpec:
 def gordon_spec(k: int) -> FermionicSumSpec:
     if k < 1:
         raise ConfigurationError("level must be >= 1")
-    return FermionicSumSpec(A_matrix(k), (), tuple(() for _ in range(k)),
-                            (0,) * k, ())
+    return mf_spec(Partition.make((k,)))
 
 
 def mf_spec(lam: Partition) -> FermionicSumSpec:
@@ -151,30 +157,6 @@ def w_fusion_spec(i1: int, k1: int, i2: int, k2: int) -> FermionicSumSpec:
     return FermionicSumSpec(A_matrix(big), A_matrix(small), b, n_lin, m_lin)
 
 
-def _monotone_partial_sums(length: int, q_max: int, z_cap: int | None):
-    """Weakly decreasing nonnegative tuples (N_1 >= ... >= N_len) with
-    sum N_i (N_i - 1) <= q_max and, if given, sum N_i <= z_cap."""
-    out: list[tuple] = []
-
-    def rec(i, hi, qacc, zacc, acc):
-        if i == length:
-            out.append(tuple(acc))
-            return
-        for v in range(hi + 1):
-            q2 = qacc + v * (v - 1)
-            if q2 > q_max:
-                break
-            if z_cap is not None and zacc + v > z_cap:
-                break
-            rec(i + 1, v, q2, zacc + v, acc + [v])
-
-    cap = (1 + math.isqrt(1 + 4 * q_max)) // 2
-    if z_cap is not None:
-        cap = min(cap, z_cap)
-    rec(0, cap, 0, 0, [])
-    return out
-
-
 def _diffs(partial: tuple) -> tuple:
     ext = partial + (0,)
     return tuple(ext[i] - ext[i + 1] for i in range(len(partial)))
@@ -193,12 +175,6 @@ def _term_series(n: tuple, m: tuple, q_cap: int) -> tuple:
     return _poch_product(counts, q_cap)
 
 
-def _coupling(b: tuple, n: tuple, m: tuple) -> int:
-    """The coupling exponent: the sum over i, j of n_i b_ij m_j."""
-    return sum(ni * sum(bij * mj for bij, mj in zip(b[i], m) if mj)
-               for i, ni in enumerate(n) if ni)
-
-
 def _add_series(coeffs: dict, z: int, u: int, q0: int, series) -> None:
     """Add series (coefficients of q^0, q^1, ...) to coeffs at (z, u, q0 + t)."""
     for t, cnt in enumerate(series):
@@ -207,32 +183,43 @@ def _add_series(coeffs: dict, z: int, u: int, q0: int, series) -> None:
             coeffs[key] = coeffs.get(key, 0) + cnt
 
 
-def evaluate_fermionic_sum(spec: FermionicSumSpec, window: Truncation) -> GradedCharacter:
+def _lattice_sum(gram, shifts, z_weights, u_weights, window) -> GradedCharacter:
+    """The closed sum of the module docstring with G = gram, on window.
+
+    Each G_ii is positive and no entry of gram, shifts or the weights is
+    negative: the exponent, z and u never decrease as one x_i grows, so the
+    loop over x_i stops at the first value past the window."""
+    size = len(gram)
     q_max = window.q_max
-    z_cap = window.z_max
-    m_cap = z_cap
-    if window.u_max is not None:
-        m_cap = window.u_max if m_cap is None else min(m_cap, window.u_max)
-    n_cands = _monotone_partial_sums(spec.n_len, q_max, z_cap)
-    m_cands = _monotone_partial_sums(spec.m_len, q_max, m_cap)
+    z_cap = math.inf if window.z_max is None else window.z_max
+    u_cap = math.inf if window.u_max is None else window.u_max
     coeffs: dict = {}
-    for npart in n_cands:
-        wn = sum(npart)
-        n = _diffs(npart)
-        qn = sum(v * (v - 1) for v in npart) + sum(a * b for a, b in zip(n, spec.n_linear))
-        if qn > q_max:
-            continue
-        for mpart in m_cands:
-            wm = sum(mpart)
-            if z_cap is not None and wn + wm > z_cap:
-                continue
-            m = _diffs(mpart)
-            q0 = qn + sum(v * (v - 1) for v in mpart)
-            q0 += sum(a * b for a, b in zip(m, spec.m_linear)) + _coupling(spec.b, n, m)
-            if q0 > q_max:
-                continue
-            _add_series(coeffs, wn + wm, wm, q0, _term_series(n, m, q_max - q0))
+
+    def rec(i, q, z, u, acc):
+        if i == size:
+            _add_series(coeffs, z, u, q, _term_series(acc, (), q_max - q))
+            return
+        # from x_i = v to v + 1 the exponent grows by
+        # G_ii v + shifts_i + sum_{t<i} G_ti x_t
+        step = shifts[i] + sum(gram[t][i] * acc[t] for t in range(i))
+        v = 0
+        while q <= q_max and z <= z_cap and u <= u_cap:
+            rec(i + 1, q, z, u, acc + (v,))
+            q, z, u, v = q + step, z + z_weights[i], u + u_weights[i], v + 1
+            step += gram[i][i]
+
+    rec(0, 0, 0, 0, ())
     return GradedCharacter.make(coeffs, window)
+
+
+def evaluate_fermionic_sum(spec: FermionicSumSpec, window: Truncation) -> GradedCharacter:
+    """The lattice sum over x = (n, m) with Gram matrix [[a_n, b], [b^T, a_m]],
+    z-weights (1..n_len, 1..m_len) and u-weights (0, ..., 0, 1..m_len)."""
+    n_w, m_w = tuple(range(1, spec.n_len + 1)), tuple(range(1, spec.m_len + 1))
+    gram = tuple(a + b for a, b in zip(spec.a_n, spec.b))
+    gram += tuple(tuple(row[j] for row in spec.b) + spec.a_m[j] for j in range(spec.m_len))
+    return _lattice_sum(gram, spec.n_linear + spec.m_linear, n_w + m_w,
+                        (0,) * spec.n_len + m_w, window)
 
 
 # ---------------------------------------------------------------------------
@@ -279,28 +266,8 @@ def lattice_principal_character(spec: LatticeSpec, window: Truncation) -> Graded
 
     The z-grading counts generators (each has z-degree 1); u is not used.
     """
-    gram, shifts = spec.gram, spec.shifts
-    size = len(gram)
-    q_max, z_cap = window.q_max, window.z_max
-    coeffs: dict = {}
-
-    def rec(i, qacc, zacc, acc):
-        if i == size:
-            _add_series(coeffs, zacc, 0, qacc, _term_series(tuple(acc), (), q_max - qacc))
-            return
-        v = 0
-        while True:
-            q2 = qacc + gram[i][i] * v * (v - 1) // 2 + v * shifts[i]
-            q2 += v * sum(gram[t][i] * acc[t] for t in range(i))
-            if q2 > q_max:
-                break
-            if z_cap is not None and zacc + v > z_cap:
-                break
-            rec(i + 1, q2, zacc + v, acc + [v])
-            v += 1
-
-    rec(0, 0, 0, [])
-    return GradedCharacter.make(coeffs, window)
+    size = len(spec.gram)
+    return _lattice_sum(spec.gram, spec.shifts, (1,) * size, (0,) * size, window)
 
 
 # ---------------------------------------------------------------------------

@@ -268,10 +268,18 @@ def _fusion(v):
         *a, _brute_window(w, None), m, points))
 
 
+def _every_z(window: Truncation) -> Truncation:
+    """window, refused when it bounds z: the limit character and its
+    checks run over every z."""
+    if window.z_max is not None:
+        raise ConfigurationError("limform runs over every z and takes no z bound")
+    return window
+
+
 def _limform(v):
     a, n_max = _levels(v), _n_max(v)
     return (f"limform{a}", lambda w, m: fermionic.character_L_fusion(
-        *a, w.q_max, w.u_max, n_max).character)
+        *a, w.q_max, _every_z(w).u_max, n_max).character)
 
 
 def _lattice(v):
@@ -464,7 +472,7 @@ CASES = {
     "lattice": Kind(LATTICE, True, lambda v: verify_lattice(
         v["matrix"], v["shifts"], v["window"], v["mode"])),
     "limform": Kind(LEVELS + (NMAX,), False, lambda v: verify_limform(
-        *_levels(v), v["window"].q_max, v["window"].u_max, _n_max(v))),
+        *_levels(v), v["window"].q_max, _every_z(v["window"]).u_max, _n_max(v))),
     "points": Kind((Flag("levels", parse_matrix, True), Flag("points", parse_ints, True),
                     Flag("alt-points", parse_ints, True)), True,
                    lambda v: verify_points(v["levels"], v["window"], v["points"],
@@ -542,7 +550,8 @@ def run_cases(descs: list, jobs: int = 1,
               timeout: float | None = None) -> tuple[list, bool]:
     """Run cases in declared order; returns (reports, timed_out).
 
-    The memos of cyclic modules and predicted-algebra characters live for
+    The timeout budget is spent once the elapsed time reaches it, and is
+    checked before each case, with or without a pool.  The memos of cyclic modules and predicted-algebra characters live for
     one call: later cases of a scan reuse what earlier ones built.  With
     jobs > 1 each worker keeps its own, and they end with the pool."""
     reports: list = []
@@ -550,7 +559,7 @@ def run_cases(descs: list, jobs: int = 1,
     try:
         if jobs <= 1:
             for desc in descs:
-                if timeout is not None and time.monotonic() - start > timeout:
+                if timeout is not None and time.monotonic() - start >= timeout:
                     return reports, True
                 reports.extend(run_case(desc))
             return reports, False

@@ -1,22 +1,25 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies
 
 from ferchar.errors import ConfigurationError, StabilizationError
-from ferchar.fermionic import (A_matrix, B_matrix, LatticeSpec,
-                               _finite_level_terms, _literal_limit_character,
-                               _literal_shell, _reconstruction_check,
-                               _scaled_limit_polynomial, character_A_lambda,
+from ferchar.fermionic import (A_matrix, B_matrix, LatticeSpec, _add_series,
+                               _diffs, _finite_level_terms,
+                               _literal_limit_character, _literal_shell,
+                               _reconstruction_check, _scaled_limit_polynomial,
+                               _term_series, character_A_lambda,
                                character_A_lambda_cd, character_L_fusion,
                                character_W_fusion, delta_vector,
-                               fusion_partition, gordon_character,
+                               evaluate_fermionic_sum, fusion_partition,
+                               gmf_spec, gordon_character, gordon_spec,
                                gram_matrix_for_partition,
                                lattice_principal_character,
-                               limit_sum_polynomial, w_fusion_spec)
+                               limit_sum_polynomial, mf_spec, w_fusion_spec)
 from ferchar.gradedchar import (GradedCharacter, Truncation, compare, convolve,
                                 inv_pochhammer)
 from ferchar.presented import InitialConditions, Partition
@@ -97,6 +100,99 @@ def test_w_fusion_validates_levels():
         character_W_fusion(2, 1, 0, 1, w)
     with pytest.raises(ConfigurationError):
         character_W_fusion(0, 0, 0, 1, w)
+
+
+# ---------------------------------------------------------------------------
+# the closed sums against the partial-sum evaluator they replaced
+
+
+def _monotone_partial_sums(length: int, q_max: int, z_cap: int | None):
+    """Weakly decreasing nonnegative tuples (N_1 >= ... >= N_len) with
+    sum N_i (N_i - 1) <= q_max and, if given, sum N_i <= z_cap."""
+    out: list[tuple] = []
+
+    def rec(i, hi, qacc, zacc, acc):
+        if i == length:
+            out.append(tuple(acc))
+            return
+        for v in range(hi + 1):
+            q2 = qacc + v * (v - 1)
+            if q2 > q_max:
+                break
+            if z_cap is not None and zacc + v > z_cap:
+                break
+            rec(i + 1, v, q2, zacc + v, acc + [v])
+
+    cap = (1 + math.isqrt(1 + 4 * q_max)) // 2
+    if z_cap is not None:
+        cap = min(cap, z_cap)
+    rec(0, cap, 0, 0, [])
+    return out
+
+
+def _coupling(b: tuple, n: tuple, m: tuple) -> int:
+    """The coupling exponent: the sum over i, j of n_i b_ij m_j."""
+    return sum(ni * sum(bij * mj for bij, mj in zip(b[i], m) if mj)
+               for i, ni in enumerate(n) if ni)
+
+
+def reference_fermionic_sum(spec, window: Truncation) -> GradedCharacter:
+    """The closed sum enumerated over the partial sums N_i = n_i + n_{i+1}
+    + ... of n and of m, whose sum N_i (N_i - 1) bounds the exponent."""
+    q_max = window.q_max
+    z_cap = window.z_max
+    m_cap = z_cap
+    if window.u_max is not None:
+        m_cap = window.u_max if m_cap is None else min(m_cap, window.u_max)
+    n_cands = _monotone_partial_sums(spec.n_len, q_max, z_cap)
+    m_cands = _monotone_partial_sums(spec.m_len, q_max, m_cap)
+    coeffs: dict = {}
+    for npart in n_cands:
+        wn = sum(npart)
+        n = _diffs(npart)
+        qn = sum(v * (v - 1) for v in npart) + sum(a * b for a, b in zip(n, spec.n_linear))
+        if qn > q_max:
+            continue
+        for mpart in m_cands:
+            wm = sum(mpart)
+            if z_cap is not None and wn + wm > z_cap:
+                continue
+            m = _diffs(mpart)
+            q0 = qn + sum(v * (v - 1) for v in mpart)
+            q0 += sum(a * b for a, b in zip(m, spec.m_linear)) + _coupling(spec.b, n, m)
+            if q0 > q_max:
+                continue
+            _add_series(coeffs, wn + wm, wm, q0, _term_series(n, m, q_max - q0))
+    return GradedCharacter.make(coeffs, window)
+
+
+def _closed_specs():
+    for k in (1, 2, 3):
+        yield pytest.param(gordon_spec(k), id=f"gordon k={k}")
+    for parts in ((1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1),
+                  (2, 2), (2, 1, 1), (1, 1, 1, 1), (2, 1, 0)):
+        lam = Partition.make(parts)
+        yield pytest.param(mf_spec(lam), id=f"mf {parts}")
+        for c in itertools.product((0, 1), repeat=lam.lam0):
+            for d in itertools.product((0, 1), repeat=lam.s):
+                yield pytest.param(gmf_spec(lam, InitialConditions.make(c, d)),
+                                   id=f"gmf {parts} c={c} d={d}")
+    levels = [(i1, k1, i2, k2) for k1, k2 in ((1, 1), (1, 2), (2, 2))
+              for i1 in range(k1 + 1) for i2 in range(k2 + 1)]
+    for a in levels + [(1, 3, 2, 3)]:
+        yield pytest.param(w_fusion_spec(*a), id=f"w {a}")
+
+
+CLOSED_WINDOWS = (Truncation(5, None, None), Truncation(5, 3, None),
+                  Truncation(4, None, 1), Truncation(4, 4, 2), Truncation(3, 0, 0),
+                  Truncation(4, 2, 0), Truncation(0, None, None))
+
+
+@pytest.mark.parametrize("spec", list(_closed_specs()))
+def test_closed_sum_matches_partial_sum_reference(spec):
+    for window in CLOSED_WINDOWS:
+        assert evaluate_fermionic_sum(spec, window) == \
+            reference_fermionic_sum(spec, window), window
 
 
 def test_lattice_spec_validation():

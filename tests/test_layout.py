@@ -1,4 +1,5 @@
-"""The library holds no code that only tests use.
+"""The library holds no code that only tests use, and imports only the
+standard library.
 
 Every top-level function and class of `src/ferchar` must be referenced,
 outside its own definition, by the library itself, by the benchmark
@@ -9,6 +10,7 @@ harness in `perfbench/` (which names traced boundaries in strings), or by
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import ferchar
@@ -62,3 +64,18 @@ def test_every_library_name_has_a_library_use():
 def test_allowlist_is_current():
     # an allowed name that is gone, or now has a library use, is stale
     assert sorted(ALLOWED - set(_unused())) == []
+
+
+def test_library_imports_only_the_standard_library():
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -115,10 +115,14 @@ def test_run_cases_preserves_order():
     assert [r.case for r in reports] == ["gordon k=2", "gordon k=1"]
 
 
-def test_run_cases_timeout():
+def test_run_cases_timeout(monkeypatch):
     descs = [("gordon", {"k": 1, "window": W32, "mode": MODE})]
     reports, timed_out = run_cases(descs, timeout=-1.0)
     assert timed_out and reports == []
+    # the budget is spent once elapsed >= timeout, also on a clock that
+    # has not ticked
+    monkeypatch.setattr(time, "monotonic", lambda: 100.0)
+    assert run_cases(descs, 1, 0.0) == ([], True)
 
 
 def test_run_cases_parallel():
@@ -389,12 +393,32 @@ def test_cli_verify_honours_timeout(capsys):
     assert json.loads(cut) == []
 
 
-def test_cli_char_honours_timeout(capsys):
-    # char checks the budget before it evaluates, as verify does per case
+def test_cli_char_honours_timeout(capsys, monkeypatch):
+    # char checks the budget before it evaluates, as verify does per case;
+    # on a clock that has not ticked, --timeout 0 is spent all the same
+    monkeypatch.setattr(time, "monotonic", lambda: 100.0)
     argv = ["char", "gordon", "--k", "1", "--qmax", "3"]
     code, out = run_cli(capsys, *argv, "--timeout", "60")
     assert code == 0 and out
     assert run_cli(capsys, *argv, "--timeout", "0") == (3, "")
+
+
+LIMFORM = {"i1": 0, "k1": 1, "i2": 0, "k2": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["char", "limform", *(f"--{k}={v}" for k, v in LIMFORM.items())],
+    ["verify", "limform", *(f"--{k}={v}" for k, v in LIMFORM.items())],
+    ["verify", "custom", "--left", json.dumps({"kind": "limform", **LIMFORM}),
+     "--right", json.dumps({"kind": "limform", **LIMFORM})],
+])
+def test_limform_refuses_a_z_bound(capsys, argv):
+    # the limit character and both of its checks run over every z
+    assert cli.main([*argv, "--qmax", "2"]) == 0
+    capsys.readouterr()
+    assert cli.main([*argv, "--qmax", "2", "--zmax", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("configuration error: ")
 
 
 def test_cli_config_merge(tmp_path, capsys):
