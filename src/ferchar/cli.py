@@ -16,6 +16,7 @@ worker count of `scan` alone.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -170,15 +171,19 @@ def _render_reports(reports, fmt: str) -> str:
     if fmt == "json":
         return json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
     if fmt == "csv":
-        lines = ["case,left,right,q,z,u,verdict,first_diff,millis,field,seed"]
+        import csv  # imported here: the other formats need not load it
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["case", "left", "right", "q", "z", "u", "verdict",
+                         "first_diff", "millis", "field", "seed"])
         for r in reports:
             w = r.window
             fd = "" if r.first_diff is None else \
                 "z{} u{} q{} {}!={}".format(*r.first_diff)
-            lines.append(",".join(str(x) for x in (
+            writer.writerow([str(x) for x in (
                 r.case, r.left, r.right, w.q_max, w.z_max, w.u_max,
-                r.verdict, fd, r.millis, r.field, r.seed)))
-        return "\n".join(lines) + "\n"
+                r.verdict, fd, r.millis, r.field, r.seed)])
+        return out.getvalue()
     lines = []
     for r in reports:
         mark = "info" if r.informational else ("PASS" if r.passed else "FAIL")
@@ -215,7 +220,7 @@ def main(argv=None) -> int:
             if args.timeout is not None and time.monotonic() - start >= args.timeout:
                 raise ResourceLimitError(
                     f"--timeout {args.timeout:g} s spent before evaluating")
-            return _emit_char(evaluate(values["window"], values["mode"]), args)
+            return _emit_char(evaluate(), args)
         if args.command == "verify":
             descs, jobs = [(args.kind, values)], 1
         else:

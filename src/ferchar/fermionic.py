@@ -18,15 +18,17 @@ of A(k) is 2, 4, ..., 2k, so sum_i G_ii x_i / 2 is |n| + |m|.  Every entry
 of G, of the shifts and of the weights is nonnegative, so the exponent
 never decreases as one coordinate grows, which bounds the enumeration.
 
-The limit evaluator (character_L_fusion) stabilizes a sequence of
-reweighted finite-level sums, re-derives every term exponent of the
+fusion_rule states the predicted (lambda, c, d) of the fused character
+once: w_fusion_spec is its gmf sum, and verify builds its algebra.  The
+limit evaluator (character_L_fusion) stabilizes a sequence of reweighted
+finite-level sums of w_fusion_spec, re-derives every term exponent of the
 stabilized level through the closed polynomial P on exactly reconstructed
-rational indices (limit_sum_polynomial, in Fraction arithmetic), and also
-evaluates the literal integer-lattice form of the limit sum so callers
-can report how it compares.  The literal form works on K P with
-K = k1 + k2 in integers, widens its box by shells without enumerating
-the inner box again, and counts literal_fractional_terms over the final
-box.
+rational indices, and also evaluates the literal integer-lattice form of
+the limit sum so callers can report how it compares.  P is written once,
+as the integer parts of K P with K = k1 + k2 (_scaled_limit_polynomial):
+limit_sum_polynomial divides them by K in Fractions, and the literal form
+widens its box by shells in integers, without enumerating the inner box
+again, and counts literal_fractional_terms over the final box.
 """
 
 from __future__ import annotations
@@ -140,21 +142,21 @@ def _check_levels(i1, k1, i2, k2):
         raise ConfigurationError(f"need 0 <= i <= k, got ({i1},{k1}), ({i2},{k2})")
 
 
-def w_fusion_spec(i1: int, k1: int, i2: int, k2: int) -> FermionicSumSpec:
-    """Closed sum for the fused principal subspaces W_{i1,k1} * W_{i2,k2},
-    built directly: n runs over Z^{k1+k2}, m over Z^{min(k1,k2)},
-    B_{ij} = max(0, i - k1 - k2 + 2j), linear terms (j - i1 - i2) n_j for
-    j > i1 + i2 and (j - min(i1,i2)) m_j for j > min(i1,i2)."""
+def fusion_rule(i1: int, k1: int, i2: int,
+                k2: int) -> tuple[Partition, InitialConditions]:
+    """The partition and initial conditions predicted for the fused principal
+    subspaces W_{i1,k1} * W_{i2,k2}: lambda = (k1+k2, k1+k2-2, ..., |k1-k2|),
+    c = delta_{i1+i2+1} and d = delta_{min(i1,i2)+1}.  Each part is
+    symmetric in the two factors."""
     _check_levels(i1, k1, i2, k2)
-    if k1 > k2:
-        (i1, k1), (i2, k2) = (i2, k2), (i1, k1)
-    big, small = k1 + k2, k1
-    b = tuple(tuple(max(0, i - (big - 2 * j)) for j in range(1, small + 1))
-              for i in range(1, big + 1))
-    n_lin = tuple(max(0, j - i1 - i2) for j in range(1, big + 1))
-    mn = min(i1, i2)
-    m_lin = tuple(max(0, j - mn) for j in range(1, small + 1))
-    return FermionicSumSpec(A_matrix(big), A_matrix(small), b, n_lin, m_lin)
+    lam = fusion_partition(k1, k2)
+    return lam, InitialConditions.make(delta_vector(i1 + i2 + 1, lam.lam0),
+                                       delta_vector(min(i1, i2) + 1, lam.s))
+
+
+def w_fusion_spec(i1: int, k1: int, i2: int, k2: int) -> FermionicSumSpec:
+    """Closed sum for W_{i1,k1} * W_{i2,k2}: the gmf sum of fusion_rule."""
+    return gmf_spec(*fusion_rule(i1, k1, i2, k2))
 
 
 def _diffs(partial: tuple) -> tuple:
@@ -354,22 +356,9 @@ def _finite_level_character(terms, q_max, u_max) -> GradedCharacter:
 
 def limit_sum_polynomial(s, m, i1, k1, i2, k2):
     """The closed exponent P(s, m) of the limit sum; s may be rational."""
-    if k1 > k2:
-        (i1, k1), (i2, k2) = (i2, k2), (i1, k1)
-    big, mn = k1 + k2, min(i1, i2)
-    wm = sum((j + 1) * m[j] for j in range(len(m)))
-    mu = Fraction(wm, big)
-    total = sum(x * x for x in s)
-    total -= mu * (wm + big - i1 - i2 + 2 * sum(s))
-    total += sum(m[j - 1] * s[i - 1]
-                 for i in range(1, big + 1) for j in range(1, k1 + 1)
-                 if i + 2 * j >= big + 1)
-    amat = A_matrix(k1)
-    total += Fraction(sum(amat[i][j] * m[i] * m[j]
-                          for i in range(k1) for j in range(k1)), 2)
-    total -= sum(s[i] for i in range(i1 + i2))
-    total += sum((j - mn) * m[j - 1] for j in range(mn + 1, k1 + 1))
-    return total
+    big, _, s_part, m_part = _scaled_limit_polynomial(i1, k1, i2, k2)
+    _, const, coef = m_part(m)
+    return Fraction(s_part(s) + const + sum(map(mul, s, coef)), big)
 
 
 def _reconstruction_check(i1, k1, i2, k2, level, terms):
@@ -388,18 +377,19 @@ def _reconstruction_check(i1, k1, i2, k2, level, terms):
 
 
 def _scaled_limit_polynomial(i1, k1, i2, k2):
-    """Split K P(s, m), K = k1 + k2, into integer parts for integer s, m:
+    """The closed exponent P(s, m) of the limit sum, split into the parts of
+    K P with K = k1 + k2:
 
         K P(s, m) = s_part(s) + const + sum_i s_i coef_i,
         (|m|, const, coef) = m_part(m),
 
     with the coupling coefficient coef_i = K sum_{j: i+2j >= K+1} m_j - 2|m|.
-    Returns (K, the smaller level, s_part, m_part); m has that many entries.
+    const and coef are integers for integer m, and s_part is exact for
+    rational s.  Returns (K, the smaller level, s_part, m_part); m has that
+    many entries.  This is the one hand-written statement of P.
     """
-    if k1 > k2:
-        (i1, k1), (i2, k2) = (i2, k2), (i1, k1)
-    big, mn = k1 + k2, min(i1, i2)
-    amat = A_matrix(k1)
+    big, small, mn = k1 + k2, min(k1, k2), min(i1, i2)
+    amat = A_matrix(small)
 
     def s_part(s):
         return big * (sum(x * x for x in s) - sum(s[:i1 + i2]))
@@ -407,14 +397,14 @@ def _scaled_limit_polynomial(i1, k1, i2, k2):
     def m_part(m):
         wm = sum((j + 1) * x for j, x in enumerate(m))
         const = big * (sum(amat[i][j] * m[i] * m[j]
-                           for i in range(k1) for j in range(k1)) // 2
-                       + sum((j - mn) * m[j - 1] for j in range(mn + 1, k1 + 1)))
+                           for i in range(small) for j in range(small)) // 2
+                       + sum((j - mn) * m[j - 1] for j in range(mn + 1, small + 1)))
         const -= wm * (wm + big - i1 - i2)
-        coef = tuple(big * sum(m[j - 1] for j in range(1, k1 + 1) if i + 2 * j >= big + 1)
+        coef = tuple(big * sum(m[j - 1] for j in range(1, small + 1) if i + 2 * j >= big + 1)
                      - 2 * wm for i in range(1, big + 1))
         return wm, const, coef
 
-    return big, k1, s_part, m_part
+    return big, small, s_part, m_part
 
 
 def _literal_shell(i1, k1, i2, k2, q_max, u_max, old, cap, rows) -> tuple[int, int]:

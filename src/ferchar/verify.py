@@ -204,7 +204,7 @@ class Kind:
 
     flags: tuple
     finite: bool  # without --zmax/--umax, z runs to q_max and u to z_max
-    run: Callable  # flag values -> evaluator, reports or case descriptors
+    run: Callable  # flag values, "window", "mode" -> evaluator, reports or cases
 
 
 def parse_values(flags, raw: dict) -> dict:
@@ -231,41 +231,45 @@ def _n_max(v: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# evaluators: (label, fn(window, mode) -> GradedCharacter), validated when built
+# evaluators: (label, fn() -> GradedCharacter) from flag values plus "window"
+# and "mode"; every check, the window's included, runs when one is built
 
 
-def _closed(label: str, spec):
-    return label, lambda w, m: fermionic.evaluate_fermionic_sum(spec, w)
+def _closed(label: str, spec, v):
+    return label, lambda: fermionic.evaluate_fermionic_sum(spec, v["window"])
 
 
-def _brute(label: str, pres, u_max: int | None = None):
-    return label, lambda w, m: graded_character(pres, _brute_window(w, u_max), m)
+def _brute(label: str, pres, v, u_max: int | None = None):
+    w, mode = _brute_window(v["window"], u_max), v["mode"]
+    return label, lambda: graded_character(pres, w, mode)
+
+
+def _lambda_cd(parts, c, d) -> tuple[Partition, InitialConditions]:
+    """The partition and its initial conditions; c and d are zero when absent."""
+    lam = Partition.make(parts)
+    return lam, InitialConditions.make((0,) * lam.lam0 if c is None else c,
+                                       (0,) * lam.s if d is None else d)
 
 
 def _algebra(v):
-    lam = Partition.make(v["lambda"])
-    ic = None
-    if v["c"] is not None or v["d"] is not None:
-        ic = InitialConditions.make((0,) * lam.lam0 if v["c"] is None else v["c"],
-                                    (0,) * lam.s if v["d"] is None else v["d"])
-    return _brute(f"algebra(lambda={lam.parts})", build_presentation_A(lam, ic))
+    lam, ic = _lambda_cd(v["lambda"], v["c"], v["d"])
+    return _brute(f"algebra(lambda={lam.parts})", build_presentation_A(lam, ic), v)
 
 
 def _mf(v):
     lam = Partition.make(v["lambda"])
-    return _closed(f"mf(lambda={lam.parts})", fermionic.mf_spec(lam))
+    return _closed(f"mf(lambda={lam.parts})", fermionic.mf_spec(lam), v)
 
 
 def _gmf(v):
-    lam = Partition.make(v["lambda"])
-    ic = InitialConditions.make(v["c"], v["d"] or ())
-    return _closed(f"gmf(lambda={lam.parts})", fermionic.gmf_spec(lam, ic))
+    lam, ic = _lambda_cd(v["lambda"], v["c"], v["d"])
+    return _closed(f"gmf(lambda={lam.parts})", fermionic.gmf_spec(lam, ic), v)
 
 
 def _fusion(v):
     a, points = _levels(v), v["points"] or None
-    return (f"fusion{a}", lambda w, m: fusion.principal_fusion_character(
-        *a, _brute_window(w, None), m, points))
+    w, mode = _brute_window(v["window"], None), v["mode"]
+    return f"fusion{a}", lambda: fusion.principal_fusion_character(*a, w, mode, points)
 
 
 def _every_z(window: Truncation) -> Truncation:
@@ -277,37 +281,37 @@ def _every_z(window: Truncation) -> Truncation:
 
 
 def _limform(v):
-    a, n_max = _levels(v), _n_max(v)
-    return (f"limform{a}", lambda w, m: fermionic.character_L_fusion(
-        *a, w.q_max, _every_z(w).u_max, n_max).character)
+    a, n_max, w = _levels(v), _n_max(v), _every_z(v["window"])
+    return (f"limform{a}", lambda: fermionic.character_L_fusion(
+        *a, w.q_max, w.u_max, n_max).character)
 
 
 def _lattice(v):
     spec = fermionic.LatticeSpec.make(v["matrix"], v["shifts"])
-    return "lattice", lambda w, m: fermionic.lattice_principal_character(spec, w)
+    return "lattice", lambda: fermionic.lattice_principal_character(spec, v["window"])
 
 
 EVALUATORS = {
     "gordon": Kind((K,), False, lambda v: _closed(
-        f"gordon(k={v['k']})", fermionic.gordon_spec(v["k"]))),
+        f"gordon(k={v['k']})", fermionic.gordon_spec(v["k"]), v)),
     "algebra": Kind((LAMBDA, C, D), True, _algebra),
     "mf": Kind((LAMBDA,), False, _mf),
     "gmf": Kind((LAMBDA, Flag("c", parse_ints, True), D), False, _gmf),
     "fusion-w": Kind(LEVELS, False, lambda v: _closed(
-        f"fusion-w{_levels(v)}", fermionic.w_fusion_spec(*_levels(v)))),
+        f"fusion-w{_levels(v)}", fermionic.w_fusion_spec(*_levels(v)), v)),
     "fusion": Kind(LEVELS + (POINTS,), True, _fusion),
     "limform": Kind(LEVELS + (NMAX,), False, _limform),
     "lattice": Kind(LATTICE, False, _lattice),
     "quadratic": Kind(LATTICE, True, lambda v: _brute(
-        "quadratic", build_presentation_quadratic(v["matrix"], v["shifts"]), 0)),
+        "quadratic", build_presentation_quadratic(v["matrix"], v["shifts"]), v, 0)),
     "presentation": Kind((Flag("file", load_presentation, True),), True,
-                         lambda v: _brute("presentation", v["file"])),
+                         lambda v: _brute("presentation", v["file"], v)),
 }
 
 
-def build_evaluator(desc: dict):
-    """(label, fn(window, mode) -> GradedCharacter) from a descriptor dict:
-    "kind" plus values of that evaluator's flags."""
+def build_evaluator(desc: dict, window: Truncation, mode: FieldMode):
+    """(label, fn() -> GradedCharacter) on window and mode from a descriptor
+    dict: "kind" plus values of that evaluator's flags."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigurationError(f"evaluator descriptor needs a kind: {desc!r}")
     name = desc["kind"]
@@ -322,7 +326,7 @@ def build_evaluator(desc: dict):
     missing = [f.name for f in kind.flags if f.required and values[f.name] is None]
     if missing:
         raise ConfigurationError(f"{name} evaluator needs {missing}")
-    return kind.run(values)
+    return kind.run({**values, "window": window, "mode": mode})
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +344,13 @@ def verify_custom(left_desc: dict, right_desc: dict, window: Truncation,
                   labels: tuple | None = None, expected: str = "EQUAL") -> list:
     """One report comparing two evaluators on window.
 
-    Both are built, and so validated, before either runs.  case and the
-    (left, right) labels default to the evaluators' own labels."""
-    (left, left_fn), (right, right_fn) = (build_evaluator(left_desc),
-                                          build_evaluator(right_desc))
+    Both are built on window and mode, and so validated, window included,
+    before either runs.  case and the (left, right) labels default to the
+    evaluators' own labels."""
+    (left, left_fn), (right, right_fn) = (build_evaluator(left_desc, window, mode),
+                                          build_evaluator(right_desc, window, mode))
     t0 = time.monotonic()
-    a, b = left_fn(window, mode), right_fn(window, mode)
+    a, b = left_fn(), right_fn()
     return [_finish(case or f"custom {left} vs {right}", *(labels or (left, right)),
                     compare(a, b), time.monotonic() - t0, mode, expected)]
 
@@ -365,23 +370,12 @@ def verify_mf(parts, window: Truncation, mode: FieldMode) -> list:
 
 
 def verify_gmf(parts, c, d, window: Truncation, mode: FieldMode) -> list:
-    lam, ic = Partition.make(parts), InitialConditions.make(c, d)
+    lam, ic = _lambda_cd(parts, c, d)
     values = {"lambda": lam.parts, "c": ic.c, "d": ic.d}
     return verify_custom({"kind": "algebra", **values}, {"kind": "gmf", **values},
                          _brute_window(window, None), mode,
                          f"gmf lambda={lam.parts} c={ic.c} d={ic.d}",
                          _ALGEBRA_VS_SUM, _expected(lam))
-
-
-def fusion_presentation(i1: int, k1: int, i2: int, k2: int):
-    """The series presentation predicted for W_{i1,k1} * W_{i2,k2}."""
-    if k1 > k2:
-        (i1, k1), (i2, k2) = (i2, k2), (i1, k1)
-    lam = fermionic.fusion_partition(k1, k2)
-    ic = InitialConditions.make(
-        fermionic.delta_vector(i1 + i2 + 1, lam.lam0),
-        fermionic.delta_vector(min(i1, i2) + 1, lam.s))
-    return build_presentation_A(lam, ic)
 
 
 # A fusion scan meets each cyclic module and each predicted algebra (which
@@ -402,7 +396,8 @@ def verify_fusion(i1: int, k1: int, i2: int, k2: int, window: Truncation,
     t1 = time.monotonic()
     formula = fermionic.character_W_fusion(i1, k1, i2, k2, w)
     t2 = time.monotonic()
-    algebra = _fusion_algebra(fusion_presentation(i1, k1, i2, k2), w, mode)
+    algebra = _fusion_algebra(
+        build_presentation_A(*fermionic.fusion_rule(i1, k1, i2, k2)), w, mode)
     t3 = time.monotonic()
     fused_s, formula_s, algebra_s = t1 - t0, t2 - t1, t3 - t2
     first = _finish(case, "fusion-bruteforce", "w-fusion-sum",
@@ -461,12 +456,11 @@ def verify_points(levels, window: Truncation, points_a, points_b) -> list:
                     informational=len(levels) > 2)]
 
 
-# a case runs on its flag values plus "window" and "mode"
 CASES = {
     "gordon": Kind((K,), True, lambda v: verify_gordon(v["k"], v["window"], v["mode"])),
     "mf": Kind((LAMBDA,), True, lambda v: verify_mf(v["lambda"], v["window"], v["mode"])),
     "gmf": Kind(EVALUATORS["gmf"].flags, True, lambda v: verify_gmf(
-        v["lambda"], v["c"], v.get("d") or (), v["window"], v["mode"])),
+        v["lambda"], v["c"], v["d"], v["window"], v["mode"])),
     "fusion": Kind(LEVELS + (POINTS,), True, lambda v: verify_fusion(
         *_levels(v), v["window"], v["mode"], v.get("points"))),
     "lattice": Kind(LATTICE, True, lambda v: verify_lattice(

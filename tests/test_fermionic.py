@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies
 
+from ferchar import fermionic
 from ferchar.errors import ConfigurationError, StabilizationError
-from ferchar.fermionic import (A_matrix, B_matrix, LatticeSpec, _add_series,
+from ferchar.fermionic import (A_matrix, B_matrix, FermionicSumSpec,
+                               LatticeSpec, _add_series, _check_levels,
                                _diffs, _finite_level_terms,
                                _literal_limit_character, _literal_shell,
                                _reconstruction_check, _scaled_limit_polynomial,
@@ -16,13 +18,14 @@ from ferchar.fermionic import (A_matrix, B_matrix, LatticeSpec, _add_series,
                                character_A_lambda_cd, character_L_fusion,
                                character_W_fusion, delta_vector,
                                evaluate_fermionic_sum, fusion_partition,
-                               gmf_spec, gordon_character, gordon_spec,
+                               fusion_rule, gmf_spec, gordon_character,
+                               gordon_spec,
                                gram_matrix_for_partition,
                                lattice_principal_character,
                                limit_sum_polynomial, mf_spec, w_fusion_spec)
 from ferchar.gradedchar import (GradedCharacter, Truncation, compare, convolve,
                                 inv_pochhammer)
-from ferchar.presented import InitialConditions, Partition
+from ferchar.presented import InitialConditions, Partition, build_presentation_A
 
 
 def test_A_matrix():
@@ -100,6 +103,70 @@ def test_w_fusion_validates_levels():
         character_W_fusion(2, 1, 0, 1, w)
     with pytest.raises(ConfigurationError):
         character_W_fusion(0, 0, 0, 1, w)
+
+
+# ---------------------------------------------------------------------------
+# the fusion rule and the limit exponent against the forms that stated
+# them on their own: w_fusion_spec built directly, the predicted algebra
+# and P in Fraction arithmetic
+
+
+def reference_w_fusion_spec(i1: int, k1: int, i2: int, k2: int) -> FermionicSumSpec:
+    """Closed sum for the fused principal subspaces W_{i1,k1} * W_{i2,k2},
+    built directly: n runs over Z^{k1+k2}, m over Z^{min(k1,k2)},
+    B_{ij} = max(0, i - k1 - k2 + 2j), linear terms (j - i1 - i2) n_j for
+    j > i1 + i2 and (j - min(i1,i2)) m_j for j > min(i1,i2)."""
+    _check_levels(i1, k1, i2, k2)
+    if k1 > k2:
+        (i1, k1), (i2, k2) = (i2, k2), (i1, k1)
+    big, small = k1 + k2, k1
+    b = tuple(tuple(max(0, i - (big - 2 * j)) for j in range(1, small + 1))
+              for i in range(1, big + 1))
+    n_lin = tuple(max(0, j - i1 - i2) for j in range(1, big + 1))
+    mn = min(i1, i2)
+    m_lin = tuple(max(0, j - mn) for j in range(1, small + 1))
+    return FermionicSumSpec(A_matrix(big), A_matrix(small), b, n_lin, m_lin)
+
+
+def reference_fusion_presentation(i1: int, k1: int, i2: int, k2: int):
+    """The series presentation predicted for W_{i1,k1} * W_{i2,k2}."""
+    if k1 > k2:
+        (i1, k1), (i2, k2) = (i2, k2), (i1, k1)
+    lam = fermionic.fusion_partition(k1, k2)
+    ic = InitialConditions.make(
+        fermionic.delta_vector(i1 + i2 + 1, lam.lam0),
+        fermionic.delta_vector(min(i1, i2) + 1, lam.s))
+    return build_presentation_A(lam, ic)
+
+
+def reference_limit_sum_polynomial(s, m, i1, k1, i2, k2):
+    """The closed exponent P(s, m) of the limit sum; s may be rational."""
+    if k1 > k2:
+        (i1, k1), (i2, k2) = (i2, k2), (i1, k1)
+    big, mn = k1 + k2, min(i1, i2)
+    wm = sum((j + 1) * m[j] for j in range(len(m)))
+    mu = Fraction(wm, big)
+    total = sum(x * x for x in s)
+    total -= mu * (wm + big - i1 - i2 + 2 * sum(s))
+    total += sum(m[j - 1] * s[i - 1]
+                 for i in range(1, big + 1) for j in range(1, k1 + 1)
+                 if i + 2 * j >= big + 1)
+    amat = A_matrix(k1)
+    total += Fraction(sum(amat[i][j] * m[i] * m[j]
+                          for i in range(k1) for j in range(k1)), 2)
+    total -= sum(s[i] for i in range(i1 + i2))
+    total += sum((j - mn) * m[j - 1] for j in range(mn + 1, k1 + 1))
+    return total
+
+
+def test_fusion_rule_matches_the_direct_forms():
+    levels = [(i1, k1, i2, k2) for k1 in range(1, 6) for k2 in range(1, 6)
+              for i1 in range(k1 + 1) for i2 in range(k2 + 1)]
+    assert len(levels) == 400
+    for a in levels:
+        assert w_fusion_spec(*a) == reference_w_fusion_spec(*a), a
+        assert build_presentation_A(*fusion_rule(*a)) == \
+            reference_fusion_presentation(*a), a
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +357,7 @@ def reference_literal(i1, k1, i2, k2, q_max, u_max):
                     wm = sum((j + 1) * x for j, x in enumerate(m))
                     if u_max is not None and wm > u_max:
                         continue
-                    p = limit_sum_polynomial(s, m, i1, k1, i2, k2)
+                    p = reference_limit_sum_polynomial(s, m, i1, k1, i2, k2)
                     if p > q_max:
                         continue
                     if p.denominator != 1:
@@ -319,7 +386,7 @@ def reference_literal(i1, k1, i2, k2, q_max, u_max):
 def reference_level_terms(i1, k1, i2, k2, level, q_max, u_max):
     """(n_partial, m, z, u, q) of the level-`level` reweighted sum with
     q <= q_max, from a box of partial sums wider than the library prunes to."""
-    spec = w_fusion_spec(i1, k1, i2, k2)
+    spec = reference_w_fusion_spec(i1, k1, i2, k2)
     bound = 2 * level + q_max + 3
 
     def partials(length):
@@ -369,11 +436,22 @@ def test_scaled_polynomial_is_k_times_the_fraction_form(inputs):
     big, small, s_part, m_part = _scaled_limit_polynomial(*levels)
     wm, const, coef = m_part(m)
     kp = s_part(s) + const + sum(x * c for x, c in zip(s, coef))
-    p = limit_sum_polynomial(s, m, *levels)
+    p = reference_limit_sum_polynomial(s, m, *levels)
     assert (big, small) == (levels[1] + levels[3], len(m))
     assert wm == sum((j + 1) * x for j, x in enumerate(m))
     assert kp == big * p
     assert (kp % big == 0) == (p.denominator == 1)
+
+
+@given(scaled_inputs())
+def test_limit_polynomial_matches_the_fraction_form(inputs):
+    # on integer s, and on s_i = integer / K, the form of the reconstructed
+    # indices N_i - level + |m| / K
+    levels, s, m = inputs
+    big = levels[1] + levels[3]
+    for point in (s, tuple(Fraction(x, big) for x in s)):
+        assert limit_sum_polynomial(point, m, *levels) == \
+            reference_limit_sum_polynomial(point, m, *levels)
 
 
 @pytest.mark.parametrize("levels,q_max,u_max", [

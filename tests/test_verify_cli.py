@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import itertools
 import json
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies
 
-from ferchar import cli, presented, verify
+from ferchar import cli, fermionic, presented, verify
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode
 from ferchar.gradedchar import Truncation
@@ -59,14 +63,16 @@ def test_millis_covers_the_two_compared_routes(monkeypatch):
 
 
 def test_fusion_levels_in_either_order():
-    # k1 > k2 takes the swap branches of fusion_presentation and w_fusion_spec
+    # k1 > k2 and k1 < k2: the fusion rule and the limit exponent are
+    # symmetric in the two factors, so both orders give the same reports
     w = Truncation(5, 3, 3)
     for levels in ((1, 2, 0, 1), (0, 2, 1, 1)):
         i1, k1, i2, k2 = levels
-        swapped = verify_fusion(i2, k2, i1, k1, w, MODE)
-        reports = verify_fusion(i1, k1, i2, k2, w, MODE)
-        assert ([(r.verdict, r.first_diff) for r in reports]
-                == [(r.verdict, r.first_diff) for r in swapped])
+        for run in (lambda *a: verify_fusion(*a, w, MODE),
+                    lambda *a: verify_limform(*a, 3, 2)):
+            swapped, reports = run(i2, k2, i1, k1), run(i1, k1, i2, k2)
+            assert ([(r.verdict, r.first_diff) for r in reports]
+                    == [(r.verdict, r.first_diff) for r in swapped])
 
 
 def test_nonconvex_mf_passes_on_le():
@@ -90,17 +96,17 @@ def test_verify_custom_pair():
 
 def test_build_evaluator_errors():
     with pytest.raises(ConfigurationError):
-        build_evaluator({"kind": "nope"})
+        build_evaluator({"kind": "nope"}, W32, MODE)
     with pytest.raises(ConfigurationError):
-        build_evaluator({"kind": "gordon"})
+        build_evaluator({"kind": "gordon"}, W32, MODE)
     with pytest.raises(ConfigurationError):
-        build_evaluator("gordon")
+        build_evaluator("gordon", W32, MODE)
 
 
 def test_build_evaluator_gordon_matches_frozen():
-    label, fn = build_evaluator({"kind": "gordon", "k": 1})
+    label, fn = build_evaluator({"kind": "gordon", "k": 1}, W32, MODE)
     assert label == "gordon(k=1)"
-    assert fn(W32, MODE).coeffs == GORDON1
+    assert fn().coeffs == GORDON1
 
 
 def test_run_case_dispatch():
@@ -419,6 +425,99 @@ def test_limform_refuses_a_z_bound(capsys, argv):
     assert cli.main([*argv, "--qmax", "2", "--zmax", "0"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("configuration error: ")
+
+
+ALGEBRA_42 = json.dumps({"kind": "algebra", "lambda": [4, 2]})
+
+
+@pytest.mark.parametrize("argv", [
+    # limform refuses the z bound; the algebra alone takes seconds
+    ["--left", ALGEBRA_42, "--right", json.dumps({"kind": "limform", **LIMFORM}),
+     "--qmax", "12", "--zmax", "8", "--umax", "4"],
+    # the algebra needs the z bound that custom does not default
+    ["--left", json.dumps({"kind": "limform", **LIMFORM}), "--right", ALGEBRA_42,
+     "--qmax", "12", "--umax", "4"],
+])
+def test_custom_checks_both_sides_before_either_runs(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("an evaluator ran before both were checked")
+
+    monkeypatch.setattr(verify, "graded_character", never)
+    monkeypatch.setattr(fermionic, "character_L_fusion", never)
+    assert cli.main(["verify", "custom", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fusion", "--i1", "0", "--k1", "1", "--i2", "0", "--k2", "1", "--qmax", "2"],
+    ["mf", "--lambda", "2,1", "--qmax", "2"],
+    ["limform", *(f"--{k}={v}" for k, v in LIMFORM.items()), "--qmax", "2"],
+])
+def test_cli_verify_csv_rows_are_the_json_reports(capsys, argv):
+    # case names and labels hold commas, so the fields are quoted
+    code, out = run_cli(capsys, "verify", *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    code, out = run_cli(capsys, "verify", *argv, "--format", "json")
+    reports = json.loads(out)
+    assert header == ["case", "left", "right", "q", "z", "u", "verdict",
+                      "first_diff", "millis", "field", "seed"]
+    assert len(rows) == len(reports) > 0
+    for row, r in zip(rows, reports):
+        assert len(row) == len(header)
+        fields = dict(zip(header, row))
+        for key in ("case", "left", "right", "verdict", "field", "seed"):
+            assert fields[key] == str(r[key])
+        # limform's z column reads None
+        assert [fields[k] for k in "qzu"] == [str(r["window"][k]) for k in "qzu"]
+
+
+def test_gmf_d_defaults_to_zero(capsys):
+    # as for algebra, a missing d is zero; a d given with the wrong length
+    # still exits 2
+    def reports_without_millis(out):
+        return [{k: v for k, v in r.items() if k != "millis"} for r in json.loads(out)]
+
+    base = ["--lambda", "2,1", "--c", "0,0", "--qmax", "2", "--format", "json"]
+    for command in ("char", "verify"):
+        argv = [command, "gmf", *base]
+        code, zero = run_cli(capsys, *argv, "--d", "0")
+        assert code == 0
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        if command == "char":
+            assert out == zero
+        else:
+            assert reports_without_millis(out) == reports_without_millis(zero)
+        for d in ("0,0", ""):
+            assert cli.main([*argv, "--d", d]) == 2
+            assert capsys.readouterr().err.startswith("configuration error: ")
+    code, _ = run_cli(capsys, "verify", "custom", "--left",
+                      '{"kind": "gmf", "lambda": [2, 1], "c": [0, 0]}', "--right",
+                      '{"kind": "algebra", "lambda": [2, 1]}', "--qmax", "3",
+                      "--zmax", "3", "--umax", "3")
+    assert code == 0
+
+
+def readme_commands() -> list:
+    """The argv of each `ferchar ...` line of the README's CLI block, with
+    continued lines joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("ferchar ")]
+
+
+def test_readme_examples_run(capsys, monkeypatch):
+    # scan fusion meets criterion 4's LE verdicts and exits 1
+    monkeypatch.delenv("FERCHAR_THREADS", raising=False)
+    commands = readme_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        expected = 1 if argv[:2] == ["scan", "fusion"] else 0
+        assert (argv, cli.main(argv)) == (argv, expected)
+    capsys.readouterr()
 
 
 def test_cli_config_merge(tmp_path, capsys):
