@@ -45,12 +45,19 @@ COMMON_FLAGS = (
 )
 
 
+def _kind_parser(chosen: bool, **kwargs) -> argparse.ArgumentParser | None:
+    """A kind's parser, for the kind that argv names.  argparse only lists
+    the names of the other kinds, so they share the placeholder None."""
+    return argparse.ArgumentParser(**kwargs) if chosen else None
+
+
 def build_parser(argv: list) -> argparse.ArgumentParser:
     """The parser for argv.  Every command is registered with its help
     text, but only the command that argv names gets its kinds, and only
-    the kind it names gets its flags.  Help, usage and error text are
-    those of the whole tree: argparse descends only into the command and
-    kind that argv names, and refuses any other name where it stands."""
+    the kind it names gets a parser, with its flags.  Help, usage and
+    error text are those of the whole tree: argparse descends only into
+    the command and kind that argv names, and refuses any other name
+    where it stands."""
     # the first two arguments that do not start with "-" are the ones
     # argparse reads as command and kind: no parser above a kind has an
     # option that takes a value
@@ -64,10 +71,11 @@ def build_parser(argv: list) -> argparse.ArgumentParser:
         command_parser = commands.add_parser(command, help=help_text)
         if command != chosen_command:
             continue
-        kinds = command_parser.add_subparsers(dest="kind", required=True)
+        kinds = command_parser.add_subparsers(dest="kind", required=True,
+                                              parser_class=_kind_parser)
         for name, kind in registry.items():
-            sp = kinds.add_parser(name)
-            if name == chosen_kind:
+            sp = kinds.add_parser(name, chosen=name == chosen_kind)
+            if sp is not None:
                 # argparse keeps the text: values are parsed after the
                 # config merge, so that --config files can supply them too
                 for flag in kind.flags + COMMON_FLAGS:

@@ -394,23 +394,37 @@ def clear_caches() -> None:
         cache.cache_clear()
 
 
-def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple]:
-    """Integer rows spanning the relation subspace of the free component.
+def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple, set]:
+    """(rows, monos, killed): the relation subspace of the free component
+    is spanned by the integer rows and the unit vectors of the killed
+    columns; columns index monos = component_monomials(p, tridegree).
 
-    Rows are coefficient-of-z^r of a relation family times a complementary
-    free monomial; columns index component_monomials(p, tridegree).  A
-    product's column is found by its code, the sum of its factors' codes;
-    exponents are at most z, so codes of width z.bit_length() never carry.
-    Each z^r coefficient is expanded in codes once per (relation, r, width)
-    and cached, whatever the cap on r.
+    A relation is a z^r coefficient of a relation family times a
+    complementary free monomial m.  A coefficient with one term c x^a
+    kills the column of each x^a m instead of making a row c e.  This is
+    exact: every weight is positive, so c != 0 and c e spans e over Q, and
+    modulo N whenever c is a unit.  c is a product of small falling
+    factorials and multinomial counts, far below the two-prime primes
+    (above 2^30).  Only a small prime field that divides c, such as 3 for
+    c = 3, differs: there the row c e vanished and the column is now
+    killed, as over Q.  Results are stated over Q, and two-prime mode
+    still escalates when its primes disagree.  The other rows leave the
+    killed columns out and empty rows are dropped, so the relation rank is
+    len(killed) plus their rank; no rows are built once every column is
+    killed.
+
+    A product's column is found by its code, the sum of its factors'
+    codes; exponents are at most z, so codes of width z.bit_length() never
+    carry.  Each z^r coefficient is expanded in codes once per (relation,
+    r, width) and cached, whatever the cap on r.
     """
     z, u, q = tridegree
     monos = component_monomials(p, tridegree)
     if not monos:
-        return [], monos
+        return [], monos, set()
     width = z.bit_length()
     index = {code: i for i, code in enumerate(_component_codes(p, tridegree, width))}
-    rows: list[dict] = []
+    coefficients = []  # (terms, complementary codes) of each nonzero coefficient
     for i, (rel, (z_g, u_g, der)) in enumerate(zip(p.relations, p._relation_degrees)):
         zc, uc = z - z_g, u - u_g
         if zc < 0 or uc < 0:
@@ -418,15 +432,25 @@ def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple]
         r_hi = q - der
         if rel.low is not None:
             r_hi = min(r_hi, rel.low - 1)
-        if r_hi < 0:
-            continue
         for r in range(r_hi + 1):
             terms = _relation_terms(p, i, r, width)
             if terms:
+                coefficients.append(
+                    (terms, _component_codes(p, (zc, uc, q - der - r), width)))
+    killed = {index[terms[0][0] + cc] for terms, codes in coefficients
+              if len(terms) == 1 for cc in codes}
+    rows: list[dict] = []
+    if len(killed) < len(monos):
+        for terms, codes in coefficients:
+            if len(terms) == 1:
+                continue
+            for cc in codes:
                 # distinct terms times one monomial are distinct columns
-                rows.extend({index[tc + cc]: c for tc, c in terms}
-                            for cc in _component_codes(p, (zc, uc, q - der - r), width))
-    return rows, monos
+                row = {col: c for tc, c in terms
+                       if (col := index[tc + cc]) not in killed}
+                if row:
+                    rows.append(row)
+    return rows, monos, killed
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +459,14 @@ def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple]
 
 def component_dimension(p: Presentation, tridegree: tuple,
                         mode: FieldMode | None = None) -> int:
+    """Dimension of one graded component of the quotient: the free
+    monomials less the killed columns and the rank of the other rows."""
     mode = mode or FieldMode.exact()
-    rows, monos = relation_rows(p, tridegree)
-    if not monos:
-        return 0
+    rows, monos, killed = relation_rows(p, tridegree)
+    free = len(monos) - len(killed)
     if not rows:
-        return len(monos)
-    return len(monos) - int_rank(rows, mode, len(monos)).rank
+        return free
+    return free - int_rank(rows, mode, free).rank
 
 
 def graded_character(p: Presentation, truncation: Truncation,
@@ -467,9 +492,16 @@ def normal_form_basis(p: Presentation, tridegree: tuple,
     basis: the monomials that lead no reduced relation row, in column order;
     expansion: every free monomial of the component -> ((basis position,
     coefficient), ...), its normal form in that basis.
+
+    Only the rows of relation_rows are reduced: they are zero on the
+    killed columns, so their reduced form plus the unit row of each
+    killed column is the canonical reduced form of the whole relation
+    subspace, and a killed monomial's normal form is 0, the empty
+    expansion.
     """
-    rows, monos = relation_rows(p, tridegree)
+    rows, monos, killed = relation_rows(p, tridegree)
     reduced = dict(reduce_rows(rows, field))
+    reduced.update((col, {col: 1}) for col in killed)
     free = [col for col in range(len(monos)) if col not in reduced]
     position = {col: i for i, col in enumerate(free)}
     expansion = {}

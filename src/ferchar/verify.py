@@ -545,9 +545,10 @@ def run_cases(descs: list, jobs: int = 1,
     """Run cases in declared order; returns (reports, timed_out).
 
     The timeout budget is spent once the elapsed time reaches it, and is
-    checked before each case, with or without a pool.  The memos of cyclic modules and predicted-algebra characters live for
-    one call: later cases of a scan reuse what earlier ones built.  With
-    jobs > 1 each worker keeps its own, and they end with the pool."""
+    checked before each case, with or without a pool.  The memos of
+    cyclic modules and predicted-algebra characters live for one call:
+    later cases of a scan reuse what earlier ones built.  With jobs > 1
+    each worker keeps its own, and they end with the pool."""
     reports: list = []
     start = time.monotonic()
     try:

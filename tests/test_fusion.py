@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 
 import pytest
@@ -176,13 +177,18 @@ def test_fusion_two_prime_matches_exact():
 
 @pytest.mark.parametrize("primes", [(5, 7), (3, 5)])
 @pytest.mark.parametrize("levels", [(0, 1, 0, 1), (1, 1, 0, 2), (2, 2, 1, 2)])
-def test_fusion_small_primes_match_exact(levels, primes):
+def test_fusion_small_primes_match_exact(levels, primes, caplog):
     # small forced primes: modulo 35 the run meets no non-unit; modulo 15
-    # (1,1,0,2) and (2,2,1,2) meet one, run per prime and escalate
+    # (1,1,0,2) and (2,2,1,2) meet one, run per prime, see the primes
+    # disagree and escalate, which the warning shows
     w = Truncation(4, 3, 3)
     exact = principal_fusion_character(*levels, w, FieldMode.exact())
-    small = principal_fusion_character(*levels, w, FieldMode("two-prime", None, primes))
+    with caplog.at_level(logging.WARNING, logger="ferchar.fusion"):
+        small = principal_fusion_character(*levels, w,
+                                           FieldMode("two-prime", None, primes))
     assert compare(exact, small).verdict == "EQUAL"
+    escalated = "recomputing exactly" in caplog.text
+    assert escalated == (primes == (3, 5) and levels != (0, 1, 0, 1))
 
 
 def compositions(n, parts):

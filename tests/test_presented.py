@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies
 
 from ferchar.errors import ConfigurationError
-from ferchar.exactlin import FieldMode
+from ferchar.exactlin import FieldMode, int_rank, reduce_rows
 from ferchar.gradedchar import Truncation
 from ferchar.presented import (GeneratorFamily, InitialConditions, Partition,
                                Presentation, RelationFamily,
@@ -125,10 +126,18 @@ def test_normal_form_reduction():
 
 def test_relation_rows_shape():
     p = build_presentation_A(Partition.make((1,)))
-    rows, monos = relation_rows(p, (2, 0, 2))
+    rows, monos, killed = relation_rows(p, (2, 0, 2))
     assert len(monos) == 2
     # the z^2 coefficient of a(z)^2: 2 a_0 a_{-2} + a_{-1}^2
-    assert rows == [{0: 2, 1: 1}]
+    assert rows == [{0: 2, 1: 1}] and killed == set()
+    rows, monos, killed = relation_rows(p, (3, 0, 3))
+    assert monos == (((0, 0), (0, 0), (0, 3)), ((0, 0), (0, 1), (0, 2)),
+                     ((0, 1), (0, 1), (0, 1)))
+    # a_0^2 a_{-3} and 2 a_0 a_{-1} a_{-2} come from the one-term
+    # coefficients a_0^2 and 2 a_0 a_{-1}; (2 a_0 a_{-2} + a_{-1}^2) a_{-1}
+    # keeps only a_{-1}^3, and (2 a_0 a_{-3} + 2 a_{-1} a_{-2}) a_0 is gone
+    assert killed == {0, 1} and rows == [{2: 1}]
+    assert component_dimension(p, (3, 0, 3)) == 0
 
 
 def test_gordon_level_one_character():
@@ -312,6 +321,33 @@ def ref_relation_rows(p, tridegree):
     return rows, monos
 
 
+def ref_killed_rows(p, tridegree):
+    """relation_rows' output from the reference rows.  A coefficient of
+    several terms times one monomial has as many distinct columns, so the
+    one-entry rows are those of one-term coefficients: their columns are
+    killed, and the other rows, in order, lose the killed columns, with
+    the rows left empty dropped."""
+    rows, monos = ref_relation_rows(p, tridegree)
+    killed = {col for row in rows if len(row) == 1 for col in row}
+    stripped = ({c: v for c, v in row.items() if c not in killed}
+                for row in rows if len(row) > 1)
+    return [row for row in stripped if row], monos, killed
+
+
+def ref_normal_form_basis(p, tridegree, field):
+    """normal_form_basis from the reduced form of all reference rows."""
+    rows, monos = ref_relation_rows(p, tridegree)
+    reduced = dict(reduce_rows(rows, field))
+    free = [col for col in range(len(monos)) if col not in reduced]
+    position = {col: i for i, col in enumerate(free)}
+    expansion = {}
+    for col, mono in enumerate(monos):
+        row = reduced.get(col)
+        expansion[mono] = ((position[col], 1),) if row is None else tuple(
+            (position[c], -v) for c, v in sorted(row.items()) if c != col)
+    return tuple(monos[col] for col in free), expansion
+
+
 @strategies.composite
 def presentations(draw):
     """Quadratic (lattice) presentations, and presentations of 1-3
@@ -345,7 +381,7 @@ def test_component_build_matches_reference(p, data):
     q = data.draw(strategies.integers(-1, 6)) + z * min(f.min_mode for f in p.families)
     try:
         assert component_monomials(p, (z, u, q)) == ref_component_monomials(p, (z, u, q))
-        assert relation_rows(p, (z, u, q)) == ref_relation_rows(p, (z, u, q))
+        assert relation_rows(p, (z, u, q)) == ref_killed_rows(p, (z, u, q))
     finally:
         clear_caches()
 
@@ -366,7 +402,7 @@ def test_component_builds_share_one_cache_lifetime(p, data):
     try:
         for t in tridegrees:
             assert component_monomials(p, t) == ref_component_monomials(p, t)
-            assert relation_rows(p, t) == ref_relation_rows(p, t)
+            assert relation_rows(p, t) == ref_killed_rows(p, t)
     finally:
         clear_caches()
 
@@ -378,7 +414,35 @@ def test_relation_rows_at_large_z_degree():
     for power, z in ((2, 256), (2, 300), (300, 300)):
         p = Presentation.make((GeneratorFamily("a"),),
                               (RelationFamily((("a", 0, power),)),))
-        rows, monos = relation_rows(p, (z, 0, 0))
+        rows, monos, killed = relation_rows(p, (z, 0, 0))
         assert monos == (((0, 0),) * z,)
-        assert rows == [{0: 1}]
+        assert killed == {0} and rows == []
     clear_caches()
+
+
+# a prime above every relation coefficient met below: the modes of one
+# sum to at most q <= 13 over at most 4 factor copies, so it is below
+# 4! * 4^8; no coefficient vanishes, as over the rationals
+BIG_PRIME = 2**31 - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(), strategies.data())
+def test_quotient_data_match_reference_rows(p, data):
+    # normal forms and dimensions from the killed columns and the other
+    # rows match those from every reference row, over the rationals, a
+    # prime field and the two-prime product
+    ints = strategies.integers
+    z = data.draw(ints(0, 4))
+    u = data.draw(ints(0, z if any(f.u_increment for f in p.families) else 0))
+    t = (z, u, data.draw(ints(0, 5)) + z * min(f.min_mode for f in p.families))
+    two = FieldMode.two_prime(data.draw(ints(0, 3)))
+    try:
+        for field in (None, BIG_PRIME, math.prod(two.primes)):
+            assert normal_form_basis(p, t, field) == ref_normal_form_basis(p, t, field)
+        rows, monos = ref_relation_rows(p, t)
+        for mode in (FieldMode.exact(), two):
+            rank = int_rank(rows, mode).rank if rows else 0
+            assert component_dimension(p, t, mode) == len(monos) - rank
+    finally:
+        clear_caches()
