@@ -12,11 +12,12 @@ point-power: the operators are
     E_j(m) = sum_t z_t^m  (e_{-j} acting in slot t),
 
 and F_l is spanned by products of operators with m-weights summing to at
-most l applied to the tensor of cyclic vectors.  A tensor basis element is
-the tuple of its slots' global indices; inside a (z, q) component the
-elements run in lexicographic order.  Powers m >= n are linear
-combinations of m <= n-1 (Vandermonde), so the recursion only uses
-m = 0..n-1.  The u-degree-l layer of the fused character is
+most l applied to the tensor of cyclic vectors; they commute, so these are
+monomials in x_{j,m} = E_j(m), and F_l has a basis of standard monomials.
+Powers m >= n are linear combinations of m <= n-1 (Vandermonde), so the
+monomials only use m = 0..n-1.  A tensor basis element is the tuple of
+its slots' global indices; inside a (z, q) component the elements run in
+lexicographic order.  The u-degree-l layer of the fused character is
 dim F_l - dim F_{l-1} per (z, q) component; all of this is exact on a
 finite window because the operators strictly raise z and never lower q.
 """
@@ -194,39 +195,52 @@ class FusionContext:
     def filtration_dimensions(self) -> dict:
         """dims[(z, q, l)] = dim F_l of the (z, q) tensor component.
 
-        F_{l-1} lies in F_l, so each component keeps one echelon across l
-        and remembers which basis vectors layer l added.  E_j(m) maps
-        F_{l-m-1} of the source into F_{l-1}, so layer l only needs E_j(m)
-        applied to the vectors added at layer l - m of the source.
+        A monomial is the tuple of its variables (j, m) in descending order;
+        monomials compare by degree l (the sum of the m's), then
+        lexicographically, which is a monomial order.  A monomial is standard
+        when its image is independent of the images of all smaller ones, so the
+        standard monomials of degree <= l are a basis of F_l.  If M is not
+        standard, neither is x M (multiply its relation by x): the standard
+        monomials form an order ideal (Macaulay's basis theorem), and each is
+        x M' with M' standard and x >= every variable of M'.  So a component
+        echelons only these candidates, each monomial once and in order,
+        applying x to the raw image of M', until it is full.
+
+        Modulo N = p1 p2, `echelon` either clears a column, the same step
+        in both fields, or makes a pivot led by a unit, nonzero modulo both
+        primes; otherwise it raises NonUnit.  So a candidate is standard
+        modulo N exactly when it is standard modulo both primes.
         """
         w = self.spec.window
         dims: dict = {}
-        added: dict = {}  # (z, q, l) -> basis vectors that F_l adds to F_{l-1}
+        standard: dict = {}  # (z, q) -> [(degree, monomial, raw image)], in order
         for big_z in range(w.z_max + 1):
             for big_q in range(w.q_max + 1):
                 full = self.tensor_dimension(big_z, big_q)
                 if not full:
                     continue
+                found = [(0, (), self.vacuum())] if big_z == 0 else []
+                candidates = sorted(
+                    ((l + m, ((j, m),) + mono, image)
+                     for j in range(big_q + 1)
+                     for l, mono, image in standard.get((big_z - 1, big_q - j), ())
+                     for m in range(min(self.n, w.u_max - l + 1))
+                     if not mono or (j, m) >= mono[0]),
+                    key=lambda cand: cand[:2])
                 basis: dict = {}
+                for l, mono, image in candidates:
+                    if len(basis) == full:
+                        break
+                    j, m = mono[0]
+                    image = self.apply(j, m, (big_z - 1, big_q - j), image)
+                    rank = len(basis)
+                    echelon((image,), self.field, full, basis)
+                    if len(basis) > rank:
+                        found.append((l, mono, image))
+                standard[(big_z, big_q)] = found
                 for l in range(w.u_max + 1):
-                    before = len(basis)
-                    if before < full:
-                        echelon(self._layer_images(big_z, big_q, l, added),
-                                self.field, full, basis)
-                    added[(big_z, big_q, l)] = list(basis.values())[before:]
-                    dims[(big_z, big_q, l)] = len(basis)
+                    dims[(big_z, big_q, l)] = sum(s[0] <= l for s in found)
         return dims
-
-    def _layer_images(self, big_z, big_q, l, added):
-        if big_z == 0:
-            if big_q == 0 and l == 0:
-                yield self.vacuum()
-            return
-        for j in range(big_q + 1):
-            src = (big_z - 1, big_q - j)
-            for m_op in range(min(l, self.n - 1) + 1):
-                for v in added.get(src + (l - m_op,), ()):
-                    yield self.apply(j, m_op, src, v)
 
 
 def fusion_character(spec: FusionSpec) -> GradedCharacter:

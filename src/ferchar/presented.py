@@ -353,11 +353,16 @@ def _mode_code(nfam: int, width: int, f: int, n: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _mode_codes(nfam: int, width: int, q: int):
+    """The lookup mode (f, n) -> its code, for every mode with n <= q."""
+    return {(f, n): _mode_code(nfam, width, f, n)
+            for f in range(nfam) for n in range(q + 1)}.__getitem__
+
+
+@functools.lru_cache(maxsize=None)
 def _component_codes(p: Presentation, tridegree: tuple, width: int) -> list:
     """The codes of component_monomials(p, tridegree), in column order."""
-    nfam = len(p.families)
-    codes = {(f, n): _mode_code(nfam, width, f, n)
-             for f in range(nfam) for n in range(tridegree[2] + 1)}.__getitem__
+    codes = _mode_codes(len(p.families), width, tridegree[2])
     return [sum(map(codes, m)) for m in component_monomials(p, tridegree)]
 
 
@@ -385,7 +390,7 @@ def _relation_terms(p: Presentation, rel_index: int, r: int, width: int,
 
 
 # bound here, since tracing may replace the module's names with wrappers
-_CACHES = (component_monomials, _component_codes, _relation_terms)
+_CACHES = (component_monomials, _mode_codes, _component_codes, _relation_terms)
 
 
 def clear_caches() -> None:

@@ -258,12 +258,23 @@ def filtration_recomputed(ctx):
 @pytest.mark.parametrize("field", [None, *FieldMode.two_prime(0).primes,
                                    math.prod(FieldMode.two_prime(0).primes)])
 @pytest.mark.parametrize("levels", [(0, 1, 1, 1), (1, 1, 1, 2), (2, 2, 0, 2),
-                                    (1, 2, 1, 2), (1, 1, 0, 2)])
+                                    (1, 2, 1, 2), (1, 1, 0, 2),
+                                    (1, 3, 2, 3), (0, 2, 1, 3)])
 def test_incremental_filtration_matches_recomputation(levels, field):
     i1, k1, i2, k2 = levels
     w = Truncation(4, 3, 3)
     spec = FusionSpec.make((principal_subspace(i1, k1, 4, 3, field),
                             principal_subspace(i2, k2, 4, 3, field)), (1, 0), w)
     ctx = FusionContext(spec)
+    assert ctx.filtration_dimensions() == filtration_recomputed(ctx)
+
+
+@pytest.mark.parametrize("field", [None, math.prod(FieldMode.two_prime(0).primes)])
+@pytest.mark.parametrize("points", [(1, 0, 2), (3, 5, 11)])
+def test_three_factor_filtration_matches_recomputation(points, field):
+    # three points give the operators E_j(2), which two points reduce away
+    w = Truncation(4, 4, 4)
+    mods = [principal_subspace(i, k, 4, 4, field) for i, k in ((1, 1), (0, 2), (1, 2))]
+    ctx = FusionContext(FusionSpec.make(mods, points, w))
     assert ctx.filtration_dimensions() == filtration_recomputed(ctx)
 
