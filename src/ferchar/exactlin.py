@@ -16,24 +16,21 @@ divided by its content.  The rank is the number of pivot rows; with
 reduced row echelon form, which is unique, so normal forms do not depend
 on the order in which rows arrive.
 
-The two-prime protocol lives here as well (`two_prime`): a computation's
-result is only reported when it agrees modulo two independently chosen
-31-bit primes p1, p2; on disagreement it is redone over the rationals.
-Both primes run in one elimination modulo p1*p2 (Z/p1p2 = F_p1 x F_p2):
-clearing a column against a pivot led by 1 is the same step in both
-fields, and a pivot is only made where its leading entry is a unit, so
-the elimination is the two per-prime ones side by side, with the same
-pivot columns.  Only a non-unit leading entry, where the primes may
-diverge, sends the computation back to one run per prime.  `int_rank`
-applies the protocol to ranks and records the offending prime; the
-fusion filtration applies it to whole fused characters.
+The two-prime protocol lives here as well (`two_prime`): a computation
+runs once modulo p1*p2 for two independently chosen 31-bit primes p1, p2
+(Z/p1p2 = F_p1 x F_p2).  Clearing a column against a pivot led by 1 is
+the same step in both fields, and a pivot is only made where its leading
+entry is a unit, so the elimination is the two per-prime ones side by
+side, with the same pivot columns.  A non-unit leading entry, where the
+primes may diverge, is the one exception, and it sends the computation
+to the rationals.  `int_rank` applies the protocol to ranks; the fusion
+filtration applies it to whole fused characters.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,32 +211,26 @@ class FieldMode:
 class RankResult:
     rank: int
     escalated: bool = False
-    dropped_primes: tuple[int, ...] = ()
 
 
-def two_prime(compute, mode: FieldMode, agree=operator.eq):
-    """(value, by_prime) of compute(field) in mode; field None is the rationals.
+def two_prime(compute, mode: FieldMode):
+    """(value, escalated) of compute(field) in mode; field None is the rationals.
 
     compute must do its linear algebra with `echelon`/`reduce_rows` and
     return a value that does not depend on the field as long as the
     elimination picks the same pivot columns (a rank, dimensions, a
-    character).  Two-prime mode then runs it once modulo p1*p2.  Only when
-    that run raises NonUnit does it run once per prime: it keeps the first
-    prime's value when agree(first, second) and otherwise recomputes over
-    the rationals; by_prime lists the per-prime values when they
-    disagreed, else None."""
+    character).  Two-prime mode runs it once modulo p1*p2; when that run
+    raises NonUnit it logs a warning and recomputes over the rationals,
+    with escalated True."""
     if mode.kind == "exact":
-        return compute(None), None
+        return compute(None), False
     if mode.kind != "two-prime" or not mode.primes:
         raise ValueError(f"bad field mode {mode!r}")
     try:
-        return compute(math.prod(mode.primes)), None
-    except NonUnit:
-        pass
-    by_prime = [compute(p) for p in mode.primes]
-    if agree(*by_prime):
-        return by_prime[0], None
-    return compute(None), by_prime
+        return compute(math.prod(mode.primes)), False
+    except NonUnit as exc:
+        log.warning("%s (primes %s); recomputing exactly", exc, mode.primes)
+    return compute(None), True
 
 
 def int_rank(rows: list[dict], mode: FieldMode,
@@ -247,14 +238,7 @@ def int_rank(rows: list[dict], mode: FieldMode,
     """Rank of a matrix with integer entries, given as sparse rows.
 
     ncols, when given, is the number of columns; elimination stops once
-    the rank reaches it.  In two-prime mode the rank is accepted only if
-    both primes agree; otherwise the exact rational rank is computed and
-    any prime that reported a smaller rank is flagged.
+    the rank reaches it.  In two-prime mode the rank is taken modulo
+    p1*p2, or over the rationals after a non-unit pivot (escalated).
     """
-    rank, by_prime = two_prime(lambda field: len(echelon(rows, field, ncols)), mode)
-    if by_prime is None:
-        return RankResult(rank)
-    dropped = tuple(p for p, r in zip(mode.primes, by_prime) if r < rank)
-    log.warning("prime rank disagreement %s; exact rank %d, dropped by %s",
-                dict(zip(mode.primes, by_prime)), rank, dropped)
-    return RankResult(rank, escalated=True, dropped_primes=dropped)
+    return RankResult(*two_prime(lambda field: len(echelon(rows, field, ncols)), mode))

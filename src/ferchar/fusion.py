@@ -6,8 +6,9 @@ runs by increasing (z, q), then by column order inside its component.  Its
 matrices of multiplication by each generator mode e_{-j} are keyed by
 (j, global index).  Fusion evaluates n >= 2 such modules at points
 z_1..z_n whose pairwise differences are units in the modules' field (or
-ring of integers mod N), and filters the tensor product by total
-point-power: the operators are
+ring of integers mod N; a nonzero difference that is not a unit raises
+`NonUnit`, which sends a two-prime run to the rationals), and filters the
+tensor product by total point-power: the operators are
 
     E_j(m) = sum_t z_t^m  (e_{-j} acting in slot t),
 
@@ -26,21 +27,19 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .exactlin import FieldMode, echelon, two_prime
+from .exactlin import FieldMode, NonUnit, echelon, two_prime
 # unused here, but perfbench/spans.py traces ferchar.fusion.reduce_rows as a
 # boundary and stops with BoundaryMissing without it
 from .exactlin import reduce_rows  # noqa: F401
 from .fermionic import delta_vector
-from .gradedchar import GradedCharacter, Truncation, compare
+# compare is unused here, but perfbench/spans.py traces ferchar.fusion.compare
+from .gradedchar import GradedCharacter, Truncation, compare  # noqa: F401
 from .presented import (InitialConditions, Partition, Presentation,
                         build_presentation_A, normal_form_basis)
-
-log = logging.getLogger("ferchar.fusion")
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +103,6 @@ def default_points(n: int) -> tuple[int, ...]:
     return ((1, 0) + tuple(range(2, n)))[:n]
 
 
-def _distinct(points: tuple, field: int | None) -> bool:
-    """Whether every pairwise difference of the points is a unit in the
-    field (None: Q; an integer N: the integers mod N)."""
-    return all(x != y if field is None else math.gcd(x - y, field) == 1
-               for x, y in itertools.combinations(points, 2))
-
-
 @dataclass(frozen=True)
 class FusionSpec:
     modules: tuple
@@ -126,9 +118,12 @@ class FusionSpec:
             raise ConfigurationError("one evaluation point per module")
         if len({m.field for m in modules}) != 1:
             raise ConfigurationError("all modules must share one field")
-        if not _distinct(points, modules[0].field):
-            raise ConfigurationError(
-                f"points must be pairwise distinct in the modules' field: {points}")
+        field = modules[0].field
+        for x, y in itertools.combinations(points, 2):
+            if x == y:
+                raise ConfigurationError(f"points must be pairwise distinct: {points}")
+            if field is not None and math.gcd(x - y, field) != 1:
+                raise NonUnit(f"points {x} and {y} differ by a non-unit mod {field}")
         if window.z_max is None or window.u_max is None:
             raise ConfigurationError("fusion needs a finite window")
         for m in modules:
@@ -262,30 +257,17 @@ def principal_fusion_character(i1: int, k1: int, i2: int, k2: int,
     """Fused character of W_{i1,k1} and W_{i2,k2} by the filtration.
 
     In two-prime mode the modules and the filtration are built once,
-    modulo the product of the two primes, and run once per prime only when
-    that meets a non-unit pivot; the per-prime results must agree.
-    Otherwise, or when a prime makes two points coincide, it is done over
-    the rationals.
+    modulo the product of the two primes, and over the rationals when that
+    meets a non-unit: a pivot, or two points equal modulo a prime.
     """
     mode = mode or FieldMode.exact()
     points = default_points(2) if points is None else tuple(points)
     if window.z_max is None or window.u_max is None:
         raise ConfigurationError("fusion needs a finite window")
-    if _distinct(points, None) and not all(_distinct(points, p)
-                                           for p in mode.primes or ()):
-        log.warning("points %s coincide modulo a prime of %s; computing exactly",
-                    points, mode.primes)
-        mode = FieldMode.exact()
 
     def run(field):
         mods = (principal_subspace(i1, k1, window.q_max, window.z_max, field),
                 principal_subspace(i2, k2, window.q_max, window.z_max, field))
         return fusion_character(FusionSpec.make(mods, points, window))
 
-    fused, by_prime = two_prime(
-        run, mode, lambda first, second: compare(first, second).verdict == "EQUAL")
-    if by_prime is not None:
-        log.warning("fusion dims differ between primes %s; recomputing exactly",
-                    mode.primes)
-    return fused
-
+    return two_prime(run, mode)[0]

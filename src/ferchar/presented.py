@@ -413,10 +413,10 @@ def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple,
     (above 2^30).  Only a small prime field that divides c, such as 3 for
     c = 3, differs: there the row c e vanished and the column is now
     killed, as over Q.  Results are stated over Q, and two-prime mode
-    still escalates when its primes disagree.  The other rows leave the
-    killed columns out and empty rows are dropped, so the relation rank is
-    len(killed) plus their rank; no rows are built once every column is
-    killed.
+    still recomputes over Q after a non-unit pivot.  The other rows leave
+    the killed columns out and empty rows are dropped, so the relation
+    rank is len(killed) plus their rank; no rows are built once every
+    column is killed.
 
     A product's column is found by its code, the sum of its factors'
     codes; exponents are at most z, so codes of width z.bit_length() never

@@ -83,19 +83,17 @@ def test_int_rank_two_prime_agreement():
 
 
 def test_int_rank_escalates_on_prime_disagreement():
-    # entry 5 vanishes mod the first forced prime only
+    # entry 5 vanishes mod the first forced prime only, so it is a
+    # non-unit mod 35 and the rank is taken over the rationals
     bad = FieldMode("two-prime", None, (5, 7))
-    res = int_rank([{0: 5}], bad)
-    assert res.rank == 1
-    assert res.escalated
-    assert res.dropped_primes == (5,)
+    assert int_rank([{0: 5}], bad) == RankResult(1, True)
 
 
 def test_two_prime_escalates_any_value():
-    # a value that is not a rank: which entries survive, compared by a
-    # custom rule.  Like an elimination, it raises NonUnit where an entry
-    # is a non-unit mod a composite field, the one place its primes may
-    # diverge; otherwise its value is the same in every field.
+    # a value that is not a rank: which entries survive.  Like an
+    # elimination, it raises NonUnit where an entry is a non-unit mod a
+    # composite field, the one place its primes may diverge; otherwise its
+    # value is the same in every field.
     calls = []
 
     def surviving(entries):
@@ -108,26 +106,19 @@ def test_two_prime_escalates_any_value():
             return [x % field != 0 for x in entries]
         return compute
 
-    def agree(a, b):
-        return sum(a) == sum(b)
-
+    # a non-unit modulo the product sends the run to the rationals, whether
+    # or not the primes would have agreed
     mode = FieldMode("two-prime", None, (5, 7))
-    assert two_prime(surviving((5, 12)), mode, agree) == \
-        ([True, True], [[False, True], [True, True]])
-    assert calls == [35, 5, 7, None]
-    calls.clear()
-    # agreeing primes keep the first prime's value and skip the rationals:
-    # after a non-unit, per prime ...
-    assert two_prime(surviving((5, 14)), mode, agree) == ([False, True], None)
-    assert calls == [35, 5, 7]
-    calls.clear()
-    # ... and otherwise in the one run modulo their product
-    assert two_prime(surviving((5, 12)), FieldMode("two-prime", None, (7, 11)),
-                     agree) == ([True, True], None)
+    for entries in ((5, 12), (5, 14)):
+        assert two_prime(surviving(entries), mode) == ([True, True], True)
+        assert calls == [35, None]
+        calls.clear()
+    # otherwise the one run modulo the product stands
+    assert two_prime(surviving((5, 12)), FieldMode("two-prime", None, (7, 11))) == \
+        ([True, True], False)
     assert calls == [77]
     calls.clear()
-    assert two_prime(surviving((5, 12)), FieldMode.exact(), agree) == \
-        ([True, True], None)
+    assert two_prime(surviving((5, 12)), FieldMode.exact()) == ([True, True], False)
     assert calls == [None]
 
 
@@ -238,30 +229,26 @@ def test_reduce_rows_matches_reference_rref(case):
     assert all(type(v) is scalar for _, row in reduced for v in row.values())
 
 
-def per_prime_rank(rows, primes, ncols):
-    """The two-prime protocol run once per prime, as a reference."""
-    by_prime = [len(echelon(rows, p, ncols)) for p in primes]
-    if by_prime[0] == by_prime[1]:
-        return RankResult(by_prime[0])
-    exact = len(echelon(rows, None, ncols))
-    return RankResult(exact, True,
-                      tuple(p for p, r in zip(primes, by_prime) if r < exact))
-
-
 SMALL_PRIME_PAIRS = ((2, 3), (3, 5), (5, 7), (7, 11))
 
 
 @given(strategies.sampled_from(SMALL_PRIME_PAIRS), strategies.integers(1, 6),
        strategies.data())
-def test_product_modulus_matches_per_prime_protocol(primes, ncols, data):
+def test_product_modulus_rank_or_exact_fallback(primes, ncols, data):
     rows = data.draw(strategies.lists(
         strategies.dictionaries(strategies.integers(0, ncols - 1),
                                 strategies.integers(-12, 12), max_size=ncols),
         max_size=8))
-    mode = FieldMode("two-prime", None, primes)
-    assert int_rank(rows, mode, ncols) == per_prime_rank(rows, primes, ncols)
+    product = math.prod(primes)
+    res = int_rank(rows, FieldMode("two-prime", None, primes), ncols)
     try:
-        pivots = echelon(rows, math.prod(primes))
+        rank = len(echelon(rows, product, ncols))
+    except NonUnit:
+        assert res == RankResult(len(echelon(rows, None, ncols)), True)
+    else:
+        assert res == RankResult(rank, False)
+    try:
+        pivots = echelon(rows, product)
     except NonUnit:
         return
     for p in primes:

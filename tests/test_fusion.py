@@ -6,7 +6,7 @@ import math
 import pytest
 
 from ferchar.errors import ConfigurationError
-from ferchar.exactlin import FieldMode, reduce_rows
+from ferchar.exactlin import FieldMode, NonUnit, reduce_rows
 from ferchar.fusion import (CyclicModule, FusionContext, FusionSpec,
                             cyclic_module_from_presentation, default_points,
                             fusion_character, principal_fusion_character,
@@ -118,14 +118,15 @@ def test_fusion_spec_validation():
         FusionSpec.make((a, a), (1, 1), w)
     with pytest.raises(ConfigurationError):
         FusionSpec.make((a, b), (1, 0), w)
-    # distinct integers, one point of the field of 5 elements
-    with pytest.raises(ConfigurationError):
+    # distinct integers, one point of the field of 5 elements: a non-unit
+    # difference, which sends a two-prime run to the rationals
+    with pytest.raises(NonUnit):
         FusionSpec.make((b, b), (6, 1), w)
     FusionSpec.make((a, a), (6, 1), w)
     # over the integers mod p1*p2, points equal modulo p1 alone
     p1, p2 = FieldMode.two_prime(0).primes
     c = principal_subspace(1, 1, 2, 2, field=p1 * p2)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(NonUnit):
         FusionSpec.make((c, c), (1, 1 + p1), w)
     FusionSpec.make((c, c), (2, 1), w)
     with pytest.raises(ConfigurationError):
@@ -179,11 +180,11 @@ def test_fusion_two_prime_matches_exact():
 @pytest.mark.parametrize("levels", [(0, 1, 0, 1), (1, 1, 0, 2), (2, 2, 1, 2)])
 def test_fusion_small_primes_match_exact(levels, primes, caplog):
     # small forced primes: modulo 35 the run meets no non-unit; modulo 15
-    # (1,1,0,2) and (2,2,1,2) meet one, run per prime, see the primes
-    # disagree and escalate, which the warning shows
+    # (1,1,0,2) and (2,2,1,2) meet one and escalate to the rationals, which
+    # the warning shows
     w = Truncation(4, 3, 3)
     exact = principal_fusion_character(*levels, w, FieldMode.exact())
-    with caplog.at_level(logging.WARNING, logger="ferchar.fusion"):
+    with caplog.at_level(logging.WARNING, logger="ferchar.exactlin"):
         small = principal_fusion_character(*levels, w,
                                            FieldMode("two-prime", None, primes))
     assert compare(exact, small).verdict == "EQUAL"

@@ -232,11 +232,12 @@ def test_fusion_memos_never_change_a_report():
 
 
 def test_fusion_memo_keys_hold_window_and_mode():
-    # over a field of characteristic 2 the (0,1)x(0,1) characters differ
-    # from the exact ones, so a key without the mode shows in the reports
+    # over the field of 2 elements (forced primes (2, 1), product 2) the
+    # (0,1)x(0,1) characters differ from the exact ones, so a key without
+    # the mode shows in the reports
     runs = list(itertools.product(
         (Truncation(3, 2, 2), Truncation(4, 3, 2)),
-        (MODE, FieldMode.exact(), FieldMode("two-prime", None, (2, 2)))))
+        (MODE, FieldMode.exact(), FieldMode("two-prime", None, (2, 1)))))
     fresh = []
     for window, mode in runs:
         clear_memos()
@@ -321,9 +322,9 @@ def test_cli_verify_exit_codes(capsys):
 
 
 def test_cli_fusion_point_divisible_by_a_prime(capsys, caplog):
-    # z_1 = p vanishes mod p, so E_j(m) for m > 0 skips its slot there;
-    # p * p2 + 1 and 1 are one point modulo either prime, so that run
-    # computes over the rationals
+    # z_1 = p is not a unit mod p * p2, but p - 1 is, so that run stays
+    # modular; p * p2 + 1 and 1 are one point modulo either prime, a
+    # non-unit difference, so that run computes over the rationals
     p, p2 = MODE.primes
     argv = ["verify", "fusion", "--i1", "0", "--k1", "1", "--i2", "0", "--k2", "1",
             "--qmax", "3", "--zmax", "2", "--umax", "2", "--format", "json"]
