@@ -55,6 +55,8 @@ def _entry_row(row: dict, field: int | None) -> dict:
             if v:
                 out[c] = v
         return out
+    if all(type(v) is int for v in row.values()):
+        return {c: v for c, v in row.items() if v}
     den = math.lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 

@@ -20,11 +20,14 @@ Relation rows find a product's column by an additive code: a monomial's
 exponent vector packed into fields of z.bit_length() bits, so a product's
 code is the sum of its factors' codes and no field carries.  Relation
 coefficients are expanded straight into codes, one cache entry per
-relation, z-power and code width, so every cap on the z-power reuses the
-coefficients below it.  Components, their codes and the relation terms
-are cached per presentation, and clear_caches() drops them;
-verify.run_case calls it after every case, since the next case has
-another presentation.
+relation's factor copies, z-power and code width, so every cap on the
+z-power reuses the coefficients below it.  Components and their codes
+depend only on the generator families, and a relation's terms only on
+the families and its factor copies, so they are cached on the
+presentation's `_free` part, one object per family tuple: presentations
+that share their families, such as every two-family lambda of an mf
+scan, share their components.  clear_caches() drops every cache;
+verify.run_cases calls it once, when its cases are done.
 """
 
 from __future__ import annotations
@@ -137,8 +140,14 @@ class Presentation:
 
     @functools.cached_property
     def _hash(self) -> int:
-        # the component caches key on the presentation: hash it once
+        # the component caches key on _free: hash it once
         return hash((self.families, self.relations))
+
+    @functools.cached_property
+    def _free(self) -> Presentation:
+        """The free algebra on the families, one object per family tuple:
+        the component caches key on it, with its hash computed once."""
+        return _free_presentation(self.families)
 
     @functools.cached_property
     def _reach(self) -> tuple[int, int, int]:
@@ -167,6 +176,11 @@ class Presentation:
             if f.name == name:
                 return i
         raise KeyError(name)
+
+
+@functools.lru_cache(maxsize=None)
+def _free_presentation(families: tuple) -> Presentation:
+    return Presentation(families, ())
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +381,14 @@ def _component_codes(p: Presentation, tridegree: tuple, width: int) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _relation_terms(p: Presentation, rel_index: int, r: int, width: int,
+def _relation_terms(p: Presentation, slots: tuple, r: int, width: int,
                     slot: int = 0) -> tuple:
-    """The z^r coefficient of the product of the relation's factor copies
-    from `slot` on, as (code, coefficient) pairs.
+    """The z^r coefficient of the product of the factor copies slots[slot:]
+    over the families of p, as (code, coefficient) pairs.
 
     A copy (f, der) contributes der-th derivative terms n!/(n-der)! a_{f,-n}
     z^{n-der}, so its mode n leaves z^{r-n+der} to the later copies.
     """
-    slots = p._relation_slots[rel_index]
     if slot == len(slots):
         return ((0, 1),) if r == 0 else ()
     f, der = slots[slot]
@@ -383,14 +396,15 @@ def _relation_terms(p: Presentation, rel_index: int, r: int, width: int,
     out: dict = {}
     for n in range(max(p.families[f].min_mode, der), r + der + 1):
         code, weight = _mode_code(nfam, width, f, n), _falling(n, der)
-        for c, v in _relation_terms(p, rel_index, r - n + der, width, slot + 1):
+        for c, v in _relation_terms(p, slots, r - n + der, width, slot + 1):
             out[c + code] = out.get(c + code, 0) + weight * v
     # every weight is positive (n >= der), so no coefficient cancels
     return tuple(out.items())
 
 
 # bound here, since tracing may replace the module's names with wrappers
-_CACHES = (component_monomials, _mode_codes, _component_codes, _relation_terms)
+_CACHES = (_free_presentation, component_monomials, _mode_codes, _component_codes,
+           _relation_terms)
 
 
 def clear_caches() -> None:
@@ -420,17 +434,20 @@ def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple,
 
     A product's column is found by its code, the sum of its factors'
     codes; exponents are at most z, so codes of width z.bit_length() never
-    carry.  Each z^r coefficient is expanded in codes once per (relation,
-    r, width) and cached, whatever the cap on r.
+    carry.  Each z^r coefficient is expanded in codes once per (families,
+    factor copies, r, width) and cached, whatever the cap on r; components
+    and their codes are cached on the families alone (p._free).
     """
     z, u, q = tridegree
-    monos = component_monomials(p, tridegree)
+    free = p._free
+    monos = component_monomials(free, tridegree)
     if not monos:
         return [], monos, set()
     width = z.bit_length()
-    index = {code: i for i, code in enumerate(_component_codes(p, tridegree, width))}
+    index = {code: i for i, code in enumerate(_component_codes(free, tridegree, width))}
     coefficients = []  # (terms, complementary codes) of each nonzero coefficient
-    for i, (rel, (z_g, u_g, der)) in enumerate(zip(p.relations, p._relation_degrees)):
+    for rel, slots, (z_g, u_g, der) in zip(p.relations, p._relation_slots,
+                                             p._relation_degrees):
         zc, uc = z - z_g, u - u_g
         if zc < 0 or uc < 0:
             continue
@@ -438,10 +455,10 @@ def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple,
         if rel.low is not None:
             r_hi = min(r_hi, rel.low - 1)
         for r in range(r_hi + 1):
-            terms = _relation_terms(p, i, r, width)
+            terms = _relation_terms(free, slots, r, width)
             if terms:
                 coefficients.append(
-                    (terms, _component_codes(p, (zc, uc, q - der - r), width)))
+                    (terms, _component_codes(free, (zc, uc, q - der - r), width)))
     killed = {index[terms[0][0] + cc] for terms, codes in coefficients
               if len(terms) == 1 for cc in codes}
     rows: list[dict] = []

@@ -14,10 +14,10 @@ SCANS.  A kind lists its flags; a flag's name is its command-line flag
 (`--lambda`), its config key and its descriptor key (`"lambda"`), and its
 parser takes command-line text or a JSON value alike.
 
-`run_cases` runs every case of `verify` and `scan`.  Built components are
-cached for one case; the cyclic modules and predicted-algebra characters
-of the fusion route are memoized for one `run_cases` call, so a scan
-builds each once.
+`run_cases` runs every case of `verify` and `scan`.  Every cache lasts
+one `run_cases` call: the components of presented (keyed on the
+generator families), and the cyclic modules and predicted-algebra
+characters of the fusion route, so a scan builds each once.
 """
 
 from __future__ import annotations
@@ -529,15 +529,9 @@ SCANS = {
 
 
 def run_case(desc) -> list:
-    """Reports of one case descriptor (kind, values), a CASES kind.
-
-    The caches of built components live for one case: the next case has
-    another presentation, so they would only hold memory."""
+    """Reports of one case descriptor (kind, values), a CASES kind."""
     kind, values = desc
-    try:
-        return CASES[kind].run(values)
-    finally:
-        clear_caches()
+    return CASES[kind].run(values)
 
 
 def run_cases(descs: list, jobs: int = 1,
@@ -545,8 +539,9 @@ def run_cases(descs: list, jobs: int = 1,
     """Run cases in declared order; returns (reports, timed_out).
 
     The timeout budget is spent once the elapsed time reaches it, and is
-    checked before each case, with or without a pool.  The memos of
-    cyclic modules and predicted-algebra characters live for one call:
+    checked before each case, with or without a pool.  Every cache lives
+    for one call: the memos of cyclic modules and predicted-algebra
+    characters, and the components and relation terms of presented, so
     later cases of a scan reuse what earlier ones built.  With jobs > 1
     each worker keeps its own, and they end with the pool."""
     reports: list = []
@@ -578,3 +573,4 @@ def run_cases(descs: list, jobs: int = 1,
     finally:
         for memo in _MEMOS:
             memo.cache_clear()
+        clear_caches()

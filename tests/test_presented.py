@@ -407,6 +407,61 @@ def test_component_builds_share_one_cache_lifetime(p, data):
         clear_caches()
 
 
+@strategies.composite
+def presentations_sharing_families(draw):
+    """2-3 presentations on equal, separately built families, each with
+    its own relations."""
+    ints = strategies.integers
+    specs = [(draw(ints(0, 1)), draw(ints(0, 2))) for _ in range(draw(ints(1, 3)))]
+    out = []
+    for _ in range(draw(ints(2, 3))):
+        families = [GeneratorFamily(f"g{i}", u, m) for i, (u, m) in enumerate(specs)]
+        relations = [RelationFamily(tuple((f"g{draw(ints(0, len(specs) - 1))}",
+                                           draw(ints(0, 2)), draw(ints(1, 2)))
+                                          for _ in range(draw(ints(1, 2)))),
+                                    draw(strategies.one_of(strategies.none(), ints(1, 3))))
+                     for _ in range(draw(ints(1, 3)))]
+        out.append(Presentation.make(families, relations))
+    return out
+
+
+def assert_rows_match_reference(ps, tridegrees) -> None:
+    """relation_rows of every presentation and tridegree, all in one cache
+    lifetime, against the reference rows."""
+    try:
+        for p in ps:
+            for t in tridegrees:
+                assert relation_rows(p, t) == ref_killed_rows(p, t)
+    finally:
+        clear_caches()
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations_sharing_families(), strategies.data())
+def test_shared_families_never_change_relation_rows(ps, data):
+    # the presentations share one free object, so their components and
+    # codes, and the terms of equal factor copies; the terms of other
+    # relations must not leak between them
+    ints = strategies.integers
+    p = ps[0]
+    assert all(other._free is p._free for other in ps)
+    u_reach = max(f.u_increment for f in p.families)
+    mode_lo = min(f.min_mode for f in p.families)
+    drawn = data.draw(strategies.lists(strategies.tuples(ints(1, 4), ints(0, 4), ints(0, 5)),
+                                       min_size=1, max_size=3))
+    assert_rows_match_reference(
+        ps, [(z, min(u, z * u_reach), q + z * mode_lo) for z, u, q in drawn])
+
+
+def test_lattice_shifts_never_share_components():
+    # one Gram matrix, so the same family names, u-increments and
+    # relations: the families differ only in their minimal modes
+    gram = ((2, 1), (1, 2))
+    ps = [build_presentation_quadratic(gram, shifts) for shifts in ((0, 0), (1, 0), (0, 1))]
+    assert len({p._free for p in ps}) == 3
+    assert_rows_match_reference(ps, [(z, 0, q) for z in range(1, 4) for q in range(5)])
+
+
 def test_relation_rows_at_large_z_degree():
     # a(z)^k at z^0 is a_0^k: one row on the one monomial a_0^z, whose
     # exponent z overflows any code field narrower than z.bit_length();

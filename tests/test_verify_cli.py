@@ -138,7 +138,10 @@ def test_run_cases_parallel():
     assert [r.case for r in reports] == ["gordon k=2", "gordon k=1"]
 
 
-def test_caches_live_for_one_case(monkeypatch):
+MF_SCAN = scan_mf_cases(4, Truncation(4, 3, 2), FieldMode.exact())
+
+
+def test_caches_live_for_one_run_cases(monkeypatch):
     # every cache of the module is one that clear_caches() drops
     assert {f for f in vars(presented).values() if hasattr(f, "cache_clear")} == \
         set(presented._CACHES)
@@ -146,20 +149,63 @@ def test_caches_live_for_one_case(monkeypatch):
     def sizes():
         return [cache.cache_info().currsize for cache in presented._CACHES]
 
-    desc = ("mf", {"lambda": (2, 1), "window": Truncation(4, 3, 2), "mode": MODE})
-    run_case(desc)
-    assert sizes() == [0] * len(presented._CACHES)
+    compare = verify.compare
     warm = []
+
+    def observed(*args):
+        warm.append(sizes())
+        return compare(*args)
+
+    monkeypatch.setattr(verify, "compare", observed)
+    reports, timed_out = run_cases(MF_SCAN)
+    assert not timed_out and len(reports) == len(MF_SCAN) == len(warm)
+    # full from the first case on, and never cleared between cases
+    assert all(warm[0])
+    assert all(a <= b for w0, w1 in zip(warm, warm[1:]) for a, b in zip(w0, w1))
+    assert sizes() == [0] * len(presented._CACHES)
 
     def fail(*args):
         warm.append(sizes())
         raise RuntimeError("comparison failed")
 
+    warm.clear()
     monkeypatch.setattr(verify, "compare", fail)
     with pytest.raises(RuntimeError):
-        run_case(desc)
+        run_cases(MF_SCAN)
     assert all(warm[0])
     assert sizes() == [0] * len(presented._CACHES)
+    # a clock that advances one second per reading: the scan times out
+    # after its first case
+    warm.clear()
+    monkeypatch.setattr(verify, "compare", observed)
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+    reports, timed_out = run_cases(MF_SCAN, timeout=1.5)
+    assert timed_out and len(reports) == len(warm) == 1
+    assert all(warm[0])
+    assert sizes() == [0] * len(presented._CACHES)
+
+
+def test_mf_scan_builds_each_component_once(monkeypatch):
+    # the components depend on the families alone: one family for a
+    # one-part lambda, a and b for the others; so every case after the
+    # first of its family count finds all its components cached
+    misses = []
+    run_one = verify.run_case
+
+    def counted(desc):
+        before = presented.component_monomials.cache_info().misses
+        reports = run_one(desc)
+        nfam = min(len(desc[1]["lambda"]), 2)
+        misses.append((nfam, presented.component_monomials.cache_info().misses - before))
+        return reports
+
+    monkeypatch.setattr(verify, "run_case", counted)
+    run_cases(MF_SCAN)
+    for nfam in (1, 2):
+        first, *later = [m for n, m in misses if n == nfam]
+        assert first > 0 and later == [0] * len(later)
+    assert len(misses) == len(MF_SCAN) == 10
 
 
 def without_millis(reports) -> list:
@@ -169,6 +215,21 @@ def without_millis(reports) -> list:
 def clear_memos() -> None:
     for memo in verify._MEMOS:
         memo.cache_clear()
+
+
+def assert_shared_caches_change_no_report(descs) -> None:
+    """A scan reports what its cases report alone with cold caches, and
+    with two workers what it reports with one."""
+    scanned, _ = run_cases(descs)
+    # run_cases clears every cache when it returns: each case runs cold
+    alone = [r for desc in descs for r in run_cases([desc])[0]]
+    assert without_millis(scanned) == without_millis(alone)
+    parallel, _ = run_cases(descs, jobs=2)
+    assert without_millis(parallel) == without_millis(scanned)
+
+
+def test_mf_scan_caches_never_change_a_report():
+    assert_shared_caches_change_no_report(MF_SCAN)
 
 
 FUSION_SCAN = scan_fusion_cases(2, Truncation(3, 2, 2), MODE)
@@ -220,15 +281,7 @@ def test_fusion_memos_live_for_one_scan(monkeypatch):
 
 
 def test_fusion_memos_never_change_a_report():
-    scanned, _ = run_cases(FUSION_SCAN)
-    alone = []
-    for desc in FUSION_SCAN:
-        clear_memos()
-        alone.extend(run_case(desc))
-    clear_memos()
-    assert without_millis(scanned) == without_millis(alone)
-    parallel, _ = run_cases(FUSION_SCAN, jobs=2)
-    assert without_millis(parallel) == without_millis(scanned)
+    assert_shared_caches_change_no_report(FUSION_SCAN)
 
 
 def test_fusion_memo_keys_hold_window_and_mode():
