@@ -1,34 +1,40 @@
 """Closed fermionic sum evaluators.
 
-One enumerator, _lattice_sum, expands every closed sum
+One enumerator, _lattice_terms, lists the terms of every closed sum
 
-    sum over nonnegative integer vectors x
+    z^z0 q^q0 sum over nonnegative integer vectors x
         z^(z_weights.x) u^(u_weights.x) q^(xGx/2 - sum_i G_ii x_i/2 + shifts.x)
         / (q)_x
 
-into a truncated GradedCharacter, where (q)_x = prod_i (q)_{x_i}.  The
-lattice characters weight every coordinate z^1 u^0.  The fermionic sums
+on a truncation window, and _lattice_character adds them up into a
+GradedCharacter, where (q)_x = prod_i (q)_{x_i} and (z0, q0) is the
+origin, (0, 0) but in the limit route.  The lattice characters weight
+every coordinate z^1 u^0.  The fermionic sums
 
     sum over n (and m) u^|m| (z/q)^(|n|+|m|)
         q^(nAn/2 + nBm + mAm/2 + linear terms) / ((q)_n (q)_m),
 
 with |n| = n_1 + 2 n_2 + 3 n_3 + ... the weighted length, are the case
-x = (n, m) with the block Gram matrix [[A, B], [B^T, A']]: the diagonal
-of A(k) is 2, 4, ..., 2k, so sum_i G_ii x_i / 2 is |n| + |m|.  Every entry
-of G, of the shifts and of the weights is nonnegative, so the exponent
-never decreases as one coordinate grows, which bounds the enumeration.
+x = (n, m) with the block Gram matrix [[A, B], [B^T, A']] (_block): the
+diagonal of A(k) is 2, 4, ..., 2k, so sum_i G_ii x_i / 2 is |n| + |m|.
+Every entry of G and of the weights is nonnegative, so z, u and every
+cross term never decrease as one coordinate grows.  A shift may be
+negative: the exponent is then convex in each coordinate, falling first
+and rising after, and the least amount each coordinate can add on its own
+bounds the enumeration.
 
 fusion_rule states the predicted (lambda, c, d) of the fused character
 once: w_fusion_spec is its gmf sum, and verify builds its algebra.  The
-limit evaluator (character_L_fusion) stabilizes a sequence of reweighted
-finite-level sums of w_fusion_spec, re-derives every term exponent of the
-stabilized level through the closed polynomial P on exactly reconstructed
-rational indices, and also evaluates the literal integer-lattice form of
-the limit sum so callers can report how it compares.  P is written once,
-as the integer parts of K P with K = k1 + k2 (_scaled_limit_polynomial):
-limit_sum_polynomial divides them by K in Fractions, and the literal form
-widens its box by shells in integers, without enumerating the inner box
-again, and counts literal_fractional_terms over the final box.
+limit evaluator (character_L_fusion) stabilizes a sequence of finite-level
+sums, each the w_fusion_spec lattice sum reweighted (_level_terms).  It
+re-derives every term exponent of the stabilized level through the closed
+polynomial P on exactly reconstructed rational indices, and also evaluates
+the literal integer-lattice form of the limit sum so callers can report
+how it compares.  P is written once, as the integer parts of K P with
+K = k1 + k2 (_scaled_limit_polynomial): limit_sum_polynomial divides them
+by K in Fractions, and the literal form widens its box by shells in
+integers, without enumerating the inner box again, and counts
+literal_fractional_terms over the final box.
 """
 
 from __future__ import annotations
@@ -159,11 +165,6 @@ def w_fusion_spec(i1: int, k1: int, i2: int, k2: int) -> FermionicSumSpec:
     return gmf_spec(*fusion_rule(i1, k1, i2, k2))
 
 
-def _diffs(partial: tuple) -> tuple:
-    ext = partial + (0,)
-    return tuple(ext[i] - ext[i + 1] for i in range(len(partial)))
-
-
 @functools.lru_cache(maxsize=None)
 def _poch_product(counts: tuple, q_cap: int) -> tuple:
     series = (1,) + (0,) * q_cap
@@ -172,9 +173,9 @@ def _poch_product(counts: tuple, q_cap: int) -> tuple:
     return series
 
 
-def _term_series(n: tuple, m: tuple, q_cap: int) -> tuple:
-    counts = tuple(sorted(c for c in n + m if c))
-    return _poch_product(counts, q_cap)
+def _term_series(x: tuple, q_cap: int) -> tuple:
+    """1 / (q)_x up to q^q_cap."""
+    return _poch_product(tuple(sorted(c for c in x if c)), q_cap)
 
 
 def _add_series(coeffs: dict, z: int, u: int, q0: int, series) -> None:
@@ -185,43 +186,68 @@ def _add_series(coeffs: dict, z: int, u: int, q0: int, series) -> None:
             coeffs[key] = coeffs.get(key, 0) + cnt
 
 
-def _lattice_sum(gram, shifts, z_weights, u_weights, window) -> GradedCharacter:
-    """The closed sum of the module docstring with G = gram, on window.
+def _lattice_terms(gram, shifts, z_weights, u_weights, window,
+                   origin=(0, 0)) -> list:
+    """The terms (x, z, u, q) of the closed sum of the module docstring with
+    G = gram and origin (z0, q0) whose (z, u, q) lies in window.
 
-    Each G_ii is positive and no entry of gram, shifts or the weights is
-    negative: the exponent, z and u never decrease as one x_i grows, so the
-    loop over x_i stops at the first value past the window."""
+    Each G_ii is positive and no entry of gram or the weights is negative:
+    z and u never decrease as one x_i grows, so the loop over x_i stops at
+    the first value past their caps.  From x_i = v to v + 1 the exponent
+    grows by step = G_ii v + shifts_i + sum_{t<i} G_ti x_t, which rises
+    with v.  low[i] is the least exponent that x_i, x_{i+1}, ... add on
+    their own, each at its vertex (the first v with G_ii v + shifts_i >= 0);
+    their cross terms only add.  So the loop over x_i stops once step >= 0
+    and the exponent plus low[i+1] is past q_max.  With nonnegative shifts
+    low is all zero."""
     size = len(gram)
     q_max = window.q_max
     z_cap = math.inf if window.z_max is None else window.z_max
     u_cap = math.inf if window.u_max is None else window.u_max
-    coeffs: dict = {}
+    low = [0] * (size + 1)
+    for i in range(size - 1, -1, -1):
+        g, s = gram[i][i], shifts[i]
+        v = max(0, -(s // g))
+        low[i] = low[i + 1] + g * v * (v - 1) // 2 + s * v
+    terms = []
 
     def rec(i, q, z, u, acc):
         if i == size:
-            _add_series(coeffs, z, u, q, _term_series(acc, (), q_max - q))
+            terms.append((acc, z, u, q))
             return
-        # from x_i = v to v + 1 the exponent grows by
-        # G_ii v + shifts_i + sum_{t<i} G_ti x_t
         step = shifts[i] + sum(gram[t][i] * acc[t] for t in range(i))
         v = 0
-        while q <= q_max and z <= z_cap and u <= u_cap:
-            rec(i + 1, q, z, u, acc + (v,))
+        while z <= z_cap and u <= u_cap and (step < 0 or q + low[i + 1] <= q_max):
+            if q + low[i + 1] <= q_max:
+                rec(i + 1, q, z, u, acc + (v,))
             q, z, u, v = q + step, z + z_weights[i], u + u_weights[i], v + 1
             step += gram[i][i]
 
-    rec(0, 0, 0, 0, ())
+    rec(0, origin[1], origin[0], 0, ())
+    return terms
+
+
+def _lattice_character(terms, window) -> GradedCharacter:
+    """The sum of terms (x, z, u, q), each z^z u^u q^q / (q)_x, on window."""
+    coeffs: dict = {}
+    for x, z, u, q in terms:
+        _add_series(coeffs, z, u, q, _term_series(x, window.q_max - q))
     return GradedCharacter.make(coeffs, window)
 
 
-def evaluate_fermionic_sum(spec: FermionicSumSpec, window: Truncation) -> GradedCharacter:
-    """The lattice sum over x = (n, m) with Gram matrix [[a_n, b], [b^T, a_m]],
-    z-weights (1..n_len, 1..m_len) and u-weights (0, ..., 0, 1..m_len)."""
+def _block(spec: FermionicSumSpec) -> tuple:
+    """(gram, shifts, z_weights, u_weights) of spec as a lattice sum over
+    x = (n, m): Gram matrix [[a_n, b], [b^T, a_m]], z-weights
+    (1..n_len, 1..m_len) and u-weights (0, ..., 0, 1..m_len)."""
     n_w, m_w = tuple(range(1, spec.n_len + 1)), tuple(range(1, spec.m_len + 1))
     gram = tuple(a + b for a, b in zip(spec.a_n, spec.b))
     gram += tuple(tuple(row[j] for row in spec.b) + spec.a_m[j] for j in range(spec.m_len))
-    return _lattice_sum(gram, spec.n_linear + spec.m_linear, n_w + m_w,
-                        (0,) * spec.n_len + m_w, window)
+    return gram, spec.n_linear + spec.m_linear, n_w + m_w, (0,) * spec.n_len + m_w
+
+
+def evaluate_fermionic_sum(spec: FermionicSumSpec, window: Truncation) -> GradedCharacter:
+    """The lattice sum of _block(spec) on window."""
+    return _lattice_character(_lattice_terms(*_block(spec), window), window)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +295,8 @@ def lattice_principal_character(spec: LatticeSpec, window: Truncation) -> Graded
     The z-grading counts generators (each has z-degree 1); u is not used.
     """
     size = len(spec.gram)
-    return _lattice_sum(spec.gram, spec.shifts, (1,) * size, (0,) * size, window)
+    terms = _lattice_terms(spec.gram, spec.shifts, (1,) * size, (0,) * size, window)
+    return _lattice_character(terms, window)
 
 
 # ---------------------------------------------------------------------------
@@ -287,71 +314,21 @@ class LimitFusionResult:
     seconds: tuple[float, float, float]  # limit, reconstruction, literal routes
 
 
-def _finite_level_terms(i1, k1, i2, k2, level, q_max, u_max) -> list:
-    """Terms of the level-`level` reweighted fused-character sum.
+def _level_terms(i1, k1, i2, k2, level, window) -> list:
+    """The terms (x, z, u, q), x = (n, m), of the level-`level` sum on window:
+    the w_fusion_spec lattice sum reweighted by z -> 2z - i1 - i2 - 2 level K
+    and q -> q - 2 level z + level^2 K + level (i1 + i2), K = k1 + k2.
 
-    Returns (n_partial, n, m, z_exp, u_exp, q_exp) with q_exp <= q_max.
-    The exponent is base + sum f(N_i) + sum f(M_j) + coupling + linear with
-    f(x) = x^2 - (2*level+1)*x and base = level^2(k1+k2) + level(i1+i2);
-    coupling and linear parts are nonnegative, and f >= -level*(level+1),
-    which gives the per-coordinate cap and prefix pruning below.
+    The level sum's exponent is level^2 K + level (i1 + i2) + sum f(N_i)
+    + sum f(M_j) + coupling + linear, with N_i = n_i + n_{i+1} + ... and
+    f(N) = N^2 - (2 level + 1) N = (N^2 - N) - 2 level N, and a
+    w_fusion_spec term has z = sum N_i + sum M_j.
     """
-    spec = w_fusion_spec(i1, k1, i2, k2)
-    big, small = spec.n_len, spec.m_len
-    base = level * level * big + level * (i1 + i2)
-    f_min = -level * (level + 1)
-    disc = (2 * level + 1) ** 2 + 4 * (q_max - base - (big + small - 1) * f_min)
-    if disc < 0:
-        return []
-    cap = ((2 * level + 1) + math.isqrt(disc)) // 2
-
-    def f(x):
-        return x * x - (2 * level + 1) * x
-
-    def vectors(length, others_min):
-        out = []
-
-        def rec(i, hi, facc, acc):
-            if i == length:
-                out.append((tuple(acc), facc))
-                return
-            for v in range(hi + 1):
-                f2 = facc + f(v)
-                rest = (length - 1 - i) * f_min + others_min
-                if f2 + rest + base > q_max and v > level:
-                    break
-                if f2 + rest + base <= q_max:
-                    rec(i + 1, v, f2, acc + [v])
-
-        rec(0, cap, 0, [])
-        return out
-
-    # per m: (m, |m|, its exponent part with the base, the vector B m)
-    m_side = []
-    for mpart, fm in vectors(small, big * f_min):
-        wm = sum(mpart)
-        if u_max is not None and wm > u_max:
-            continue
-        m = _diffs(mpart)
-        m_side.append((m, wm, base + fm + sum(map(mul, m, spec.m_linear)),
-                       tuple(sum(map(mul, row, m)) for row in spec.b)))
-    terms = []
-    for npart, fn in vectors(big, small * f_min):
-        n = _diffs(npart)
-        qn = fn + sum(map(mul, n, spec.n_linear))
-        zn = 2 * sum(npart) - i1 - i2 - 2 * level * big
-        for m, wm, qm, bm in m_side:
-            q0 = qn + qm + sum(map(mul, n, bm))
-            if q0 <= q_max:
-                terms.append((npart, n, m, zn + 2 * wm, wm, q0))
-    return terms
-
-
-def _finite_level_character(terms, q_max, u_max) -> GradedCharacter:
-    coeffs: dict = {}
-    for _, n, m, z0, u0, q0 in terms:
-        _add_series(coeffs, z0, u0, q0, _term_series(n, m, q_max - q0))
-    return GradedCharacter.make(coeffs, Truncation(q_max, None, u_max))
+    gram, shifts, z_w, u_w = _block(w_fusion_spec(i1, k1, i2, k2))
+    big = k1 + k2
+    return _lattice_terms(gram, tuple(s - 2 * level * w for s, w in zip(shifts, z_w)),
+                          tuple(2 * w for w in z_w), u_w, window,
+                          (-i1 - i2 - 2 * level * big, level * level * big + level * (i1 + i2)))
 
 
 def limit_sum_polynomial(s, m, i1, k1, i2, k2):
@@ -365,9 +342,10 @@ def _reconstruction_check(i1, k1, i2, k2, level, terms):
     """Re-derive each term's (z, q) through P on reconstructed rational
     indices s_i = N_i - level + |m|/(k1+k2); returns (ok, detail)."""
     big = k1 + k2
-    for npart, n, m, z0, u0, q0 in terms:
+    for x, z0, u0, q0 in terms:
+        n, m = x[:big], x[big:]
         mu = Fraction(u0, big)
-        s = tuple(Fraction(v) - level + mu for v in npart)
+        s = tuple(sum(n[i:]) - level + mu for i in range(big))
         z_p = -i1 - i2 + 2 * sum(s)
         q_p = limit_sum_polynomial(s, m, i1, k1, i2, k2)
         if z_p != z0 or q_p != q0:
@@ -444,7 +422,7 @@ def _literal_shell(i1, k1, i2, k2, q_max, u_max, old, cap, rows) -> tuple[int, i
                 row = rows.get((z, wm))
                 if row is None:
                     row = rows[(z, wm)] = [0] * (q_max + 1)
-                for t, cnt in enumerate(_term_series(head, m, q_max - p), p):
+                for t, cnt in enumerate(_term_series(head + m, q_max - p), p):
                     row[t] += cnt
     return kept, fractional
 
@@ -494,11 +472,12 @@ def character_L_fusion(i1: int, k1: int, i2: int, k2: int, q_max: int,
     """
     _check_levels(i1, k1, i2, k2)
     t0 = time.monotonic()
+    window = Truncation(q_max, None, u_max)
     prev = None
     matched = None
     for level in range(1, n_max + 2):
-        terms = _finite_level_terms(i1, k1, i2, k2, level, q_max, u_max)
-        cur = _finite_level_character(terms, q_max, u_max)
+        terms = _level_terms(i1, k1, i2, k2, level, window)
+        cur = _lattice_character(terms, window)
         if prev is not None and compare(prev, cur).verdict == "EQUAL":
             matched = level
             break

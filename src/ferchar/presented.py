@@ -449,7 +449,7 @@ def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple,
     for rel, slots, (z_g, u_g, der) in zip(p.relations, p._relation_slots,
                                              p._relation_degrees):
         zc, uc = z - z_g, u - u_g
-        if zc < 0 or uc < 0:
+        if zc < 0 or not _feasible(free, zc, uc, q - der):
             continue
         r_hi = q - der
         if rel.low is not None:

@@ -14,9 +14,10 @@ SCANS.  A kind lists its flags; a flag's name is its command-line flag
 (`--lambda`), its config key and its descriptor key (`"lambda"`), and its
 parser takes command-line text or a JSON value alike.
 
-`run_cases` runs every case of `verify` and `scan`.  Every cache lasts
-one `run_cases` call: the components of presented (keyed on the
-generator families), and the cyclic modules and predicted-algebra
+`run_cases` runs every case of `verify` and `scan`.  Every cache but
+fermionic's table of q-series products, which depends on its arguments
+alone, lasts one `run_cases` call: the components of presented (keyed on
+the generator families), and the cyclic modules and predicted-algebra
 characters of the fusion route, so a scan builds each once.
 """
 

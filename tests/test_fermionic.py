@@ -5,13 +5,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from ferchar import fermionic
 from ferchar.errors import ConfigurationError, StabilizationError
 from ferchar.fermionic import (A_matrix, B_matrix, FermionicSumSpec,
                                LatticeSpec, _add_series, _check_levels,
-                               _diffs, _finite_level_terms,
+                               _lattice_terms, _level_terms,
                                _literal_limit_character, _literal_shell,
                                _reconstruction_check, _scaled_limit_polynomial,
                                _term_series, character_A_lambda,
@@ -173,6 +173,12 @@ def test_fusion_rule_matches_the_direct_forms():
 # the closed sums against the partial-sum evaluator they replaced
 
 
+def _diffs(partial: tuple) -> tuple:
+    """n from its partial sums N_i = n_i + n_{i+1} + ..."""
+    ext = partial + (0,)
+    return tuple(ext[i] - ext[i + 1] for i in range(len(partial)))
+
+
 def _monotone_partial_sums(length: int, q_max: int, z_cap: int | None):
     """Weakly decreasing nonnegative tuples (N_1 >= ... >= N_len) with
     sum N_i (N_i - 1) <= q_max and, if given, sum N_i <= z_cap."""
@@ -229,7 +235,7 @@ def reference_fermionic_sum(spec, window: Truncation) -> GradedCharacter:
             q0 += sum(a * b for a, b in zip(m, spec.m_linear)) + _coupling(spec.b, n, m)
             if q0 > q_max:
                 continue
-            _add_series(coeffs, wn + wm, wm, q0, _term_series(n, m, q_max - q0))
+            _add_series(coeffs, wn + wm, wm, q0, _term_series(n + m, q_max - q0))
     return GradedCharacter.make(coeffs, window)
 
 
@@ -260,6 +266,53 @@ def test_closed_sum_matches_partial_sum_reference(spec):
     for window in CLOSED_WINDOWS:
         assert evaluate_fermionic_sum(spec, window) == \
             reference_fermionic_sum(spec, window), window
+
+
+@strategies.composite
+def lattice_sums(draw):
+    """A 1-3 dimensional closed sum with possibly negative shifts, an origin
+    and a window."""
+    small = strategies.integers
+    size = draw(small(1, 3))
+    gram = [[0] * size for _ in range(size)]
+    for i in range(size):
+        gram[i][i] = draw(small(1, 4))
+        for j in range(i + 1, size):
+            gram[i][j] = gram[j][i] = draw(small(0, 3))
+
+    def vector(lo, hi):
+        return tuple(draw(small(lo, hi)) for _ in range(size))
+
+    window = Truncation(draw(small(0, 5)), draw(strategies.none() | small(-2, 6)),
+                        draw(strategies.none() | small(0, 3)))
+    return (tuple(map(tuple, gram)), vector(-6, 3), vector(0, 2), vector(0, 2),
+            window, (draw(small(-3, 3)), draw(small(-3, 6))))
+
+
+def reference_lattice_terms(gram, shifts, z_weights, u_weights, window, origin):
+    """Every term of the box 0 <= x_i < 20 within window.  On its own a
+    coordinate adds G_ii v(v-1)/2 + shift v >= -21 (G_ii >= 1, shift >= -6)
+    and cross terms are nonnegative, so a term with q - q0 <= 5 + 3 has
+    G_ii v(v-1)/2 + shift v <= 8 + 2 * 21 for each coordinate: v <= 18."""
+    out = []
+    for x in itertools.product(range(20), repeat=len(gram)):
+        q = origin[1] + sum(gram[i][j] * x[i] * x[j] for i in range(len(x))
+                            for j in range(i + 1, len(x)))
+        q += sum(gram[i][i] * v * (v - 1) // 2 + s * v
+                 for i, (v, s) in enumerate(zip(x, shifts)))
+        z = origin[0] + sum(w * v for w, v in zip(z_weights, x))
+        u = sum(w * v for w, v in zip(u_weights, x))
+        if window.contains((z, u, q)):
+            out.append((x, z, u, q))
+    return sorted(out)
+
+
+@given(lattice_sums())
+# the vertex of 4 v(v-1)/2 - v is v = 1, not the floor 0 of the real vertex 3/4
+@example((((1, 0), (0, 4)), (0, -1), (0, 0), (0, 0), Truncation(0), (0, 1)))
+@settings(max_examples=100, deadline=None)
+def test_lattice_terms_match_the_box(args):
+    assert sorted(_lattice_terms(*args)) == reference_lattice_terms(*args)
 
 
 def test_lattice_spec_validation():
@@ -457,7 +510,7 @@ def test_limit_polynomial_matches_the_fraction_form(inputs):
 @pytest.mark.parametrize("levels,q_max,u_max", [
     ((0, 1, 0, 1), 3, None), ((1, 1, 0, 1), 3, 1), ((1, 1, 1, 1), 2, 0),
     ((0, 1, 1, 2), 2, None), ((1, 1, 2, 2), 2, 1), ((2, 2, 0, 1), 2, None),
-    ((1, 2, 1, 2), 2, 1), ((0, 1, 3, 3), 1, 2),
+    ((1, 2, 1, 2), 2, 1), ((0, 1, 3, 3), 1, 2), ((0, 1, 2, 3), 3, 1),
 ])
 def test_limit_routes_match_references(levels, q_max, u_max):
     r = character_L_fusion(*levels, q_max, u_max)
@@ -466,8 +519,10 @@ def test_limit_routes_match_references(levels, q_max, u_max):
     assert r.literal_fractional_terms == fractional
     assert _literal_limit_character(*levels, q_max, u_max) == (literal, fractional)
     level = r.stabilized_at + 1
-    terms = _finite_level_terms(*levels, level, q_max, u_max)
-    assert sorted((t[0], t[2], t[3], t[4], t[5]) for t in terms) == \
+    big = levels[1] + levels[3]
+    terms = _level_terms(*levels, level, Truncation(q_max, None, u_max))
+    assert sorted((tuple(sum(x[i:big]) for i in range(big)), x[big:], z, u, q)
+                  for x, z, u, q in terms) == \
         reference_level_terms(*levels, level, q_max, u_max)
     # the reconstruction on the reused terms, and on terms enumerated again
     assert (r.reconstructed_match, r.reconstructed_detail) == \

@@ -3,9 +3,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import importlib
 import io
 import itertools
 import json
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies
 
+import ferchar
 from ferchar import cli, fermionic, presented, verify
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode
@@ -206,6 +209,32 @@ def test_mf_scan_builds_each_component_once(monkeypatch):
         first, *later = [m for n, m in misses if n == nfam]
         assert first > 0 and later == [0] * len(later)
     assert len(misses) == len(MF_SCAN) == 10
+
+
+def test_mf_scan_asks_for_no_infeasible_component(monkeypatch):
+    # relation_rows skips a relation whose complementary tridegree no
+    # monomial of the families can reach
+    asked = []
+    codes = presented._component_codes
+
+    def counted(free, tridegree, width):
+        asked.append(presented._feasible(free, *tridegree))
+        return codes(free, tridegree, width)
+
+    monkeypatch.setattr(presented, "_component_codes", counted)
+    run_cases(MF_SCAN)
+    assert asked and all(asked)
+
+
+def test_every_cache_has_a_stated_lifetime():
+    # presented._CACHES and verify._MEMOS last one run_cases call;
+    # fermionic._poch_product, a table of q-series that depends on nothing
+    # else, lasts the process, so the commands of one process share it
+    modules = [importlib.import_module(f"ferchar.{m.name}")
+               for m in pkgutil.iter_modules(ferchar.__path__)]
+    caches = {f for module in modules for f in vars(module).values()
+              if hasattr(f, "cache_clear")}
+    assert caches == {*presented._CACHES, *verify._MEMOS, fermionic._poch_product}
 
 
 def without_millis(reports) -> list:
