@@ -25,16 +25,18 @@ bounds the enumeration.
 
 fusion_rule states the predicted (lambda, c, d) of the fused character
 once: w_fusion_spec is its gmf sum, and verify builds its algebra.  The
-limit evaluator (character_L_fusion) stabilizes a sequence of finite-level
-sums, each the w_fusion_spec lattice sum reweighted (_level_terms).  It
-re-derives every term exponent of the stabilized level through the closed
-polynomial P on exactly reconstructed rational indices, and also evaluates
-the literal integer-lattice form of the limit sum so callers can report
-how it compares.  P is written once, as the integer parts of K P with
-K = k1 + k2 (_scaled_limit_polynomial): limit_sum_polynomial divides them
-by K in Fractions, and the literal form widens its box by shells in
-integers, without enumerating the inner box again, and counts
-literal_fractional_terms over the final box.
+limit evaluator (stabilized_limit) stabilizes a sequence of finite-level
+sums, each the w_fusion_spec lattice sum reweighted (_level_terms).
+character_L_fusion also re-derives every term exponent of the stabilized
+level through the closed polynomial P, in integers on K times the
+reconstructed rational indices, and evaluates the literal integer-lattice
+form of the limit sum so callers can report how it compares.  P is written
+once, as the integer parts of K P with K = k1 + k2
+(_scaled_limit_polynomial): limit_sum_polynomial divides them by K in
+Fractions, and the literal form widens its box by shells in integers,
+without enumerating the inner box again.  For fixed m, K P is a separable
+convex quadratic in s, so each shell visits only the terms with
+K P <= K q_max, which are all that it counts.
 """
 
 from __future__ import annotations
@@ -339,16 +341,24 @@ def limit_sum_polynomial(s, m, i1, k1, i2, k2):
 
 
 def _reconstruction_check(i1, k1, i2, k2, level, terms):
-    """Re-derive each term's (z, q) through P on reconstructed rational
-    indices s_i = N_i - level + |m|/(k1+k2); returns (ok, detail)."""
-    big = k1 + k2
+    """Re-derive each term's (z, q) through P on the reconstructed rational
+    indices s_i = N_i - level + |m|/K; returns (ok, detail).  In integers on
+    t = K s: 2 sum(t) = K (z + i1 + i2), and, s_part being a quadratic form
+    plus a linear one, K^3 P = (s_part(t) + s_part(-t))/2 + K (s_part(t) -
+    s_part(-t))/2 + K^2 const + K sum_i t_i coef_i = K^3 q.  Only a
+    mismatch's detail goes through the Fraction form."""
+    big, _, s_part, m_part = _scaled_limit_polynomial(i1, k1, i2, k2)
     for x, z0, u0, q0 in terms:
         n, m = x[:big], x[big:]
-        mu = Fraction(u0, big)
-        s = tuple(sum(n[i:]) - level + mu for i in range(big))
-        z_p = -i1 - i2 + 2 * sum(s)
-        q_p = limit_sum_polynomial(s, m, i1, k1, i2, k2)
-        if z_p != z0 or q_p != q0:
+        t = tuple(big * (sum(n[i:]) - level) + u0 for i in range(big))
+        _, const, coef = m_part(m)
+        plus, minus = s_part(t), s_part(tuple(-v for v in t))
+        if (2 * sum(t) != big * (z0 + i1 + i2)
+                or (plus + minus) // 2 + big * ((plus - minus) // 2) + big * big * const
+                + big * sum(map(mul, t, coef)) != big ** 3 * q0):
+            s = tuple(Fraction(v, big) for v in t)
+            z_p = -i1 - i2 + 2 * sum(s)
+            q_p = limit_sum_polynomial(s, m, i1, k1, i2, k2)
             return False, (f"term n={n} m={m} at level {level}: "
                            f"direct (z,q)=({z0},{q0}), closed form ({z_p},{q_p})")
     return True, None
@@ -389,41 +399,51 @@ def _literal_shell(i1, k1, i2, k2, q_max, u_max, old, cap, rows) -> tuple[int, i
     """Add the literal limit sum's terms with old < max(|s_i|, m_j) <= cap
     to rows, where rows[(z, u)][q] holds the series before the division by
     (q)_infinity; old = -1 takes the whole box.  Returns the number of
-    integral terms added and the number of fractional terms seen.
+    integral terms added and the number of fractional terms seen, both
+    among the terms with K P <= K q_max, the only ones visited: for fixed
+    m, K P = const + sum_i f_i(s_i) with the convex f_i(x) = s_part(x e_i)
+    + coef_i x = a x^2 + b x (s_part is separable).  low[i] is the least
+    that s_i, s_{i+1}, ... add, each at the minimum of its f over its range
+    in the box, so s_i runs over the interval |2 a s_i + b| <= r where the
+    exponent so far plus f_i(s_i) plus low[i+1] stays within K q_max.
     """
     big, small, s_part, m_part = _scaled_limit_polynomial(i1, k1, i2, k2)
-    k_q = big * q_max
-    all_m, new_m = [], []
+    units = [tuple(int(i == j) for j in range(big)) for i in range(big)]
+    quad = [(s_part(e) + s_part(tuple(-x for x in e))) // 2 for e in units]
+    lin = [(s_part(e) - s_part(tuple(-x for x in e))) // 2 for e in units]
+    floor = (0,) * (big - 1) + (-cap,)  # s_1 >= ... >= s_{K-1} >= 0, s_K >= -cap
+    kept = fractional = 0
     for m in itertools.product(range(cap + 1), repeat=small):
         wm, const, coef = m_part(m)
-        if u_max is None or wm <= u_max:
-            all_m.append((m, wm, const, coef))
-            if max(m) > old:
-                new_m.append(all_m[-1])
-    kept = fractional = 0
-    # s_1 >= ... >= s_{K-1} >= 0 (the head) and s_{K-1} >= s_K >= -cap
-    for head in itertools.combinations_with_replacement(range(cap, -1, -1), big - 1):
-        for tail in range(-cap, head[-1] + 1):
-            m_terms = all_m if max(head[0], -tail) > old else new_m
-            if not m_terms:
+        if u_max is not None and wm > u_max:
+            continue
+        slope = [b + c for b, c in zip(lin, coef)]
+        low = [0] * (big + 1)
+        for i in range(big - 1, -1, -1):
+            v = min(max((quad[i] - slope[i]) // (2 * quad[i]), floor[i]), cap)
+            low[i] = low[i + 1] + quad[i] * v * v + slope[i] * v
+        # (s_1..s_i, const + f_1(s_1) + ... + f_i(s_i)); low keeps r real
+        stack = [((), const)] if const + low[0] <= big * q_max else []
+        while stack:
+            s, kp = stack.pop()
+            i = len(s)
+            if i < big:
+                a, b = quad[i], slope[i]
+                r = math.isqrt(b * b + 4 * a * (big * q_max - kp - low[i + 1]))
+                hi = min(s[-1] if s else cap, (r - b) // (2 * a))
+                if i == big - 1 and max(s[0], *m) <= old:
+                    hi = min(hi, -old - 1)  # the shell rule: s_K < -old
+                stack.extend((s + (x,), kp + a * x * x + b * x)
+                             for x in range(max(floor[i], -((r + b) // (2 * a))), hi + 1))
                 continue
-            s = head + (tail,)
-            s_k = s_part(s)
-            z = 2 * sum(s) - i1 - i2
-            for m, wm, const, coef in m_terms:
-                kp = s_k + const + sum(map(mul, s, coef))
-                if kp > k_q:
-                    continue
-                p, rem = divmod(kp, big)
-                if rem:
-                    fractional += 1
-                    continue
-                kept += 1
-                row = rows.get((z, wm))
-                if row is None:
-                    row = rows[(z, wm)] = [0] * (q_max + 1)
-                for t, cnt in enumerate(_term_series(head + m, q_max - p), p):
-                    row[t] += cnt
+            p, rem = divmod(kp, big)
+            if rem:
+                fractional += 1
+                continue
+            kept += 1
+            row = rows.setdefault((2 * sum(s) - i1 - i2, wm), [0] * (q_max + 1))
+            for t, cnt in enumerate(_term_series(s[:-1] + m, q_max - p), p):
+                row[t] += cnt
     return kept, fractional
 
 
@@ -435,7 +455,8 @@ def _literal_limit_character(i1, k1, i2, k2, q_max, u_max) -> tuple[GradedCharac
     terms whose exponent is not an integer cannot contribute to an integer
     q-grading and are counted separately.
 
-    The exponent is evaluated as the integer K P with K = k1 + k2.  The box
+    The exponent is evaluated as the integer K P with K = k1 + k2, and only
+    at the terms with K P <= K q_max (_literal_shell).  The box
     max(|s_i|, m_j) <= cap starts at cap = q_max + 4 and widens by shells of
     3 until a shell adds no integral term: every such term adds at least 1
     at its own (z, u, q), so that is when the character stops changing.
@@ -461,31 +482,35 @@ def _literal_limit_character(i1, k1, i2, k2, q_max, u_max) -> tuple[GradedCharac
     return GradedCharacter.make(coeffs, Truncation(q_max, None, u_max)), fractional
 
 
-def character_L_fusion(i1: int, k1: int, i2: int, k2: int, q_max: int,
-                       u_max: int | None = None, n_max: int = 8) -> LimitFusionResult:
-    """Stabilized limit character of the fused level-k1 and level-k2 modules.
-
-    Evaluates the reweighted finite-level sums for level = 1, 2, ... until
+def stabilized_limit(i1: int, k1: int, i2: int, k2: int, q_max: int,
+                     u_max: int | None = None, n_max: int = 8) -> tuple:
+    """(character, level, terms): the limit character of the fused level-k1
+    and level-k2 modules.  Evaluates the reweighted finite-level sums for level = 1, 2, ... until
     two consecutive levels agree on the whole window (q <= q_max, optional
-    u cap, z unbounded); stabilized_at is the first level of the agreeing
-    pair.  Raises StabilizationError when stabilized_at would exceed n_max.
+    u cap, z unbounded); level is the second of the agreeing pair, and
+    terms are its _level_terms.  Raises StabilizationError when the first
+    of the pair would exceed n_max.
     """
     _check_levels(i1, k1, i2, k2)
-    t0 = time.monotonic()
     window = Truncation(q_max, None, u_max)
     prev = None
-    matched = None
     for level in range(1, n_max + 2):
         terms = _level_terms(i1, k1, i2, k2, level, window)
         cur = _lattice_character(terms, window)
         if prev is not None and compare(prev, cur).verdict == "EQUAL":
-            matched = level
-            break
+            return cur, level, terms
         prev = cur
-    if matched is None:
-        raise StabilizationError(
-            f"no stabilization for ({i1},{k1})*({i2},{k2}) on q<={q_max} "
-            f"within {n_max} levels")
+    raise StabilizationError(
+        f"no stabilization for ({i1},{k1})*({i2},{k2}) on q<={q_max} "
+        f"within {n_max} levels")
+
+
+def character_L_fusion(i1: int, k1: int, i2: int, k2: int, q_max: int,
+                       u_max: int | None = None, n_max: int = 8) -> LimitFusionResult:
+    """stabilized_limit, the reconstruction of its terms and the literal
+    route; stabilized_at is the first level of the agreeing pair."""
+    t0 = time.monotonic()
+    cur, matched, terms = stabilized_limit(i1, k1, i2, k2, q_max, u_max, n_max)
     t1 = time.monotonic()
     ok, detail = _reconstruction_check(i1, k1, i2, k2, matched, terms)
     t2 = time.monotonic()

@@ -283,8 +283,8 @@ def _every_z(window: Truncation) -> Truncation:
 
 def _limform(v):
     a, n_max, w = _levels(v), _n_max(v), _every_z(v["window"])
-    return (f"limform{a}", lambda: fermionic.character_L_fusion(
-        *a, w.q_max, w.u_max, n_max).character)
+    return (f"limform{a}", lambda: fermionic.stabilized_limit(
+        *a, w.q_max, w.u_max, n_max)[0])
 
 
 def _lattice(v):

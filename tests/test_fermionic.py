@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies
@@ -540,3 +541,111 @@ def test_literal_shell_equals_the_box(levels, q_max, u_max, cap):
     assert widened == from_scratch
     assert sum(k for k, _ in counts) == kept
     assert sum(f for _, f in counts) == fractional
+
+
+# ---------------------------------------------------------------------------
+# the pruned literal shell and the integer reconstruction against their
+# parent forms
+
+
+def reference_literal_shell(i1, k1, i2, k2, q_max, u_max, old, cap, rows) -> tuple[int, int]:
+    """Add the literal limit sum's terms with old < max(|s_i|, m_j) <= cap
+    to rows, where rows[(z, u)][q] holds the series before the division by
+    (q)_infinity; old = -1 takes the whole box.  Returns the number of
+    integral terms added and the number of fractional terms seen.
+    """
+    big, small, s_part, m_part = _scaled_limit_polynomial(i1, k1, i2, k2)
+    k_q = big * q_max
+    all_m, new_m = [], []
+    for m in itertools.product(range(cap + 1), repeat=small):
+        wm, const, coef = m_part(m)
+        if u_max is None or wm <= u_max:
+            all_m.append((m, wm, const, coef))
+            if max(m) > old:
+                new_m.append(all_m[-1])
+    kept = fractional = 0
+    # s_1 >= ... >= s_{K-1} >= 0 (the head) and s_{K-1} >= s_K >= -cap
+    for head in itertools.combinations_with_replacement(range(cap, -1, -1), big - 1):
+        for tail in range(-cap, head[-1] + 1):
+            m_terms = all_m if max(head[0], -tail) > old else new_m
+            if not m_terms:
+                continue
+            s = head + (tail,)
+            s_k = s_part(s)
+            z = 2 * sum(s) - i1 - i2
+            for m, wm, const, coef in m_terms:
+                kp = s_k + const + sum(map(mul, s, coef))
+                if kp > k_q:
+                    continue
+                p, rem = divmod(kp, big)
+                if rem:
+                    fractional += 1
+                    continue
+                kept += 1
+                row = rows.get((z, wm))
+                if row is None:
+                    row = rows[(z, wm)] = [0] * (q_max + 1)
+                for t, cnt in enumerate(_term_series(head + m, q_max - p), p):
+                    row[t] += cnt
+    return kept, fractional
+
+
+# LEVELS and a K = 5 tuple, where the box is widest
+SHELL_LEVELS = LEVELS + [(1, 2, 2, 3)]
+
+
+@given(scaled_inputs())
+def test_s_part_is_separable(inputs):
+    # the pruned shell bounds each coordinate on its own
+    levels, s, _ = inputs
+    big, _, s_part, _ = _scaled_limit_polynomial(*levels)
+    units = [tuple(x if i == j else 0 for j in range(big)) for i, x in enumerate(s)]
+    assert s_part(s) == sum(map(s_part, units))
+
+
+@given(strategies.sampled_from(SHELL_LEVELS), strategies.integers(0, 3),
+       strategies.sampled_from([None, 0, 2]), strategies.integers(0, 6),
+       strategies.integers(-1, 5))
+@settings(max_examples=60, deadline=None)
+@example((0, 1, 0, 1), 3, None, 6, -1)
+@example((1, 2, 2, 3), 3, None, 5, 2)
+def test_literal_shell_matches_the_full_box(levels, q_max, u_max, cap, old):
+    # the shell visits only the terms with K P <= K q_max; the parent form
+    # evaluates every point of the box
+    old = min(old, cap - 1)
+    pruned, full = {}, {}
+    assert _literal_shell(*levels, q_max, u_max, old, cap, pruned) == \
+        reference_literal_shell(*levels, q_max, u_max, old, cap, full)
+    assert pruned == full
+
+
+def reference_reconstruction_check(i1, k1, i2, k2, level, terms):
+    """Re-derive each term's (z, q) through P on reconstructed rational
+    indices s_i = N_i - level + |m|/(k1+k2); returns (ok, detail)."""
+    big = k1 + k2
+    for x, z0, u0, q0 in terms:
+        n, m = x[:big], x[big:]
+        mu = Fraction(u0, big)
+        s = tuple(sum(n[i:]) - level + mu for i in range(big))
+        z_p = -i1 - i2 + 2 * sum(s)
+        q_p = limit_sum_polynomial(s, m, i1, k1, i2, k2)
+        if z_p != z0 or q_p != q0:
+            return False, (f"term n={n} m={m} at level {level}: "
+                           f"direct (z,q)=({z0},{q0}), closed form ({z_p},{q_p})")
+    return True, None
+
+
+@pytest.mark.parametrize("levels", [(0, 1, 0, 1), (1, 1, 1, 2), (2, 2, 1, 2),
+                                    (0, 1, 3, 3), (1, 2, 2, 3)])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_reconstruction_check_rejects_as_the_fraction_form(levels, level):
+    terms = _level_terms(*levels, level, Truncation(3, None, None))
+    assert _reconstruction_check(*levels, level, terms) == (True, None)
+    for j in sorted({0, len(terms) // 2, len(terms) - 1}):
+        for field, delta in itertools.product((1, 2, 3), (-1, 1)):
+            bad = list(terms[j])
+            bad[field] += delta
+            perturbed = terms[:j] + [tuple(bad)] + terms[j + 1:]
+            expected = reference_reconstruction_check(*levels, level, perturbed)
+            assert not expected[0]
+            assert _reconstruction_check(*levels, level, perturbed) == expected

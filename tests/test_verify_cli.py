@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies
 
 import ferchar
 from ferchar import cli, fermionic, presented, verify
-from ferchar.errors import ConfigurationError
+from ferchar.errors import ConfigurationError, ResourceLimitError
 from ferchar.exactlin import FieldMode
 from ferchar.gradedchar import Truncation
 from ferchar.presented import Partition, build_presentation_A
@@ -502,12 +502,32 @@ LIMFORM = {"i1": 0, "k1": 1, "i2": 0, "k2": 1}
      "--right", json.dumps({"kind": "limform", **LIMFORM})],
 ])
 def test_limform_refuses_a_z_bound(capsys, argv):
-    # the limit character and both of its checks run over every z
+    # the limit character, and verify's two checks of it, run over every z
     assert cli.main([*argv, "--qmax", "2"]) == 0
     capsys.readouterr()
     assert cli.main([*argv, "--qmax", "2", "--zmax", "0"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["char", "limform", "--i1", "1", "--k1", "1", "--i2", "0", "--k2", "2",
+     "--qmax", "3", "--format", "json"],
+    ["verify", "custom", "--left", json.dumps({"kind": "limform", **LIMFORM}),
+     "--right", json.dumps({"kind": "limform", **LIMFORM}), "--qmax", "3"],
+])
+def test_limform_evaluator_runs_no_check(capsys, monkeypatch, argv):
+    # the evaluator is the stabilized character alone; verify limform's
+    # reconstruction and literal route are not run to be thrown away
+    expected = run_cli(capsys, *argv)
+
+    def never(*args, **kwargs):
+        raise ResourceLimitError("a check ran in the limform evaluator")
+
+    monkeypatch.setattr(fermionic, "_literal_limit_character", never)
+    monkeypatch.setattr(fermionic, "_reconstruction_check", never)
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0 and expected[1]
 
 
 ALGEBRA_42 = json.dumps({"kind": "algebra", "lambda": [4, 2]})
@@ -526,7 +546,7 @@ def test_custom_checks_both_sides_before_either_runs(capsys, monkeypatch, argv):
         raise AssertionError("an evaluator ran before both were checked")
 
     monkeypatch.setattr(verify, "graded_character", never)
-    monkeypatch.setattr(fermionic, "character_L_fusion", never)
+    monkeypatch.setattr(fermionic, "stabilized_limit", never)
     assert cli.main(["verify", "custom", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("configuration error: ")
