@@ -75,7 +75,11 @@ def B_matrix(lam: Partition) -> tuple:
 
 def gram_matrix_for_partition(lam: Partition) -> tuple:
     """Gram matrix on p_1..p_{lam0}, q_1..q_s: all diagonal entries 2,
-    (p_i, q_j) = 1 exactly when lam_{j-1} >= i > lam_j."""
+    (p_i, q_j) = 1 exactly when lam_{j-1} >= i > lam_j.
+
+    No command calls it; it stays here because the benchmark harness
+    (perfbench/workloads.py) builds the fourth Gram matrix of its
+    lattice-rank workload with it, as the criterion 5 test does."""
     n, s = lam.lam0, lam.s
     size = n + s
     rows = [[0] * size for _ in range(size)]
@@ -482,8 +486,12 @@ def _literal_limit_character(i1, k1, i2, k2, q_max, u_max) -> tuple[GradedCharac
     return GradedCharacter.make(coeffs, Truncation(q_max, None, u_max)), fractional
 
 
+# the default n_max: the highest level that may start an agreeing pair
+N_MAX = 8
+
+
 def stabilized_limit(i1: int, k1: int, i2: int, k2: int, q_max: int,
-                     u_max: int | None = None, n_max: int = 8) -> tuple:
+                     u_max: int | None = None, n_max: int = N_MAX) -> tuple:
     """(character, level, terms): the limit character of the fused level-k1
     and level-k2 modules.  Evaluates the reweighted finite-level sums for level = 1, 2, ... until
     two consecutive levels agree on the whole window (q <= q_max, optional
@@ -506,7 +514,7 @@ def stabilized_limit(i1: int, k1: int, i2: int, k2: int, q_max: int,
 
 
 def character_L_fusion(i1: int, k1: int, i2: int, k2: int, q_max: int,
-                       u_max: int | None = None, n_max: int = 8) -> LimitFusionResult:
+                       u_max: int | None = None, n_max: int = N_MAX) -> LimitFusionResult:
     """stabilized_limit, the reconstruction of its terms and the literal
     route; stabilized_at is the first level of the agreeing pair."""
     t0 = time.monotonic()

@@ -79,13 +79,28 @@ def _finish(case, left, right, cmp_result: Comparison, seconds: float,
             mode: FieldMode, expected="EQUAL",
             informational=False) -> VerificationReport:
     """A report whose millis is the time spent on the two compared routes."""
-    millis = int(seconds * 1000)
     verdict = cmp_result.verdict
-    passed = informational or verdict == "EQUAL" or \
-        (expected == "LE" and verdict == "LE")
     return VerificationReport(case, left, right, cmp_result.window, verdict,
-                              cmp_result.first_diff, millis, mode.kind,
-                              mode.seed, informational, passed)
+                              cmp_result.first_diff, int(seconds * 1000), mode.kind,
+                              mode.seed, informational,
+                              informational or verdict in ("EQUAL", expected))
+
+
+def _compare_routes(case, routes, pairs, mode: FieldMode, expected="EQUAL",
+                    informational=False) -> list:
+    """One report per (i, j) in pairs, comparing route i with route j.
+
+    routes are (label, fn() -> GradedCharacter) pairs; each fn runs once,
+    in order, and a report's millis is the time of its two routes."""
+    characters, seconds = [], []
+    for _, fn in routes:
+        t0 = time.monotonic()
+        characters.append(fn())
+        seconds.append(time.monotonic() - t0)
+    return [_finish(case, routes[i][0], routes[j][0],
+                    compare(characters[i], characters[j]),
+                    seconds[i] + seconds[j], mode, expected, informational)
+            for i, j in pairs]
 
 
 def _brute_window(window: Truncation, u_max: int | None) -> Truncation:
@@ -228,7 +243,7 @@ def _levels(v: dict) -> tuple:
 
 
 def _n_max(v: dict) -> int:
-    return 8 if v.get("nmax") is None else v["nmax"]
+    return fermionic.N_MAX if v.get("nmax") is None else v["nmax"]
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +365,9 @@ def verify_custom(left_desc: dict, right_desc: dict, window: Truncation,
     evaluators' own labels."""
     (left, left_fn), (right, right_fn) = (build_evaluator(left_desc, window, mode),
                                           build_evaluator(right_desc, window, mode))
-    t0 = time.monotonic()
-    a, b = left_fn(), right_fn()
-    return [_finish(case or f"custom {left} vs {right}", *(labels or (left, right)),
-                    compare(a, b), time.monotonic() - t0, mode, expected)]
+    routes = tuple(zip(labels or (left, right), (left_fn, right_fn)))
+    return _compare_routes(case or f"custom {left} vs {right}", routes, ((0, 1),),
+                           mode, expected)
 
 
 def verify_gordon(k: int, window: Truncation, mode: FieldMode) -> list:
@@ -391,23 +405,13 @@ _MEMOS = (fusion.principal_subspace, _fusion_algebra)
 def verify_fusion(i1: int, k1: int, i2: int, k2: int, window: Truncation,
                   mode: FieldMode, points=None) -> list:
     w = _brute_window(window, None)
-    case = f"fusion ({i1},{k1})x({i2},{k2})"
-    t0 = time.monotonic()
-    fused = fusion.principal_fusion_character(i1, k1, i2, k2, w, mode, points)
-    t1 = time.monotonic()
-    formula = fermionic.character_W_fusion(i1, k1, i2, k2, w)
-    t2 = time.monotonic()
-    algebra = _fusion_algebra(
-        build_presentation_A(*fermionic.fusion_rule(i1, k1, i2, k2)), w, mode)
-    t3 = time.monotonic()
-    fused_s, formula_s, algebra_s = t1 - t0, t2 - t1, t3 - t2
-    first = _finish(case, "fusion-bruteforce", "w-fusion-sum",
-                    compare(fused, formula), fused_s + formula_s, mode)
-    second = _finish(case, "fusion-bruteforce", "algebra-bruteforce",
-                     compare(fused, algebra), fused_s + algebra_s, mode)
-    third = _finish(case, "w-fusion-sum", "algebra-bruteforce",
-                    compare(formula, algebra), formula_s + algebra_s, mode)
-    return [first, second, third]
+    routes = (("fusion-bruteforce", lambda: fusion.principal_fusion_character(
+                   i1, k1, i2, k2, w, mode, points)),
+              ("w-fusion-sum", lambda: fermionic.character_W_fusion(i1, k1, i2, k2, w)),
+              ("algebra-bruteforce", lambda: _fusion_algebra(build_presentation_A(
+                  *fermionic.fusion_rule(i1, k1, i2, k2)), w, mode)))
+    return _compare_routes(f"fusion ({i1},{k1})x({i2},{k2})", routes,
+                           ((0, 1), (0, 2), (1, 2)), mode)
 
 
 def verify_lattice(gram, shifts, window: Truncation, mode: FieldMode) -> list:
@@ -420,20 +424,17 @@ def verify_lattice(gram, shifts, window: Truncation, mode: FieldMode) -> list:
 
 
 def verify_limform(i1: int, k1: int, i2: int, k2: int, q_max: int,
-                   u_max: int | None = None, n_max: int = 8) -> list:
-    mode = FieldMode.exact()  # formula-only case
-    case = f"limform ({i1},{k1})x({i2},{k2})"
-    window = Truncation(q_max, None, u_max)
+                   u_max: int | None = None, n_max: int = fermionic.N_MAX) -> list:
+    case, mode = f"limform ({i1},{k1})x({i2},{k2})", FieldMode.exact()  # formulas only
     result = fermionic.character_L_fusion(i1, k1, i2, k2, q_max, u_max, n_max)
     limit_s, recon_s, literal_s = result.seconds
     recon = Comparison("EQUAL" if result.reconstructed_match else "MISMATCH",
-                       window)
-    first = _finish(case, "limit-stabilized", "reconstructed-closed-form",
-                    recon, limit_s + recon_s, mode)
-    second = _finish(case, "limit-stabilized", "literal-integer-lattice",
-                     result.literal_comparison, limit_s + literal_s, mode,
-                     informational=True)
-    return [first, second]
+                       Truncation(q_max, None, u_max))
+    return [_finish(case, "limit-stabilized", "reconstructed-closed-form",
+                    recon, limit_s + recon_s, mode),
+            _finish(case, "limit-stabilized", "literal-integer-lattice",
+                    result.literal_comparison, limit_s + literal_s, mode,
+                    informational=True)]
 
 
 def verify_points(levels, window: Truncation, points_a, points_b) -> list:
@@ -447,14 +448,17 @@ def verify_points(levels, window: Truncation, points_a, points_b) -> list:
     if any(len(x) != 2 for x in levels):
         raise ConfigurationError(f"levels must be (i, k) pairs, got {levels}")
     w = _brute_window(window, None)
-    t0 = time.monotonic()
-    mods = tuple(fusion.principal_subspace(i, k, w.q_max, w.z_max) for i, k in levels)
-    a, b = (fusion.fusion_character(fusion.FusionSpec.make(mods, points, w))
-            for points in (points_a, points_b))
-    return [_finish(f"fusion-points {levels}", f"points={tuple(points_a)}",
-                    f"points={tuple(points_b)}", compare(a, b),
-                    time.monotonic() - t0, FieldMode.exact(),
-                    informational=len(levels) > 2)]
+
+    def character(points):
+        # the modules are memos: the second point set reuses the first's
+        mods = tuple(fusion.principal_subspace(i, k, w.q_max, w.z_max)
+                     for i, k in levels)
+        return fusion.fusion_character(fusion.FusionSpec.make(mods, points, w))
+
+    return _compare_routes(f"fusion-points {levels}",
+                           [(f"points={tuple(p)}", functools.partial(character, p))
+                            for p in (points_a, points_b)], ((0, 1),),
+                           FieldMode.exact(), informational=len(levels) > 2)
 
 
 CASES = {
@@ -540,38 +544,32 @@ def run_cases(descs: list, jobs: int = 1,
     """Run cases in declared order; returns (reports, timed_out).
 
     The timeout budget is spent once the elapsed time reaches it, and is
-    checked before each case, with or without a pool.  Every cache lives
+    checked before each case, with or without a pool; a pool cancels the
+    cases it has not started when the run ends.  Every cache lives
     for one call: the memos of cyclic modules and predicted-algebra
     characters, and the components and relation terms of presented, so
     later cases of a scan reuse what earlier ones built.  With jobs > 1
     each worker keeps its own, and they end with the pool."""
     reports: list = []
     start = time.monotonic()
+    pool = None if jobs <= 1 else concurrent.futures.ProcessPoolExecutor(jobs)
     try:
-        if jobs <= 1:
-            for desc in descs:
-                if timeout is not None and time.monotonic() - start >= timeout:
-                    return reports, True
-                reports.extend(run_case(desc))
-            return reports, False
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_case, d) for d in descs]
-            for fut in futures:
-                remaining = None
-                if timeout is not None:
-                    remaining = timeout - (time.monotonic() - start)
-                    if remaining <= 0:
-                        for other in futures:
-                            other.cancel()
-                        return reports, True
-                try:
-                    reports.extend(fut.result(timeout=remaining))
-                except concurrent.futures.TimeoutError:
-                    for other in futures:
-                        other.cancel()
-                    return reports, True
+        # result(timeout) -> the reports of one case; without a pool a case
+        # runs when its result is asked for
+        results = ((lambda timeout, d=d: run_case(d)) for d in descs) if pool is None \
+            else [pool.submit(run_case, d).result for d in descs]
+        for result in results:
+            remaining = None if timeout is None else timeout - (time.monotonic() - start)
+            if remaining is not None and remaining <= 0:
+                return reports, True
+            try:
+                reports.extend(result(timeout=remaining))
+            except concurrent.futures.TimeoutError:
+                return reports, True
         return reports, False
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         for memo in _MEMOS:
             memo.cache_clear()
         clear_caches()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 
 from ferchar.cli import COMMANDS, COMMON_FLAGS
+from ferchar.gradedchar import GradedCharacter, Truncation
 
 
 def presentation_to_json(p) -> dict:
@@ -39,3 +40,38 @@ def build_parser() -> argparse.ArgumentParser:
             for flag in kind.flags + COMMON_FLAGS:
                 sp.add_argument("--" + flag.name, dest=flag.name)
     return parser
+
+
+def restrict(a: GradedCharacter, truncation: Truncation) -> GradedCharacter:
+    """a on the meet of its window and truncation."""
+    window = a.truncation.meet(truncation)
+    return GradedCharacter.make(a.coeffs, window)
+
+
+def char_reweight(a: GradedCharacter, z_scale: int, z_shift: int,
+                  q_shift_per_z: int, q_shift: int) -> GradedCharacter:
+    """Map key (z, u, q) to (z_scale*z + z_shift, u, q + q_shift_per_z*z + q_shift).
+
+    The q-window of the result is recomputed so that every coefficient
+    inside it is still exact; a negative per-z shift therefore needs a
+    finite z window on the input.
+    """
+    if z_scale < 1:
+        raise ValueError("z_scale must be >= 1")
+    t = a.truncation
+    if q_shift_per_z < 0:
+        if t.z_max is None:
+            raise ValueError("negative q_shift_per_z needs a finite z window")
+        q_max = t.q_max + q_shift + q_shift_per_z * t.z_max
+    else:
+        q_max = t.q_max + q_shift
+    z_max = None if t.z_max is None else z_scale * t.z_max + z_shift
+    window = Truncation(q_max, z_max, t.u_max)
+    out: dict = {}
+    for (z, u, q), v in a.coeffs.items():
+        if z < 0:
+            raise ValueError("char_reweight needs nonnegative z degrees")
+        key = (z_scale * z + z_shift, u, q + q_shift_per_z * z + q_shift)
+        if window.contains(key):
+            out[key] = out.get(key, 0) + v
+    return GradedCharacter(out, window)

@@ -16,11 +16,12 @@ import time
 from ferchar import fermionic, fusion, verify
 from ferchar.exactlin import FieldMode
 from ferchar.gradedchar import (GradedCharacter, Truncation, char_mul,
-                                char_reweight, compare, inv_pochhammer,
-                                restrict)
+                                compare, inv_pochhammer)
 from ferchar.presented import (InitialConditions, Partition,
                                build_presentation_A,
                                build_presentation_quadratic, graded_character)
+
+from helpers import char_reweight, restrict
 
 MODE = FieldMode.two_prime(0)
 

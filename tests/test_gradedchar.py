@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, strategies
 
 from ferchar.gradedchar import (Comparison, GradedCharacter, Truncation,
-                                char_mul, char_reweight, compare, convolve,
-                                inv_pochhammer, render_csv, render_table,
-                                restrict, to_json_dict)
+                                char_mul, compare, convolve, inv_pochhammer,
+                                render_csv, render_table, to_json_dict)
+
+from helpers import char_reweight, restrict
 
 
 def test_truncation_contains():

@@ -18,10 +18,10 @@ import ferchar
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ferchar"
 
-# test-only names that stay in the library: acceptance criterion 9 imports
-# them to build the tensor-product character from the library's own
-# arithmetic
-ALLOWED = {"char_mul", "char_reweight", "restrict"}
+# test-only names that stay in the library: acceptance criterion 9 builds
+# the tensor-product character with the library's own char_mul, which the
+# Weyl-Kac check of the limit route will use
+ALLOWED = {"char_mul"}
 
 
 def _names(node) -> set:

@@ -128,6 +128,9 @@ def test_run_cases_timeout(monkeypatch):
     descs = [("gordon", {"k": 1, "window": W32, "mode": MODE})]
     reports, timed_out = run_cases(descs, timeout=-1.0)
     assert timed_out and reports == []
+    # a pool checks the same deadline before each case's result (on the
+    # real clock: shutting a pool down waits on time.monotonic)
+    assert run_cases(descs, jobs=2, timeout=0.0) == ([], True)
     # the budget is spent once elapsed >= timeout, also on a clock that
     # has not ticked
     monkeypatch.setattr(time, "monotonic", lambda: 100.0)
