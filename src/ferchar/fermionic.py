@@ -31,11 +31,12 @@ character_L_fusion also re-derives every term exponent of the stabilized
 level through the closed polynomial P, in integers on K times the
 reconstructed rational indices, and evaluates the literal integer-lattice
 form of the limit sum so callers can report how it compares.  P is written
-once, as the integer parts of K P with K = k1 + k2
-(_scaled_limit_polynomial): limit_sum_polynomial divides them by K in
-Fractions, and the literal form widens its box by shells in integers,
-without enumerating the inner box again.  For fixed m, K P is a separable
-convex quadratic in s, so each shell visits only the terms with
+once, as the integer coefficients of K P = K |s|^2 + lin(m).s + const(m)
+with K = k1 + k2 (_limit_exponent), and all three read them:
+limit_sum_polynomial divides K P by K in Fractions, the reconstruction
+checks K^2 P on t = K s, and the literal form widens its box by shells in
+integers, without enumerating the inner box again.  For fixed m, K P is a
+separable convex quadratic in s, so each shell visits only the terms with
 K P <= K q_max, which are all that it counts.
 """
 
@@ -337,29 +338,45 @@ def _level_terms(i1, k1, i2, k2, level, window) -> list:
                           (-i1 - i2 - 2 * level * big, level * level * big + level * (i1 + i2)))
 
 
+def _limit_exponent(i1, k1, i2, k2, m):
+    """(|m|, const, lin): the closed exponent P(s, m) of the limit sum as
+
+        K P(s, m) = K |s|^2 + sum_i lin_i s_i + const,    K = k1 + k2,
+
+    with lin_i = K sum_{j: i+2j >= K+1} m_j - 2|m| - K [i <= i1 + i2] and
+    m of min(k1, k2) entries.  const and lin are integers for integer m.
+    This is the one hand-written statement of P.
+    """
+    big, mn = k1 + k2, min(i1, i2)
+    wm = sum(j * x for j, x in enumerate(m, 1))
+    const = big * (sum(min(i, j) * a * b for i, a in enumerate(m, 1) for j, b in enumerate(m, 1))
+                   + sum((j - mn) * x for j, x in enumerate(m, 1) if j > mn))
+    const -= wm * (wm + big - i1 - i2)
+    lin = tuple(big * sum(x for j, x in enumerate(m, 1) if i + 2 * j >= big + 1)
+                - 2 * wm - big * (i <= i1 + i2) for i in range(1, big + 1))
+    return wm, const, lin
+
+
 def limit_sum_polynomial(s, m, i1, k1, i2, k2):
     """The closed exponent P(s, m) of the limit sum; s may be rational."""
-    big, _, s_part, m_part = _scaled_limit_polynomial(i1, k1, i2, k2)
-    _, const, coef = m_part(m)
-    return Fraction(s_part(s) + const + sum(map(mul, s, coef)), big)
+    big = k1 + k2
+    _, const, lin = _limit_exponent(i1, k1, i2, k2, m)
+    return Fraction(big * sum(x * x for x in s) + sum(map(mul, lin, s)) + const, big)
 
 
 def _reconstruction_check(i1, k1, i2, k2, level, terms):
     """Re-derive each term's (z, q) through P on the reconstructed rational
     indices s_i = N_i - level + |m|/K; returns (ok, detail).  In integers on
-    t = K s: 2 sum(t) = K (z + i1 + i2), and, s_part being a quadratic form
-    plus a linear one, K^3 P = (s_part(t) + s_part(-t))/2 + K (s_part(t) -
-    s_part(-t))/2 + K^2 const + K sum_i t_i coef_i = K^3 q.  Only a
-    mismatch's detail goes through the Fraction form."""
-    big, _, s_part, m_part = _scaled_limit_polynomial(i1, k1, i2, k2)
+    t = K s: 2 sum(t) = K (z + i1 + i2) and K^2 P = |t|^2 + lin.t + K const
+    = K^2 q.  Only a mismatch's detail goes through the Fraction form."""
+    big = k1 + k2
     for x, z0, u0, q0 in terms:
         n, m = x[:big], x[big:]
         t = tuple(big * (sum(n[i:]) - level) + u0 for i in range(big))
-        _, const, coef = m_part(m)
-        plus, minus = s_part(t), s_part(tuple(-v for v in t))
+        _, const, lin = _limit_exponent(i1, k1, i2, k2, m)
         if (2 * sum(t) != big * (z0 + i1 + i2)
-                or (plus + minus) // 2 + big * ((plus - minus) // 2) + big * big * const
-                + big * sum(map(mul, t, coef)) != big ** 3 * q0):
+                or sum(v * v for v in t) + sum(map(mul, lin, t)) + big * const
+                != big * big * q0):
             s = tuple(Fraction(v, big) for v in t)
             z_p = -i1 - i2 + 2 * sum(s)
             q_p = limit_sum_polynomial(s, m, i1, k1, i2, k2)
@@ -368,77 +385,42 @@ def _reconstruction_check(i1, k1, i2, k2, level, terms):
     return True, None
 
 
-def _scaled_limit_polynomial(i1, k1, i2, k2):
-    """The closed exponent P(s, m) of the limit sum, split into the parts of
-    K P with K = k1 + k2:
-
-        K P(s, m) = s_part(s) + const + sum_i s_i coef_i,
-        (|m|, const, coef) = m_part(m),
-
-    with the coupling coefficient coef_i = K sum_{j: i+2j >= K+1} m_j - 2|m|.
-    const and coef are integers for integer m, and s_part is exact for
-    rational s.  Returns (K, the smaller level, s_part, m_part); m has that
-    many entries.  This is the one hand-written statement of P.
-    """
-    big, small, mn = k1 + k2, min(k1, k2), min(i1, i2)
-    amat = A_matrix(small)
-
-    def s_part(s):
-        return big * (sum(x * x for x in s) - sum(s[:i1 + i2]))
-
-    def m_part(m):
-        wm = sum((j + 1) * x for j, x in enumerate(m))
-        const = big * (sum(amat[i][j] * m[i] * m[j]
-                           for i in range(small) for j in range(small)) // 2
-                       + sum((j - mn) * m[j - 1] for j in range(mn + 1, small + 1)))
-        const -= wm * (wm + big - i1 - i2)
-        coef = tuple(big * sum(m[j - 1] for j in range(1, small + 1) if i + 2 * j >= big + 1)
-                     - 2 * wm for i in range(1, big + 1))
-        return wm, const, coef
-
-    return big, small, s_part, m_part
-
-
 def _literal_shell(i1, k1, i2, k2, q_max, u_max, old, cap, rows) -> tuple[int, int]:
     """Add the literal limit sum's terms with old < max(|s_i|, m_j) <= cap
     to rows, where rows[(z, u)][q] holds the series before the division by
     (q)_infinity; old = -1 takes the whole box.  Returns the number of
     integral terms added and the number of fractional terms seen, both
     among the terms with K P <= K q_max, the only ones visited: for fixed
-    m, K P = const + sum_i f_i(s_i) with the convex f_i(x) = s_part(x e_i)
-    + coef_i x = a x^2 + b x (s_part is separable).  low[i] is the least
-    that s_i, s_{i+1}, ... add, each at the minimum of its f over its range
-    in the box, so s_i runs over the interval |2 a s_i + b| <= r where the
-    exponent so far plus f_i(s_i) plus low[i+1] stays within K q_max.
+    m, K P = const + sum_i f_i(s_i) with the convex f_i(x) = K x^2 + b x,
+    b = lin_i (_limit_exponent).  low[i] is the least that s_i, s_{i+1},
+    ... add, each at the minimum of its f over its range in the box, so
+    s_i runs over the interval |2 K s_i + b| <= r where the exponent so
+    far plus f_i(s_i) plus low[i+1] stays within K q_max.
     """
-    big, small, s_part, m_part = _scaled_limit_polynomial(i1, k1, i2, k2)
-    units = [tuple(int(i == j) for j in range(big)) for i in range(big)]
-    quad = [(s_part(e) + s_part(tuple(-x for x in e))) // 2 for e in units]
-    lin = [(s_part(e) - s_part(tuple(-x for x in e))) // 2 for e in units]
+    big = k1 + k2
     floor = (0,) * (big - 1) + (-cap,)  # s_1 >= ... >= s_{K-1} >= 0, s_K >= -cap
     kept = fractional = 0
-    for m in itertools.product(range(cap + 1), repeat=small):
-        wm, const, coef = m_part(m)
+    for m in itertools.product(range(cap + 1), repeat=min(k1, k2)):
+        wm, const, lin = _limit_exponent(i1, k1, i2, k2, m)
         if u_max is not None and wm > u_max:
             continue
-        slope = [b + c for b, c in zip(lin, coef)]
         low = [0] * (big + 1)
         for i in range(big - 1, -1, -1):
-            v = min(max((quad[i] - slope[i]) // (2 * quad[i]), floor[i]), cap)
-            low[i] = low[i + 1] + quad[i] * v * v + slope[i] * v
+            v = min(max((big - lin[i]) // (2 * big), floor[i]), cap)
+            low[i] = low[i + 1] + big * v * v + lin[i] * v
         # (s_1..s_i, const + f_1(s_1) + ... + f_i(s_i)); low keeps r real
         stack = [((), const)] if const + low[0] <= big * q_max else []
         while stack:
             s, kp = stack.pop()
             i = len(s)
             if i < big:
-                a, b = quad[i], slope[i]
-                r = math.isqrt(b * b + 4 * a * (big * q_max - kp - low[i + 1]))
-                hi = min(s[-1] if s else cap, (r - b) // (2 * a))
+                b = lin[i]
+                r = math.isqrt(b * b + 4 * big * (big * q_max - kp - low[i + 1]))
+                hi = min(s[-1] if s else cap, (r - b) // (2 * big))
                 if i == big - 1 and max(s[0], *m) <= old:
                     hi = min(hi, -old - 1)  # the shell rule: s_K < -old
-                stack.extend((s + (x,), kp + a * x * x + b * x)
-                             for x in range(max(floor[i], -((r + b) // (2 * a))), hi + 1))
+                stack.extend((s + (x,), kp + big * x * x + b * x)
+                             for x in range(max(floor[i], -((r + b) // (2 * big))), hi + 1))
                 continue
             p, rem = divmod(kp, big)
             if rem:

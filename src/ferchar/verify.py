@@ -371,6 +371,7 @@ def verify_custom(left_desc: dict, right_desc: dict, window: Truncation,
 
 
 def verify_gordon(k: int, window: Truncation, mode: FieldMode) -> list:
+    fermionic.gordon_spec(k)  # refuse k < 1 as char gordon does, before the algebra
     return verify_custom({"kind": "algebra", "lambda": (k,)},
                          {"kind": "gordon", "k": k}, _brute_window(window, 0),
                          mode, f"gordon k={k}", _ALGEBRA_VS_SUM)

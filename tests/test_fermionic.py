@@ -13,8 +13,8 @@ from ferchar.errors import ConfigurationError, StabilizationError
 from ferchar.fermionic import (A_matrix, B_matrix, FermionicSumSpec,
                                LatticeSpec, _add_series, _check_levels,
                                _lattice_terms, _level_terms,
-                               _literal_limit_character, _literal_shell,
-                               _reconstruction_check, _scaled_limit_polynomial,
+                               _limit_exponent, _literal_limit_character,
+                               _literal_shell, _reconstruction_check,
                                _term_series, character_A_lambda,
                                character_A_lambda_cd, character_L_fusion,
                                character_W_fusion, delta_vector,
@@ -487,11 +487,11 @@ def scaled_inputs(draw):
 @given(scaled_inputs())
 def test_scaled_polynomial_is_k_times_the_fraction_form(inputs):
     levels, s, m = inputs
-    big, small, s_part, m_part = _scaled_limit_polynomial(*levels)
-    wm, const, coef = m_part(m)
-    kp = s_part(s) + const + sum(x * c for x, c in zip(s, coef))
+    big = levels[1] + levels[3]
+    wm, const, lin = _limit_exponent(*levels, m)
+    kp = big * sum(x * x for x in s) + sum(map(mul, lin, s)) + const
     p = reference_limit_sum_polynomial(s, m, *levels)
-    assert (big, small) == (levels[1] + levels[3], len(m))
+    assert len(lin) == big
     assert wm == sum((j + 1) * x for j, x in enumerate(m))
     assert kp == big * p
     assert (kp % big == 0) == (p.denominator == 1)
@@ -554,13 +554,13 @@ def reference_literal_shell(i1, k1, i2, k2, q_max, u_max, old, cap, rows) -> tup
     (q)_infinity; old = -1 takes the whole box.  Returns the number of
     integral terms added and the number of fractional terms seen.
     """
-    big, small, s_part, m_part = _scaled_limit_polynomial(i1, k1, i2, k2)
+    big = k1 + k2
     k_q = big * q_max
     all_m, new_m = [], []
-    for m in itertools.product(range(cap + 1), repeat=small):
-        wm, const, coef = m_part(m)
+    for m in itertools.product(range(cap + 1), repeat=min(k1, k2)):
+        wm, const, lin = _limit_exponent(i1, k1, i2, k2, m)
         if u_max is None or wm <= u_max:
-            all_m.append((m, wm, const, coef))
+            all_m.append((m, wm, const, lin))
             if max(m) > old:
                 new_m.append(all_m[-1])
     kept = fractional = 0
@@ -571,10 +571,10 @@ def reference_literal_shell(i1, k1, i2, k2, q_max, u_max, old, cap, rows) -> tup
             if not m_terms:
                 continue
             s = head + (tail,)
-            s_k = s_part(s)
+            s_k = big * sum(x * x for x in s)
             z = 2 * sum(s) - i1 - i2
-            for m, wm, const, coef in m_terms:
-                kp = s_k + const + sum(map(mul, s, coef))
+            for m, wm, const, lin in m_terms:
+                kp = s_k + const + sum(map(mul, s, lin))
                 if kp > k_q:
                     continue
                 p, rem = divmod(kp, big)
@@ -594,13 +594,37 @@ def reference_literal_shell(i1, k1, i2, k2, q_max, u_max, old, cap, rows) -> tup
 SHELL_LEVELS = LEVELS + [(1, 2, 2, 3)]
 
 
-@given(scaled_inputs())
-def test_s_part_is_separable(inputs):
-    # the pruned shell bounds each coordinate on its own
-    levels, s, _ = inputs
-    big, _, s_part, _ = _scaled_limit_polynomial(*levels)
-    units = [tuple(x if i == j else 0 for j in range(big)) for i, x in enumerate(s)]
-    assert s_part(s) == sum(map(s_part, units))
+def test_scaled_polynomial_is_positive_definite():
+    # K P is a positive definite quadratic form in (s, m), so the literal
+    # window {K P <= K q_max} is finite and the shell widening stops.  The
+    # second differences of K P are twice the form's matrix; Sylvester's
+    # criterion asks every leading principal minor to be positive.
+    levels = [(i1, k1, i2, k2) for k1 in range(1, 5) for k2 in range(1, 5)
+              for i1 in range(k1 + 1) for i2 in range(k2 + 1)]
+    assert len(levels) == 196
+    for i1, k1, i2, k2 in levels:
+        big, small = k1 + k2, min(k1, k2)
+        size = big + small
+
+        def kp(v):
+            _, const, lin = _limit_exponent(i1, k1, i2, k2, v[big:])
+            return big * sum(x * x for x in v[:big]) + sum(map(mul, lin, v[:big])) + const
+
+        def point(*axes):
+            return tuple(sum(a == t for a in axes) for t in range(size))
+
+        zero = kp(point())
+        rows = [[Fraction(kp(point(a, b)) - kp(point(a)) - kp(point(b)) + zero)
+                 for b in range(size)] for a in range(size)]
+        # elimination without pivoting: the j-th leading minor is the
+        # product of the first j pivots
+        minor = Fraction(1)
+        for j in range(size):
+            minor *= rows[j][j]
+            assert minor > 0, ((i1, k1, i2, k2), j + 1)
+            for r in range(j + 1, size):
+                ratio = rows[r][j] / rows[j][j]
+                rows[r] = [x - ratio * y for x, y in zip(rows[r], rows[j])]
 
 
 @given(strategies.sampled_from(SHELL_LEVELS), strategies.integers(0, 3),

@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -521,15 +522,20 @@ def test_limform_refuses_a_z_bound(capsys, argv):
 ])
 def test_limform_evaluator_runs_no_check(capsys, monkeypatch, argv):
     # the evaluator is the stabilized character alone; verify limform's
-    # reconstruction and literal route are not run to be thrown away
-    expected = run_cli(capsys, *argv)
+    # reconstruction and literal route are not run to be thrown away; the
+    # text report's millis differ from run to run, so they are masked
+    def run_masked():
+        code, out = run_cli(capsys, *argv)
+        return code, re.sub(r"\(\d+ ms\)", "(N ms)", out)
+
+    expected = run_masked()
 
     def never(*args, **kwargs):
         raise ResourceLimitError("a check ran in the limform evaluator")
 
     monkeypatch.setattr(fermionic, "_literal_limit_character", never)
     monkeypatch.setattr(fermionic, "_reconstruction_check", never)
-    assert run_cli(capsys, *argv) == expected
+    assert run_masked() == expected
     assert expected[0] == 0 and expected[1]
 
 
@@ -732,6 +738,14 @@ def test_malformed_case_values_exit_2(tmp_path, capsys):
                   "--out", str(tmp_path / "missing" / "out.txt"))):
         assert cli.main(list(argv)) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("command", ["char", "verify"])
+def test_gordon_level_zero_has_one_message(capsys, command):
+    # verify refuses the level before the algebra side's partition check
+    assert cli.main([command, "gordon", "--k", "0", "--qmax", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "configuration error: level must be >= 1\n"
 
 
 @pytest.mark.parametrize("family,relation", [
