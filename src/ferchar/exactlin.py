@@ -23,19 +23,19 @@ the same step in both fields, and a pivot is only made where its leading
 entry is a unit, so the elimination is the two per-prime ones side by
 side, with the same pivot columns.  A non-unit leading entry, where the
 primes may diverge, is the one exception, and it sends the computation
-to the rationals.  `int_rank` applies the protocol to ranks; the fusion
-filtration applies it to whole fused characters.
+to the rationals with a warning to the "ferchar.exactlin" logger; the
+module imports `logging` only then, so importing ferchar does not load
+it.  `int_rank` applies the protocol to ranks; the fusion filtration
+applies it to whole fused characters.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-log = logging.getLogger("ferchar.exactlin")
+from .frozen import frozen
 
 
 class NonUnit(ArithmeticError):
@@ -187,7 +187,7 @@ def random_prime_31(rng: random.Random) -> int:
             return c
 
 
-@dataclass(frozen=True)
+@frozen
 class FieldMode:
     """Where ranks are computed: exact rationals, or two random prime fields."""
 
@@ -209,7 +209,7 @@ class FieldMode:
         return FieldMode("two-prime", seed, (p1, p2))
 
 
-@dataclass(frozen=True)
+@frozen
 class RankResult:
     rank: int
     escalated: bool = False
@@ -222,8 +222,8 @@ def two_prime(compute, mode: FieldMode):
     return a value that does not depend on the field as long as the
     elimination picks the same pivot columns (a rank, dimensions, a
     character).  Two-prime mode runs it once modulo p1*p2; when that run
-    raises NonUnit it logs a warning and recomputes over the rationals,
-    with escalated True."""
+    raises NonUnit it logs a warning to the "ferchar.exactlin" logger and
+    recomputes over the rationals, with escalated True."""
     if mode.kind == "exact":
         return compute(None), False
     if mode.kind != "two-prime" or not mode.primes:
@@ -231,7 +231,9 @@ def two_prime(compute, mode: FieldMode):
     try:
         return compute(math.prod(mode.primes)), False
     except NonUnit as exc:
-        log.warning("%s (primes %s); recomputing exactly", exc, mode.primes)
+        import logging  # loaded only when the fallback warns
+        logging.getLogger("ferchar.exactlin").warning(
+            "%s (primes %s); recomputing exactly", exc, mode.primes)
     return compute(None), True
 
 

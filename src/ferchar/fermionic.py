@@ -46,11 +46,11 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .errors import ConfigurationError, ResourceLimitError, StabilizationError
+from .frozen import frozen
 from .gradedchar import (Comparison, GradedCharacter, Truncation, compare,
                          convolve, inv_pochhammer)
 from .presented import InitialConditions, Partition, check_lattice, low_ranges
@@ -110,7 +110,7 @@ def delta_vector(index: int, length: int) -> tuple[int, ...]:
 # closed sums
 
 
-@dataclass(frozen=True)
+@frozen
 class FermionicSumSpec:
     a_n: tuple  # quadratic form on n
     a_m: tuple  # quadratic form on m
@@ -283,7 +283,7 @@ def character_W_fusion(i1: int, k1: int, i2: int, k2: int,
 # lattice principal characters
 
 
-@dataclass(frozen=True)
+@frozen
 class LatticeSpec:
     gram: tuple
     shifts: tuple[int, ...]
@@ -310,7 +310,7 @@ def lattice_principal_character(spec: LatticeSpec, window: Truncation) -> Graded
 # limit characters
 
 
-@dataclass(frozen=True)
+@frozen
 class LimitFusionResult:
     character: GradedCharacter
     stabilized_at: int  # first level whose window character equals the next

@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .exactlin import FieldMode, NonUnit, echelon, two_prime
@@ -36,6 +35,7 @@ from .exactlin import FieldMode, NonUnit, echelon, two_prime
 # boundary and stops with BoundaryMissing without it
 from .exactlin import reduce_rows  # noqa: F401
 from .fermionic import delta_vector
+from .frozen import frozen
 # compare is unused here, but perfbench/spans.py traces ferchar.fusion.compare
 from .gradedchar import GradedCharacter, Truncation, compare  # noqa: F401
 from .presented import (InitialConditions, Partition, Presentation,
@@ -46,7 +46,7 @@ from .presented import (InitialConditions, Partition, Presentation,
 # cyclic modules
 
 
-@dataclass(frozen=True)
+@frozen
 class CyclicModule:
     label: str
     q_max: int
@@ -103,7 +103,7 @@ def default_points(n: int) -> tuple[int, ...]:
     return ((1, 0) + tuple(range(2, n)))[:n]
 
 
-@dataclass(frozen=True)
+@frozen
 class FusionSpec:
     modules: tuple
     points: tuple

@@ -16,7 +16,7 @@ Key choices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .frozen import frozen
 
 Key = tuple  # (z_deg, u_deg, q_deg)
 
@@ -29,7 +29,7 @@ def _min_opt(a, b):
     return min(a, b)
 
 
-@dataclass(frozen=True)
+@frozen
 class Truncation:
     q_max: int
     z_max: int | None = None
@@ -51,7 +51,7 @@ class Truncation:
                           _min_opt(self.u_max, other.u_max))
 
 
-@dataclass(frozen=True)
+@frozen
 class GradedCharacter:
     coeffs: dict
     truncation: Truncation
@@ -116,7 +116,7 @@ def convolve(a, b, q_max: int) -> tuple[int, ...]:
 # comparison
 
 
-@dataclass(frozen=True)
+@frozen
 class Comparison:
     verdict: str  # "EQUAL" | "LE" | "MISMATCH"
     window: Truncation

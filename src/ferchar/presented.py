@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .exactlin import FieldMode, int_rank, reduce_rows
+from .frozen import frozen
 from .gradedchar import GradedCharacter, Truncation
 
 Mode = tuple  # (family index, q-degree n) for the coefficient a_{f,-n}
@@ -48,7 +48,7 @@ Monomial = tuple  # modes sorted ascending, with repetition
 # presentation data
 
 
-@dataclass(frozen=True)
+@frozen
 class Partition:
     parts: tuple[int, ...]
 
@@ -80,7 +80,7 @@ class Partition:
         return all(p[i - 1] - p[i] <= p[i] - p[i + 1] for i in range(1, len(p) - 1))
 
 
-@dataclass(frozen=True)
+@frozen
 class InitialConditions:
     c: tuple[int, ...]
     d: tuple[int, ...]
@@ -93,21 +93,21 @@ class InitialConditions:
         return InitialConditions(c, d)
 
 
-@dataclass(frozen=True)
+@frozen
 class GeneratorFamily:
     name: str
     u_increment: int = 0
     min_mode: int = 0
 
 
-@dataclass(frozen=True)
+@frozen
 class RelationFamily:
     factors: tuple  # ((family name, derivative order, power), ...)
     low: int | None = None  # None = ALL coefficients, r = coefficients of z^0..z^{r-1}
     label: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class Presentation:
     families: tuple
     relations: tuple

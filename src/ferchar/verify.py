@@ -14,32 +14,33 @@ SCANS.  A kind lists its flags; a flag's name is its command-line flag
 (`--lambda`), its config key and its descriptor key (`"lambda"`), and its
 parser takes command-line text or a JSON value alike.
 
-`run_cases` runs every case of `verify` and `scan`.  Every cache but
-fermionic's table of q-series products, which depends on its arguments
-alone, lasts one `run_cases` call: the components of presented (keyed on
-the generator families), and the cyclic modules and predicted-algebra
-characters of the fusion route, so a scan builds each once.
+`run_cases` runs every case of `verify` and `scan`, in a process pool
+only with jobs > 1, which is when it imports `concurrent.futures`.  Every
+cache but fermionic's table of q-series products, which depends on its
+arguments alone, lasts one `run_cases` call: the components of presented
+(keyed on the generator families), and the cyclic modules and
+predicted-algebra characters of the fusion route, so a scan builds each
+once.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import json
 import time
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from . import fermionic, fusion
 from .errors import ConfigurationError
 from .exactlin import FieldMode
+from .frozen import frozen
 from .gradedchar import Comparison, Truncation, compare
 from .presented import (InitialConditions, Partition, build_presentation_A,
                         build_presentation_quadratic, clear_caches,
                         graded_character, presentation_from_json)
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationReport:
     case: str
     left: str
@@ -205,7 +206,7 @@ def load_presentation(value):
     return presentation_from_json(data)
 
 
-@dataclass(frozen=True)
+@frozen
 class Flag:
     """--name on the command line, name in config files and descriptors."""
 
@@ -214,7 +215,7 @@ class Flag:
     required: bool = False
 
 
-@dataclass(frozen=True)
+@frozen
 class Kind:
     """One registered evaluator, case or scan."""
 
@@ -550,10 +551,17 @@ def run_cases(descs: list, jobs: int = 1,
     for one call: the memos of cyclic modules and predicted-algebra
     characters, and the components and relation terms of presented, so
     later cases of a scan reuse what earlier ones built.  With jobs > 1
-    each worker keeps its own, and they end with the pool."""
+    each worker keeps its own, and they end with the pool; only then is
+    `concurrent.futures` imported, so the sequential path never names it."""
     reports: list = []
     start = time.monotonic()
-    pool = None if jobs <= 1 else concurrent.futures.ProcessPoolExecutor(jobs)
+    # expired: what result(timeout) raises once its timeout passes; a
+    # sequential result raises nothing of the kind
+    pool, expired = None, ()
+    if jobs > 1:
+        import concurrent.futures
+        pool = concurrent.futures.ProcessPoolExecutor(jobs)
+        expired = concurrent.futures.TimeoutError
     try:
         # result(timeout) -> the reports of one case; without a pool a case
         # runs when its result is asked for
@@ -565,7 +573,7 @@ def run_cases(descs: list, jobs: int = 1,
                 return reports, True
             try:
                 reports.extend(result(timeout=remaining))
-            except concurrent.futures.TimeoutError:
+            except expired:
                 return reports, True
         return reports, False
     finally:

@@ -1,5 +1,5 @@
-"""The library holds no code that only tests use, and imports only the
-standard library.
+"""The library holds no code that only tests use, imports only the
+standard library, and loads little of it on import.
 
 Every top-level function and class of `src/ferchar` must be referenced,
 outside its own definition, by the library itself, by the benchmark
@@ -10,6 +10,8 @@ harness in `perfbench/` (which names traced boundaries in strings), or by
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -79,3 +81,18 @@ def test_library_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_import_loads_no_dataclasses_logging_or_pool():
+    # a fresh interpreter, counting only what importing ferchar.cli adds to
+    # sys.modules, so what site loads does not count: logging comes with
+    # the exact-recompute warning and the pool with --jobs > 1
+    code = ("import sys; before = set(sys.modules); import ferchar.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    added = set(out.split())
+    assert "ferchar.cli" in added
+    assert {"dataclasses", "logging", "concurrent.futures"} & added == set()
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "dataclass" in p.read_text()] == []

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import importlib
 import io
 import itertools
@@ -145,6 +144,23 @@ def test_run_cases_parallel():
     assert [r.case for r in reports] == ["gordon k=2", "gordon k=1"]
 
 
+def test_run_cases_parallel_raises_the_case_error():
+    # a worker's exception reaches the caller as its own type: the loop
+    # catches only the pool's TimeoutError
+    descs = [("gordon", {"k": k, "window": W32, "mode": MODE}) for k in (1, 0)]
+    with pytest.raises(ConfigurationError, match="level must be >= 1") as info:
+        run_cases(descs, jobs=2, timeout=60.0)
+    assert type(info.value) is ConfigurationError
+
+
+def test_run_cases_parallel_budget_spent_inside_a_case():
+    # starting the pool takes a few tens of ms and the one case about 0.3 s,
+    # so the budget runs out inside result(timeout), whose TimeoutError the
+    # loop catches (on Python 3.10 it is not the builtin TimeoutError)
+    slow = [("gordon", {"k": 2, "window": Truncation(20, 8, 0), "mode": MODE})]
+    assert run_cases(slow, jobs=2, timeout=0.1) == ([], True)
+
+
 MF_SCAN = scan_mf_cases(4, Truncation(4, 3, 2), FieldMode.exact())
 
 
@@ -242,7 +258,7 @@ def test_every_cache_has_a_stated_lifetime():
 
 
 def without_millis(reports) -> list:
-    return [dataclasses.replace(r, millis=0) for r in reports]
+    return [type(r)(**{**vars(r), "millis": 0}) for r in reports]
 
 
 def clear_memos() -> None:
