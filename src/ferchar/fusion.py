@@ -19,8 +19,9 @@ Powers m >= n are linear combinations of m <= n-1 (Vandermonde), so the
 monomials only use m = 0..n-1.  A tensor basis element is the tuple of
 its slots' global indices; inside a (z, q) component the elements run in
 lexicographic order.  The u-degree-l layer of the fused character is
-dim F_l - dim F_{l-1} per (z, q) component; all of this is exact on a
-finite window because the operators strictly raise z and never lower q.
+dim F_l - dim F_{l-1} per (z, q) component, the number of standard
+monomials of degree l; all of this is exact on a finite window because
+the operators strictly raise z and never lower q.
 """
 
 from __future__ import annotations
@@ -103,14 +104,10 @@ def default_points(n: int) -> tuple[int, ...]:
     return ((1, 0) + tuple(range(2, n)))[:n]
 
 
-@frozen
-class FusionSpec:
-    modules: tuple
-    points: tuple
-    window: Truncation
+class FusionContext:
+    """Tensor bases and filtration operators for one fusion computation."""
 
-    @staticmethod
-    def make(modules, points, window: Truncation) -> FusionSpec:
+    def __init__(self, modules, points, window: Truncation):
         modules, points = tuple(modules), tuple(points)
         if len(modules) < 2:
             raise ConfigurationError("fusion needs at least two modules")
@@ -118,34 +115,25 @@ class FusionSpec:
             raise ConfigurationError("one evaluation point per module")
         if len({m.field for m in modules}) != 1:
             raise ConfigurationError("all modules must share one field")
-        field = modules[0].field
+        self.field = modules[0].field
         for x, y in itertools.combinations(points, 2):
             if x == y:
                 raise ConfigurationError(f"points must be pairwise distinct: {points}")
-            if field is not None and math.gcd(x - y, field) != 1:
-                raise NonUnit(f"points {x} and {y} differ by a non-unit mod {field}")
+            if self.field is not None and math.gcd(x - y, self.field) != 1:
+                raise NonUnit(f"points {x} and {y} differ by a non-unit mod {self.field}")
         if window.z_max is None or window.u_max is None:
             raise ConfigurationError("fusion needs a finite window")
         for m in modules:
             if m.q_max < window.q_max or m.z_max < window.z_max:
                 raise ConfigurationError(f"module {m.label} window too small")
-        return FusionSpec(modules, points, window)
-
-
-class FusionContext:
-    """Tensor bases and filtration operators for one fusion computation."""
-
-    def __init__(self, spec: FusionSpec):
-        self.spec = spec
-        self.field = spec.modules[0].field
-        self.n = len(spec.modules)
-        w = spec.window
+        self.modules, self.points, self.window = modules, points, window
+        self.n = len(modules)
         # one lexicographic sweep over the slots, kept to the window
         sweep = [((), 0, 0)]
-        for module in spec.modules:
+        for module in modules:
             sweep = [(elem + (g,), z + dz, q + dq) for elem, z, q in sweep
                      for g, (dz, dq) in enumerate(module.degrees)
-                     if z + dz <= w.z_max and q + dq <= w.q_max]
+                     if z + dz <= window.z_max and q + dq <= window.q_max]
         self._elems: dict = {}  # (z, q) -> its elements, in column order
         for elem, z, q in sweep:
             self._elems.setdefault((z, q), []).append(elem)
@@ -168,7 +156,7 @@ class FusionContext:
         p = self.field
         # slots whose z_t^m vanishes in the field contribute nothing
         slots = []
-        for t, (module, point) in enumerate(zip(self.spec.modules, self.spec.points)):
+        for t, (module, point) in enumerate(zip(self.modules, self.points)):
             scale = pow(point, m, p) if p is not None else point ** m
             if scale:
                 slots.append((t, module.actions, scale))
@@ -187,8 +175,9 @@ class FusionContext:
                         out.pop(key, None)
         return out
 
-    def filtration_dimensions(self) -> dict:
-        """dims[(z, q, l)] = dim F_l of the (z, q) tensor component.
+    def layer_counts(self) -> dict:
+        """counts[(z, l, q)] = dim F_l - dim F_{l-1} of the (z, q) tensor
+        component, where nonzero: its number of standard monomials of degree l.
 
         A monomial is the tuple of its variables (j, m) in descending order;
         monomials compare by degree l (the sum of the m's), then
@@ -206,8 +195,8 @@ class FusionContext:
         primes; otherwise it raises NonUnit.  So a candidate is standard
         modulo N exactly when it is standard modulo both primes.
         """
-        w = self.spec.window
-        dims: dict = {}
+        w = self.window
+        counts: dict = {}
         standard: dict = {}  # (z, q) -> [(degree, monomial, raw image)], in order
         for big_z in range(w.z_max + 1):
             for big_q in range(w.q_max + 1):
@@ -233,41 +222,39 @@ class FusionContext:
                     if len(basis) > rank:
                         found.append((l, mono, image))
                 standard[(big_z, big_q)] = found
-                for l in range(w.u_max + 1):
-                    dims[(big_z, big_q, l)] = sum(s[0] <= l for s in found)
-        return dims
+                for l, _, _ in found:
+                    counts[(big_z, l, big_q)] = counts.get((big_z, l, big_q), 0) + 1
+        return counts
 
 
-def fusion_character(spec: FusionSpec) -> GradedCharacter:
-    ctx = FusionContext(spec)
-    dims = ctx.filtration_dimensions()
-    w = spec.window
-    coeffs: dict = {}
-    for (big_z, big_q, l), d in dims.items():
-        below = dims.get((big_z, big_q, l - 1), 0) if l else 0
-        if d - below:
-            coeffs[(big_z, l, big_q)] = d - below
-    return GradedCharacter.make(coeffs, w)
+def fusion_character(modules, points, window: Truncation) -> GradedCharacter:
+    return GradedCharacter.make(
+        FusionContext(modules, points, window).layer_counts(), window)
 
 
-def principal_fusion_character(i1: int, k1: int, i2: int, k2: int,
-                               window: Truncation,
+def principal_fusion_character(levels, window: Truncation,
                                mode: FieldMode | None = None,
                                points: tuple | None = None) -> GradedCharacter:
-    """Fused character of W_{i1,k1} and W_{i2,k2} by the filtration.
+    """Fused character of the W_{i,k}, one per (i, k) pair of levels, by the
+    filtration, at points (default `default_points`).
 
     In two-prime mode the modules and the filtration are built once,
     modulo the product of the two primes, and over the rationals when that
     meets a non-unit: a pivot, or two points equal modulo a prime.
     """
-    mode = mode or FieldMode.exact()
-    points = default_points(2) if points is None else tuple(points)
+    levels = tuple(levels)
+    points = default_points(len(levels)) if points is None else points
     if window.z_max is None or window.u_max is None:
         raise ConfigurationError("fusion needs a finite window")
 
     def run(field):
-        mods = (principal_subspace(i1, k1, window.q_max, window.z_max, field),
-                principal_subspace(i2, k2, window.q_max, window.z_max, field))
-        return fusion_character(FusionSpec.make(mods, points, window))
+        mods = [principal_subspace(i, k, window.q_max, window.z_max, field)
+                for i, k in levels]
+        return fusion_character(mods, points, window)
 
-    return two_prime(run, mode)[0]
+    return two_prime(run, mode or FieldMode.exact())[0]
+
+
+# the memo of cyclic modules, bound at import, as a traced run replaces
+# principal_subspace by a wrapper without cache_clear
+module_memo = principal_subspace

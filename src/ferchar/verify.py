@@ -284,9 +284,9 @@ def _gmf(v):
 
 
 def _fusion(v):
-    a, points = _levels(v), v["points"] or None
-    w, mode = _brute_window(v["window"], None), v["mode"]
-    return f"fusion{a}", lambda: fusion.principal_fusion_character(*a, w, mode, points)
+    a, w, mode = _levels(v), _brute_window(v["window"], None), v["mode"]
+    return f"fusion{a}", functools.partial(fusion.principal_fusion_character,
+                                           (a[:2], a[2:]), w, mode, v["points"])
 
 
 def _every_z(window: Truncation) -> Truncation:
@@ -399,16 +399,15 @@ def verify_gmf(parts, c, d, window: Truncation, mode: FieldMode) -> list:
 # depends only on the sorted levels, i1 + i2 and min(i1, i2)) many times;
 # no other brute-force character repeats within a scan.
 _fusion_algebra = functools.lru_cache(maxsize=None)(graded_character)
-# bound at import, as a traced run replaces fusion.principal_subspace by a
-# wrapper without cache_clear; run_cases clears both
-_MEMOS = (fusion.principal_subspace, _fusion_algebra)
+_MEMOS = (fusion.module_memo, _fusion_algebra)  # run_cases clears both
 
 
 def verify_fusion(i1: int, k1: int, i2: int, k2: int, window: Truncation,
                   mode: FieldMode, points=None) -> list:
     w = _brute_window(window, None)
-    routes = (("fusion-bruteforce", lambda: fusion.principal_fusion_character(
-                   i1, k1, i2, k2, w, mode, points)),
+    routes = (("fusion-bruteforce", functools.partial(
+                   fusion.principal_fusion_character, ((i1, k1), (i2, k2)), w, mode,
+                   points)),
               ("w-fusion-sum", lambda: fermionic.character_W_fusion(i1, k1, i2, k2, w)),
               ("algebra-bruteforce", lambda: _fusion_algebra(build_presentation_A(
                   *fermionic.fusion_rule(i1, k1, i2, k2)), w, mode)))
@@ -449,18 +448,13 @@ def verify_points(levels, window: Truncation, points_a, points_b) -> list:
         raise ConfigurationError("need at least two (i, k) pairs")
     if any(len(x) != 2 for x in levels):
         raise ConfigurationError(f"levels must be (i, k) pairs, got {levels}")
-    w = _brute_window(window, None)
-
-    def character(points):
-        # the modules are memos: the second point set reuses the first's
-        mods = tuple(fusion.principal_subspace(i, k, w.q_max, w.z_max)
-                     for i, k in levels)
-        return fusion.fusion_character(fusion.FusionSpec.make(mods, points, w))
-
+    w, mode = _brute_window(window, None), FieldMode.exact()
+    # the modules are memos: the second point set reuses the first's
     return _compare_routes(f"fusion-points {levels}",
-                           [(f"points={tuple(p)}", functools.partial(character, p))
+                           [(f"points={tuple(p)}", functools.partial(
+                               fusion.principal_fusion_character, levels, w, mode, p))
                             for p in (points_a, points_b)], ((0, 1),),
-                           FieldMode.exact(), informational=len(levels) > 2)
+                           mode, informational=len(levels) > 2)
 
 
 CASES = {

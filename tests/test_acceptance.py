@@ -203,9 +203,9 @@ def test_criterion_8_field_mode_soundness(capsys):
     for i1, k1, i2, k2 in level_pairs():
         count += 1
         w = Truncation(4, 4, 3)
-        exact = fusion.principal_fusion_character(i1, k1, i2, k2, w,
-                                                  FieldMode.exact())
-        two = fusion.principal_fusion_character(i1, k1, i2, k2, w, MODE)
+        levels = ((i1, k1), (i2, k2))
+        exact = fusion.principal_fusion_character(levels, w, FieldMode.exact())
+        two = fusion.principal_fusion_character(levels, w, MODE)
         if compare(exact, two).verdict != "EQUAL":
             bad.append(f"fusion {(i1, k1, i2, k2)}")
     emit(capsys, 8, not bad,
@@ -238,7 +238,7 @@ def test_criterion_9_property_suites(capsys):
     for i1, k1, i2, k2 in level_pairs():
         usum += 1
         w = Truncation(6, 4, 4)
-        fused = fusion.principal_fusion_character(i1, k1, i2, k2, w, MODE)
+        fused = fusion.principal_fusion_character(((i1, k1), (i2, k2)), w, MODE)
         product = char_mul(w_u0_char(i1, k1, 6, 4), w_u0_char(i2, k2, 6, 4))
         if u_collapse(fused) != u_collapse(product):
             failures.append(f"u-sum {(i1, k1, i2, k2)}")

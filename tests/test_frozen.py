@@ -55,7 +55,7 @@ def refusals(obj, name) -> list:
 
 
 def test_every_value_class_is_found():
-    assert len(CLASSES) == 18
+    assert len(CLASSES) == 17
     assert all(c.__module__.startswith("ferchar.") for c in CLASSES)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode, NonUnit, reduce_rows
-from ferchar.fusion import (CyclicModule, FusionContext, FusionSpec,
+from ferchar.fusion import (CyclicModule, FusionContext,
                             cyclic_module_from_presentation, default_points,
                             fusion_character, principal_fusion_character,
                             principal_subspace)
@@ -109,36 +109,39 @@ def test_default_points():
 
 
 def test_fusion_spec_validation():
+    # FusionContext refuses a bad set of modules, points or window
     w = Truncation(2, 2, 2)
     a = principal_subspace(1, 1, 2, 2)
     b = principal_subspace(1, 1, 2, 2, field=5)
-    with pytest.raises(ConfigurationError):
-        FusionSpec.make((a,), (1,), w)
-    with pytest.raises(ConfigurationError):
-        FusionSpec.make((a, a), (1, 1), w)
-    with pytest.raises(ConfigurationError):
-        FusionSpec.make((a, b), (1, 0), w)
+    with pytest.raises(ConfigurationError, match="at least two modules"):
+        FusionContext((a,), (1,), w)
+    with pytest.raises(ConfigurationError, match="pairwise distinct"):
+        FusionContext((a, a), (1, 1), w)
+    with pytest.raises(ConfigurationError, match="one evaluation point per module"):
+        FusionContext((a, a), (), w)
+    with pytest.raises(ConfigurationError, match="share one field"):
+        FusionContext((a, b), (1, 0), w)
     # distinct integers, one point of the field of 5 elements: a non-unit
     # difference, which sends a two-prime run to the rationals
     with pytest.raises(NonUnit):
-        FusionSpec.make((b, b), (6, 1), w)
-    FusionSpec.make((a, a), (6, 1), w)
+        FusionContext((b, b), (6, 1), w)
+    FusionContext((a, a), (6, 1), w)
     # over the integers mod p1*p2, points equal modulo p1 alone
     p1, p2 = FieldMode.two_prime(0).primes
     c = principal_subspace(1, 1, 2, 2, field=p1 * p2)
     with pytest.raises(NonUnit):
-        FusionSpec.make((c, c), (1, 1 + p1), w)
-    FusionSpec.make((c, c), (2, 1), w)
-    with pytest.raises(ConfigurationError):
-        FusionSpec.make((a, a), (1, 0), Truncation(2, None, 2))
-    with pytest.raises(ConfigurationError):
-        FusionSpec.make((a, a), (1, 0), Truncation(3, 2, 2))
+        FusionContext((c, c), (1, 1 + p1), w)
+    FusionContext((c, c), (2, 1), w)
+    with pytest.raises(ConfigurationError, match="finite window"):
+        FusionContext((a, a), (1, 0), Truncation(2, None, 2))
+    with pytest.raises(ConfigurationError, match="window too small"):
+        FusionContext((a, a), (1, 0), Truncation(3, 2, 2))
 
 
 def test_apply_drops_terms_that_vanish_mod_a_composite():
     # mod 6: coefficient 2 at point 3 vanishes where out had no entry
     line = CyclicModule("line", 1, 1, ((0, 0), (1, 1)), {(1, 0): ((1, 1),)}, 6)
-    ctx = FusionContext(FusionSpec.make((line, line), (3, 2), Truncation(1, 1, 1)))
+    ctx = FusionContext((line, line), (3, 2), Truncation(1, 1, 1))
     assert ctx.apply(1, 1, (0, 0), {0: 2}) == {ctx._pos[(0, 1)]: 4}
     assert ctx.apply(1, 1, (0, 0), {0: 1}) == {ctx._pos[(1, 0)]: 3,
                                                 ctx._pos[(0, 1)]: 2}
@@ -146,9 +149,8 @@ def test_apply_drops_terms_that_vanish_mod_a_composite():
 
 def test_fusion_with_trivial_factor_is_u_trivial():
     w = Truncation(3, 3, 2)
-    spec = FusionSpec.make((principal_subspace(1, 1, 3, 3),
-                            trivial_module(3, 3)), (1, 0), w)
-    fused = fusion_character(spec)
+    fused = fusion_character((principal_subspace(1, 1, 3, 3), trivial_module(3, 3)),
+                             (1, 0), w)
     direct = w_char(1, 1, 3, 3)
     assert all(u == 0 for _, u, _ in fused.coeffs)
     assert collapse_u(fused) == collapse_u(direct)
@@ -157,39 +159,49 @@ def test_fusion_with_trivial_factor_is_u_trivial():
 def test_filtration_u_sum_is_the_tensor_character():
     # holds no matter what the filtration layers look like individually
     w = Truncation(4, 3, 3)
-    fused = principal_fusion_character(1, 1, 1, 2, w)
+    fused = principal_fusion_character(((1, 1), (1, 2)), w)
     product = char_mul(w_char(1, 1, 4, 3), w_char(1, 2, 4, 3))
     assert collapse_u(fused) == collapse_u(product)
 
 
 def test_fusion_is_point_independent():
     w = Truncation(4, 3, 3)
-    a = principal_fusion_character(0, 1, 1, 2, w, points=(1, 0))
-    b = principal_fusion_character(0, 1, 1, 2, w, points=(2, 5))
+    a = principal_fusion_character(((0, 1), (1, 2)), w, points=(1, 0))
+    b = principal_fusion_character(((0, 1), (1, 2)), w, points=(2, 5))
     assert compare(a, b).verdict == "EQUAL"
 
 
 def test_fusion_two_prime_matches_exact():
     w = Truncation(3, 3, 2)
-    exact = principal_fusion_character(1, 1, 1, 1, w, FieldMode.exact())
-    two = principal_fusion_character(1, 1, 1, 1, w, FieldMode.two_prime(0))
+    exact = principal_fusion_character(((1, 1), (1, 1)), w, FieldMode.exact())
+    two = principal_fusion_character(((1, 1), (1, 1)), w, FieldMode.two_prime(0))
+    assert compare(exact, two).verdict == "EQUAL"
+
+
+@pytest.mark.parametrize("points", [None, (3, 5, 11)])
+@pytest.mark.parametrize("levels", [((1, 1), (0, 2), (1, 2)), ((0, 1), (1, 1), (1, 1))])
+def test_three_factor_two_prime_matches_exact(levels, points):
+    w = Truncation(5, 4, 4)
+    exact = principal_fusion_character(levels, w, FieldMode.exact(), points)
+    two = principal_fusion_character(levels, w, FieldMode.two_prime(0), points)
     assert compare(exact, two).verdict == "EQUAL"
 
 
 @pytest.mark.parametrize("primes", [(5, 7), (3, 5)])
-@pytest.mark.parametrize("levels", [(0, 1, 0, 1), (1, 1, 0, 2), (2, 2, 1, 2)])
+@pytest.mark.parametrize("levels", [((0, 1), (0, 1)), ((1, 1), (0, 2)),
+                                    ((2, 2), (1, 2))])
 def test_fusion_small_primes_match_exact(levels, primes, caplog):
     # small forced primes: modulo 35 the run meets no non-unit; modulo 15
     # (1,1,0,2) and (2,2,1,2) meet one and escalate to the rationals, which
     # the warning shows
     w = Truncation(4, 3, 3)
-    exact = principal_fusion_character(*levels, w, FieldMode.exact())
+    exact = principal_fusion_character(levels, w, FieldMode.exact())
     with caplog.at_level(logging.WARNING, logger="ferchar.exactlin"):
-        small = principal_fusion_character(*levels, w,
+        small = principal_fusion_character(levels, w,
                                            FieldMode("two-prime", None, primes))
     assert compare(exact, small).verdict == "EQUAL"
     escalated = "recomputing exactly" in caplog.text
-    assert escalated == (primes == (3, 5) and levels != (0, 1, 0, 1))
+    assert escalated == (primes == (3, 5) and levels != ((0, 1), (0, 1)))
 
 
 def compositions(n, parts):
@@ -213,9 +225,9 @@ def apply_chain(ctx, js):
 
 def test_diagonal_current_power_annihilates():
     # e(z)^{k1+k2+1} = 0 on the tensor product, coefficient by coefficient
-    ctx = FusionContext(FusionSpec.make(
+    ctx = FusionContext(
         (principal_subspace(1, 1, 4, 4), principal_subspace(1, 1, 4, 4)),
-        (1, 0), Truncation(4, 4, 3)))
+        (1, 0), Truncation(4, 4, 3))
     for n in range(3):
         total: dict = {}
         for js in compositions(n, 3):
@@ -238,7 +250,7 @@ def filtration_recomputed(ctx):
     """dim F_l with every layer spanned anew from all of F_{l-m} below it.
 
     Its l = 0 layer is the closure of the vacuum under the m = 0 operators."""
-    w = ctx.spec.window
+    w = ctx.window
     layers, dims = {}, {}
     for big_z in range(w.z_max + 1):
         for big_q in range(w.q_max + 1):
@@ -256,6 +268,16 @@ def filtration_recomputed(ctx):
     return dims
 
 
+def differenced(dims):
+    """The layers dim F_l - dim F_{l-1}, keyed (z, l, q), where nonzero."""
+    layers = {}
+    for (big_z, big_q, l), d in dims.items():
+        layer = d - dims.get((big_z, big_q, l - 1), 0)
+        if layer:
+            layers[(big_z, l, big_q)] = layer
+    return layers
+
+
 @pytest.mark.parametrize("field", [None, *FieldMode.two_prime(0).primes,
                                    math.prod(FieldMode.two_prime(0).primes)])
 @pytest.mark.parametrize("levels", [(0, 1, 1, 1), (1, 1, 1, 2), (2, 2, 0, 2),
@@ -264,10 +286,9 @@ def filtration_recomputed(ctx):
 def test_incremental_filtration_matches_recomputation(levels, field):
     i1, k1, i2, k2 = levels
     w = Truncation(4, 3, 3)
-    spec = FusionSpec.make((principal_subspace(i1, k1, 4, 3, field),
-                            principal_subspace(i2, k2, 4, 3, field)), (1, 0), w)
-    ctx = FusionContext(spec)
-    assert ctx.filtration_dimensions() == filtration_recomputed(ctx)
+    ctx = FusionContext((principal_subspace(i1, k1, 4, 3, field),
+                         principal_subspace(i2, k2, 4, 3, field)), (1, 0), w)
+    assert ctx.layer_counts() == differenced(filtration_recomputed(ctx))
 
 
 @pytest.mark.parametrize("field", [None, math.prod(FieldMode.two_prime(0).primes)])
@@ -276,6 +297,6 @@ def test_three_factor_filtration_matches_recomputation(points, field):
     # three points give the operators E_j(2), which two points reduce away
     w = Truncation(4, 4, 4)
     mods = [principal_subspace(i, k, 4, 4, field) for i, k in ((1, 1), (0, 2), (1, 2))]
-    ctx = FusionContext(FusionSpec.make(mods, points, w))
-    assert ctx.filtration_dimensions() == filtration_recomputed(ctx)
+    ctx = FusionContext(mods, points, w)
+    assert ctx.layer_counts() == differenced(filtration_recomputed(ctx))
 

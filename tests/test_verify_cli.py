@@ -756,6 +756,33 @@ def test_malformed_case_values_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+FUSION_LEVELS = ("--i1", "0", "--k1", "1", "--i2", "0", "--k2", "1", "--qmax", "2")
+
+
+@pytest.mark.parametrize("argv,source", [
+    (("char", "fusion", *FUSION_LEVELS), "argv"),
+    (("char", "fusion", *FUSION_LEVELS), "config"),
+    (("verify", "fusion", *FUSION_LEVELS), "argv"),
+    (("verify", "fusion", *FUSION_LEVELS), "config"),
+    (("verify", "points", "--levels", "0,1;0,1", "--alt-points", "2,5", "--qmax", "2"),
+     "argv"),
+    (("verify", "points", "--levels", "0,1;0,1", "--alt-points", "2,5", "--qmax", "2"),
+     "config"),
+    (("verify", "custom", "--right", '{"kind": "fusion-w", "i1": 0, "k1": 1, '
+      '"i2": 0, "k2": 1}', "--qmax", "2", "--zmax", "2", "--umax", "2"), "descriptor"),
+])
+def test_empty_points_exit_2(tmp_path, capsys, argv, source):
+    # an empty --points list is refused wherever it comes from, never read
+    # as the default points
+    extra = {"argv": ["--points="], "config": ["--config", str(tmp_path / "c.json")],
+             "descriptor": ["--left", json.dumps(
+                 {"kind": "fusion", "i1": 0, "k1": 1, "i2": 0, "k2": 1, "points": []})]}
+    (tmp_path / "c.json").write_text(json.dumps({"points": []}))
+    assert cli.main([*argv, *extra[source]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "configuration error: one evaluation point per module\n"
+
+
 @pytest.mark.parametrize("command", ["char", "verify"])
 def test_gordon_level_zero_has_one_message(capsys, command):
     # verify refuses the level before the algebra side's partition check
