@@ -116,8 +116,12 @@ def resolve_flags(args: argparse.Namespace) -> catalog.Kind:
     return kind
 
 
-def resolve_mode(args) -> FieldMode:
-    if args.field == "exact":
+def resolve_mode(args, kind: catalog.Kind) -> FieldMode:
+    if kind.exact and (args.field == "two-prime" or args.seed is not None):
+        flag = "--seed" if args.seed is not None else "--field two-prime"
+        raise ConfigurationError(f"{args.command} {args.kind} runs over the "
+                                 f"rationals alone and takes no {flag}")
+    if kind.exact or args.field == "exact":
         return FieldMode.exact()
     return FieldMode.two_prime(0 if args.seed is None else args.seed)
 
@@ -145,7 +149,7 @@ def resolve_window(args, finite: bool) -> Truncation:
 def _case_values(kind: catalog.Kind, args) -> dict:
     """The kind's flag values plus the window and field mode."""
     values = {f.name: getattr(args, f.name) for f in kind.flags}
-    values.update(window=resolve_window(args, kind.finite), mode=resolve_mode(args))
+    values.update(window=resolve_window(args, kind.finite), mode=resolve_mode(args, kind))
     return values
 
 

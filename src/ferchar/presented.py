@@ -7,6 +7,11 @@ product of derivatives of the generating series, and imposes either all
 of its z-coefficients (range ALL) or the coefficients of z^0..z^{low-1}
 (range LOW(low), the divisibility-by-z^low conditions).
 
+The builders emit only families that add relations.  A derivative adds
+none: its z^r coefficient is r + 1 times the family's z^{r+1} one.  So a
+lattice gets one family a_i(z) a_j^{(t)}(z) per t < M_ij, even t alone
+when i = j, and a LOW family that lower powers imply is left out.
+
 Every graded component of the quotient is computed exactly: enumerate the
 free monomials of the component, expand the relation coefficients times
 complementary monomials into integer rows, and take the corank.  Monomial
@@ -198,7 +203,10 @@ def low_ranges(values: tuple[int, ...]) -> tuple[int, ...]:
 
 def build_presentation_A(lam: Partition, ic: InitialConditions | None = None) -> Presentation:
     """Quotient of C[a modes; b modes] by a(z)^{lam_j+1} b(z)^j (j = 0..s)
-    and b(z)^{s+1}, plus the divisibility conditions from ic."""
+    and b(z)^{s+1}, plus the divisibility conditions from ic: z^{v_i}
+    divides x(z)^i (low_ranges).  That of x^i is left out when v_i <= v_{i-1}
+    + v_1, since then each term of the z^r coefficient of x^{i-1} x, r < v_i,
+    has a factor x^{i-1} at z^{<v_{i-1}} or x at z^{<v_1}."""
     s = lam.s
     families = [GeneratorFamily("a", 0, 0)]
     if s >= 1:
@@ -219,12 +227,12 @@ def build_presentation_A(lam: Partition, ic: InitialConditions | None = None) ->
             raise ConfigurationError(
                 f"initial conditions c (len {len(ic.c)}) and d (len {len(ic.d)}) "
                 f"must have lengths {lam.lam0} and {s}")
-        for i, lb in enumerate(low_ranges(ic.c), start=1):
-            if lb >= 1:
-                relations.append(RelationFamily((("a", 0, i),), lb, f"a^{i} low {lb}"))
-        for j, lb in enumerate(low_ranges(ic.d), start=1):
-            if lb >= 1:
-                relations.append(RelationFamily((("b", 0, j),), lb, f"b^{j} low {lb}"))
+        for name, values in (("a", ic.c), ("b", ic.d)):
+            v = (0,) + low_ranges(values)
+            for i in range(1, len(v)):
+                if v[i] >= 1 and (i == 1 or v[i] > v[i - 1] + v[1]):
+                    relations.append(RelationFamily(((name, 0, i),), v[i],
+                                                    f"{name}^{i} low {v[i]}"))
     return Presentation.make(families, relations)
 
 
@@ -246,24 +254,26 @@ def check_lattice(gram, shifts) -> tuple[tuple, tuple]:
 
 
 def build_presentation_quadratic(gram, shifts) -> Presentation:
-    """Quadratic presentation from a symmetric integer matrix with positive
-    even diagonal: relations a_i^{(k)}(z) a_j^{(l)}(z) for all i <= j and
-    all k, l >= 0 with k + l < gram[i][j]; generator i starts at mode
-    -shifts[i]."""
+    """Quadratic presentation a_i(z) a_j(w) ~ (z - w)^{M_ij}: M symmetric
+    with positive even diagonal, generator i from mode -shifts[i].
+
+    Of the relations a_i^{(k)}(z) a_j^{(l)}(z), k + l < M_ij, one family per
+    order t is new: (a_i^{(k)} a_j^{(t-1-k)})' = a_i^{(k+1)} a_j^{(t-1-k)} +
+    a_i^{(k)} a_j^{(t-k)}, so each order-t product is +-a_i a_j^{(t)} plus
+    derivatives of order t - 1.  For i = j the pairs k and t - k coincide,
+    so odd t gives 2 a_i a_i^{(t)} in those derivatives: the families are
+    a_i(z)^2 and a_i a_i^{(t)} for even t.  The span equals the full list's
+    over Q and modulo every odd prime."""
     gram, shifts = check_lattice(gram, shifts)
     n = len(gram)
     families = [GeneratorFamily(f"a{i + 1}", 0, shifts[i]) for i in range(n)]
     relations = []
     for i in range(n):
         for j in range(i, n):
-            for k in range(gram[i][j]):
-                for l in range(gram[i][j] - k):
-                    if i == j and k == l:
-                        factors = ((f"a{i + 1}", k, 2),)
-                    else:
-                        factors = ((f"a{i + 1}", k, 1), (f"a{j + 1}", l, 1))
-                    label = f"a{i + 1}^({k}) a{j + 1}^({l})"
-                    relations.append(RelationFamily(factors, None, label))
+            a, b = f"a{i + 1}", f"a{j + 1}"
+            for t in range(0, gram[i][j], 2 if i == j else 1):
+                factors = ((a, 0, 2),) if i == j and t == 0 else ((a, 0, 1), (b, t, 1))
+                relations.append(RelationFamily(factors, None, f"{a}^(0) {b}^({t})"))
     return Presentation.make(families, relations)
 
 

@@ -222,6 +222,7 @@ class Kind:
     flags: tuple
     finite: bool  # without --zmax/--umax, z runs to q_max and u to z_max
     run: Callable  # flag values, "window", "mode" -> evaluator, reports or cases
+    exact: bool = False  # over Q alone: --field two-prime and --seed are refused
 
 
 def parse_values(flags, raw: dict) -> dict:
@@ -471,7 +472,7 @@ CASES = {
     "points": Kind((Flag("levels", parse_matrix, True), Flag("points", parse_ints, True),
                     Flag("alt-points", parse_ints, True)), True,
                    lambda v: verify_points(v["levels"], v["window"], v["points"],
-                                           v["alt-points"])),
+                                           v["alt-points"]), exact=True),
     "custom": Kind((Flag("left", parse_json, True), Flag("right", parse_json, True)),
                    False, lambda v: verify_custom(v["left"], v["right"], v["window"],
                                                   v["mode"])),

@@ -6,6 +6,8 @@ import argparse
 
 from ferchar.cli import COMMANDS, COMMON_FLAGS
 from ferchar.gradedchar import GradedCharacter, Truncation
+from ferchar.presented import (GeneratorFamily, Presentation, RelationFamily,
+                               build_presentation_A, check_lattice, low_ranges)
 
 
 def presentation_to_json(p) -> dict:
@@ -21,6 +23,40 @@ def presentation_to_json(p) -> dict:
             for rel in p.relations
         ],
     }
+
+
+def full_presentation_quadratic(gram, shifts) -> Presentation:
+    """The quadratic presentation with every derivative pair: relations
+    a_i^{(k)}(z) a_j^{(l)}(z) for all i <= j and all k, l >= 0 with
+    k + l < gram[i][j]; generator i starts at mode -shifts[i].  The oracle
+    of build_presentation_quadratic's minimal families."""
+    gram, shifts = check_lattice(gram, shifts)
+    n = len(gram)
+    families = [GeneratorFamily(f"a{i + 1}", 0, shifts[i]) for i in range(n)]
+    relations = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(gram[i][j]):
+                for l in range(gram[i][j] - k):
+                    if i == j and k == l:
+                        factors = ((f"a{i + 1}", k, 2),)
+                    else:
+                        factors = ((f"a{i + 1}", k, 1), (f"a{j + 1}", l, 1))
+                    label = f"a{i + 1}^({k}) a{j + 1}^({l})"
+                    relations.append(RelationFamily(factors, None, label))
+    return Presentation.make(families, relations)
+
+
+def every_low_presentation_A(lam, ic) -> Presentation:
+    """build_presentation_A(lam, ic) with a LOW family for every power of
+    each series whose range is positive, the implied ones included.  The
+    oracle of build_presentation_A's minimal LOW families."""
+    p = build_presentation_A(lam, ic)
+    lows = [RelationFamily(((name, 0, i),), lb, f"{name}^{i} low {lb}")
+            for name, values in (("a", ic.c), ("b", ic.d))
+            for i, lb in enumerate(low_ranges(values), start=1) if lb >= 1]
+    return Presentation.make(p.families, tuple(r for r in p.relations if r.low is None)
+                             + tuple(lows))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies
 
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode, int_rank, reduce_rows
+from ferchar.fermionic import gram_matrix_for_partition
 from ferchar.gradedchar import Truncation
 from ferchar.presented import (GeneratorFamily, InitialConditions, Partition,
                                Presentation, RelationFamily,
@@ -17,7 +19,8 @@ from ferchar.presented import (GeneratorFamily, InitialConditions, Partition,
                                graded_character, low_ranges,
                                normal_form_basis, presentation_from_json,
                                relation_rows)
-from helpers import presentation_to_json
+from helpers import (every_low_presentation_A, full_presentation_quadratic,
+                     presentation_to_json)
 
 
 def test_partition_validation():
@@ -89,13 +92,69 @@ def test_presentation_validation():
 
 def test_quadratic_builder_and_validation():
     p = build_presentation_quadratic(((2,),), (0,))
-    # derivative pairs (k, l) with k + l < 2: (0,0), (0,1), (1,0)
-    assert [r.label for r in p.relations] == \
-        ["a1^(0) a1^(0)", "a1^(0) a1^(1)", "a1^(1) a1^(0)"]
+    # the pairs (k, l) with k + l < 2 leave one new family: a1(z)^2, whose
+    # derivative is 2 a1 a1'
+    assert [r.label for r in p.relations] == ["a1^(0) a1^(0)"]
     for gram, shifts in ((((2, 1),), (0,)), (((2, 1), (2, 2)), (0, 0)),
                          (((1,),), (0,)), (((2,),), (0, 0))):
         with pytest.raises(ConfigurationError):
             build_presentation_quadratic(gram, shifts)
+
+
+# the criterion-5 grams, grams with diagonal 4 or 6 and off-diagonal 2 or 3,
+# and two 3x3 grams
+MINIMAL_FAMILY_GRAMS = (
+    ((2,),), ((2, 0), (0, 2)), ((2, 1), (1, 2)),
+    gram_matrix_for_partition(Partition.make((2, 1))),
+    ((4,),), ((6,),), ((4, 2), (2, 4)), ((4, 3), (3, 4)), ((4, 3), (3, 6)),
+    ((6, 2), (2, 4)),
+    ((2, 1, 0), (1, 2, 1), (0, 1, 2)), ((4, 2, 1), (2, 2, 0), (1, 0, 2)),
+)
+
+
+@pytest.mark.parametrize("gram", MINIMAL_FAMILY_GRAMS)
+def test_minimal_quadratic_families_match_full(gram):
+    # one family per new derivative order spans every pair k + l < M_ij
+    window = Truncation(7, 5, 0)
+    n = len(gram)
+    assert len(build_presentation_quadratic(gram, (0,) * n).relations) == sum(
+        -(-gram[i][i] // 2) for i in range(n)) + sum(
+        max(gram[i][j], 0) for i in range(n) for j in range(i + 1, n))
+    for shifts in itertools.product((0, 1), repeat=n):
+        full = full_presentation_quadratic(gram, shifts)
+        minimal = build_presentation_quadratic(gram, shifts)
+        for mode in (FieldMode.exact(), FieldMode.two_prime(0)):
+            assert graded_character(minimal, window, mode) == \
+                graded_character(full, window, mode), (shifts, mode)
+
+
+def _low_cases():
+    """(lambda, c, d): the partitions of size <= 4, with every 0/1 vector
+    and every doubled unit vector as c and as d"""
+    def vectors(n):
+        out = set(itertools.product((0, 1), repeat=n))
+        out.update(tuple(2 if t == i else 0 for t in range(n)) for i in range(n))
+        return sorted(out)
+    for parts in ((1,), (2,), (3,), (4,), (1, 1), (2, 1), (3, 1), (2, 2), (2, 1, 1)):
+        lam = Partition.make(parts)
+        for c in vectors(lam.lam0):
+            for d in vectors(lam.s):
+                yield lam, InitialConditions.make(c, d)
+
+
+def test_minimal_low_families_match_every_power():
+    # a LOW family on x^i is left out when those on x^{i-1} and x imply it
+    window = Truncation(5, 4, 4)
+    count = dropped = 0
+    for lam, ic in _low_cases():
+        count += 1
+        every = every_low_presentation_A(lam, ic)
+        minimal = build_presentation_A(lam, ic)
+        dropped += len(every.relations) - len(minimal.relations)
+        assert set(minimal.relations) <= set(every.relations)
+        assert graded_character(minimal, window) == graded_character(every, window), \
+            (lam.parts, ic)
+    assert count > 100 and dropped > 50
 
 
 def test_presentation_json_round_trip():

@@ -783,6 +783,48 @@ def test_empty_points_exit_2(tmp_path, capsys, argv, source):
     assert out == "" and err == "configuration error: one evaluation point per module\n"
 
 
+POINTS_ARGV = ("verify", "points", "--levels", "0,1;0,1", "--points", "1,0",
+               "--alt-points", "2,5", "--qmax", "2", "--format", "json")
+REFUSED = "configuration error: verify points runs over the rationals alone and takes no "
+
+
+@pytest.mark.parametrize("source,values,message", [
+    ("argv", {"field": "two-prime"}, REFUSED + "--field two-prime\n"),
+    ("argv", {"seed": 3}, REFUSED + "--seed\n"),
+    ("argv", {"field": "exact", "seed": 3}, REFUSED + "--seed\n"),
+    ("config", {"field": "two-prime"}, REFUSED + "--field two-prime\n"),
+    ("config", {"seed": 3}, REFUSED + "--seed\n"),
+    ("descriptor", {"field": "two-prime"},
+     "configuration error: fusion evaluator has no key 'field'\n"),
+    ("descriptor", {"seed": 3}, "configuration error: fusion evaluator has no key 'seed'\n"),
+], ids=["argv-field", "argv-seed", "argv-exact-seed", "config-field", "config-seed",
+        "descriptor-field", "descriptor-seed"])
+def test_points_refuses_a_field_it_ignores(tmp_path, capsys, source, values, message):
+    # verify points runs over the rationals alone: a two-prime field or a
+    # seed is refused wherever it comes from, never reported as exact; no
+    # evaluator descriptor takes a field mode either
+    (tmp_path / "c.json").write_text(json.dumps(values))
+    desc = {"kind": "fusion", "i1": 0, "k1": 1, "i2": 0, "k2": 1, **values}
+    argv = {"argv": [*POINTS_ARGV, *(f"--{k}={v}" for k, v in values.items())],
+            "config": [*POINTS_ARGV, "--config", str(tmp_path / "c.json")],
+            "descriptor": ["verify", "custom", "--left", json.dumps(desc), "--right",
+                           '{"kind": "fusion-w", "i1": 0, "k1": 1, "i2": 0, "k2": 1}',
+                           "--qmax", "2", "--zmax", "2", "--umax", "2"]}
+    assert cli.main(argv[source]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == message
+
+
+def test_points_default_and_exact_field_report_exact(capsys):
+    reports = []
+    for extra in ([], ["--field", "exact"]):
+        assert cli.main([*POINTS_ARGV, *extra]) == 0
+        reports.append([{k: v for k, v in r.items() if k != "millis"}
+                        for r in json.loads(capsys.readouterr().out)])
+    assert reports[0] == reports[1]
+    assert [(r["field"], r["seed"]) for r in reports[0]] == [("exact", None)]
+
+
 @pytest.mark.parametrize("command", ["char", "verify"])
 def test_gordon_level_zero_has_one_message(capsys, command):
     # verify refuses the level before the algebra side's partition check
