@@ -20,8 +20,14 @@ diagonal of A(k) is 2, 4, ..., 2k, so sum_i G_ii x_i / 2 is |n| + |m|.
 Every entry of G and of the weights is nonnegative, so z, u and every
 cross term never decrease as one coordinate grows.  A shift may be
 negative: the exponent is then convex in each coordinate, falling first
-and rising after, and the least amount each coordinate can add on its own
-bounds the enumeration.
+and rising after.  Each node of the enumeration solves for the integer
+range of its coordinate.  The least amount each later coordinate can add
+on its own (low) bounds it; when a later shift is negative and G is
+positive definite on the coordinates from the node on, so does the real
+minimum of the remaining quadratic form (Fincke-Pohst), tested in
+integers through the determinant and adjugate of the later block,
+8 det (q - q_max) <= c^T adj c.  Elsewhere low alone bounds it, and with
+nonnegative shifts low is zero and exact.
 
 fusion_rule states the predicted (lambda, c, d) of the fused character
 once: w_fusion_spec is its gmf sum, and verify builds its algebra.  The
@@ -47,7 +53,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .errors import ConfigurationError, ResourceLimitError, StabilizationError
 from .frozen import frozen
@@ -193,44 +199,120 @@ def _add_series(coeffs: dict, z: int, u: int, q0: int, series) -> None:
             coeffs[key] = coeffs.get(key, 0) + cnt
 
 
+def _quadratic_range(a, b, c) -> tuple[int, int]:
+    """(lo, hi): the integers v with a v^2 + b v + c <= 0 are lo..hi, for
+    a > 0; lo > hi when there are none."""
+    d = b * b - 4 * a * c
+    if d < 0:
+        return 1, 0
+    r = math.isqrt(d)
+    return -((b + r) // (2 * a)), (r - b) // (2 * a)
+
+
+@functools.lru_cache(maxsize=None)
+def _suffix_forms(gram) -> tuple:
+    """Per coordinate i, (D, M, w, det) when the block of gram on
+    i, i+1, ... is positive definite, else None.  D and M are the
+    determinant and adjugate of the block on i+1, ... (1 and the empty
+    matrix for i the last), w = M r with r = gram[i][i+1:], and
+    det = D G_ii - r.w is the determinant of the block on i, ...  The
+    bordered block's adjugate is [[D, -w^T], [-w, (det M + w w^T) / D]]."""
+    out = [None] * len(gram)
+    d, adj = 1, ()
+    for i in range(len(gram) - 1, -1, -1):
+        r = gram[i][i + 1:]
+        w = tuple(sum(map(mul, row, r)) for row in adj)
+        det = d * gram[i][i] - sum(map(mul, r, w))
+        if det <= 0:  # nor is any larger block positive definite
+            break
+        out[i] = (d, adj, w, det)
+        adj = ((d,) + tuple(-x for x in w),) + tuple(
+            (-wj,) + tuple((det * mjk + wj * wk) // d for mjk, wk in zip(row, w))
+            for wj, row in zip(w, adj))
+        d = det
+    return tuple(out)
+
+
 def _lattice_terms(gram, shifts, z_weights, u_weights, window,
                    origin=(0, 0)) -> list:
     """The terms (x, z, u, q) of the closed sum of the module docstring with
     G = gram and origin (z0, q0) whose (z, u, q) lies in window.
 
-    Each G_ii is positive and no entry of gram or the weights is negative:
-    z and u never decrease as one x_i grows, so the loop over x_i stops at
-    the first value past their caps.  From x_i = v to v + 1 the exponent
-    grows by step = G_ii v + shifts_i + sum_{t<i} G_ti x_t, which rises
-    with v.  low[i] is the least exponent that x_i, x_{i+1}, ... add on
-    their own, each at its vertex (the first v with G_ii v + shifts_i >= 0);
-    their cross terms only add.  So the loop over x_i stops once step >= 0
-    and the exponent plus low[i+1] is past q_max.  With nonnegative shifts
-    low is all zero."""
+    Each node fixes x_0..x_{i-1} and solves for the integer range of x_i;
+    the last coordinate adds its terms in a loop.  The node carries
+    step_j = shifts_j + sum_{t<i} G_tj x_t for j >= i; with
+    c_j = 2 step_j - G_jj, x_i = v adds q(v) - q = (c_i v + G_ii v^2) / 2
+    to the exponent q.  The range is cut three ways:
+
+    - low[i] is the least exponent that x_i, x_{i+1}, ... add on their
+      own, each at its vertex (the first v with G_ii v + shifts_i >= 0);
+      their cross terms only add, so x_i = v needs q(v) + low[i+1] <= q_max.
+    - When low[i+1] < 0 and the block of G on i, i+1, ... is positive
+      definite, the coordinates y after i add at least the real minimum
+      -c^T G^-1 c / 8 of (y^T G y + c.y) / 2 (Fincke-Pohst).  In integers,
+      with D and M the determinant and adjugate of the block on i+1, ...
+      (_suffix_forms), x_i = v needs 8 D (q(v) - q_max) <= c(v)^T M c(v),
+      where c(v) = c_{>i} + 2 v G_{i,>i}: a quadratic in v with leading
+      coefficient 4 det > 0, det that of the block on i, ...  Where
+      low[i+1] is 0 (every later shift nonnegative) low is exact and the
+      bound is skipped; where the block is not positive definite low
+      alone cuts.
+    - z and u never decrease as one x_i grows (no entry of gram or the
+      weights is negative), so x_i stops at their caps, and a node entered
+      past a cap on a zero weight has no terms."""
     size = len(gram)
-    q_max = window.q_max
-    z_cap = math.inf if window.z_max is None else window.z_max
-    u_cap = math.inf if window.u_max is None else window.u_max
+    if not size:
+        return [((), origin[0], 0, origin[1])]
+    q_max, z_cap, u_cap = window.q_max, window.z_max, window.u_max
     low = [0] * (size + 1)
     for i in range(size - 1, -1, -1):
         g, s = gram[i][i], shifts[i]
         v = max(0, -(s // g))
         low[i] = low[i + 1] + g * v * (v - 1) // 2 + s * v
+    # low[1] < 0: some shift after the first is negative
+    forms = _suffix_forms(gram) if low[1] else (None,) * size
+    depths = [(gram[i][i], z_weights[i], u_weights[i], gram[i][i + 1:],
+               forms[i] if low[i + 1] else None, 2 * (low[i + 1] - q_max))
+              for i in range(size)]
     terms = []
 
-    def rec(i, q, z, u, acc):
-        if i == size:
-            terms.append((acc, z, u, q))
+    def rec(i, q, z, u, acc, step):
+        g, zw, uw, row, form, slack = depths[i]
+        ci = 2 * step[0] - g
+        lo, hi = _quadratic_range(g, ci, 2 * q + slack)
+        if lo < 0:
+            lo = 0
+        if form is not None:
+            d, adj, w, det = form
+            c = [2 * s - gram[j][j] for j, s in enumerate(step[1:], i + 1)]
+            lo_b, hi_b = _quadratic_range(
+                4 * det, 4 * (d * ci - sum(map(mul, w, c))),
+                8 * d * (q - q_max) - sum(x * sum(map(mul, a, c)) for x, a in zip(c, adj)))
+            lo, hi = max(lo, lo_b), min(hi, hi_b)
+        if z_cap is not None:
+            if zw:
+                t = (z_cap - z) // zw
+                if t < hi:
+                    hi = t
+            elif z > z_cap:
+                return
+        if u_cap is not None:
+            if uw:
+                t = (u_cap - u) // uw
+                if t < hi:
+                    hi = t
+            elif u > u_cap:
+                return
+        if i == size - 1:
+            for v in range(lo, hi + 1):
+                terms.append((acc + (v,), z + zw * v, u + uw * v, q + v * (ci + g * v) // 2))
             return
-        step = shifts[i] + sum(gram[t][i] * acc[t] for t in range(i))
-        v = 0
-        while z <= z_cap and u <= u_cap and (step < 0 or q + low[i + 1] <= q_max):
-            if q + low[i + 1] <= q_max:
-                rec(i + 1, q, z, u, acc + (v,))
-            q, z, u, v = q + step, z + z_weights[i], u + u_weights[i], v + 1
-            step += gram[i][i]
+        step = tuple(s + r * lo for s, r in zip(step[1:], row)) if lo else step[1:]
+        for v in range(lo, hi + 1):
+            rec(i + 1, q + v * (ci + g * v) // 2, z + zw * v, u + uw * v, acc + (v,), step)
+            step = tuple(map(add, step, row))
 
-    rec(0, origin[1], origin[0], 0, ())
+    rec(0, origin[1], origin[0], 0, (), tuple(shifts))
     return terms
 
 
@@ -368,12 +450,16 @@ def _reconstruction_check(i1, k1, i2, k2, level, terms):
     """Re-derive each term's (z, q) through P on the reconstructed rational
     indices s_i = N_i - level + |m|/K; returns (ok, detail).  In integers on
     t = K s: 2 sum(t) = K (z + i1 + i2) and K^2 P = |t|^2 + lin.t + K const
-    = K^2 q.  Only a mismatch's detail goes through the Fraction form."""
+    = K^2 q.  Only a mismatch's detail goes through the Fraction form.
+    P's coefficients are computed once per distinct m."""
     big = k1 + k2
+    exponents = {}
     for x, z0, u0, q0 in terms:
         n, m = x[:big], x[big:]
         t = tuple(big * (sum(n[i:]) - level) + u0 for i in range(big))
-        _, const, lin = _limit_exponent(i1, k1, i2, k2, m)
+        if m not in exponents:
+            exponents[m] = _limit_exponent(i1, k1, i2, k2, m)
+        _, const, lin = exponents[m]
         if (2 * sum(t) != big * (z0 + i1 + i2)
                 or sum(v * v for v in t) + sum(map(mul, lin, t)) + big * const
                 != big * big * q0):

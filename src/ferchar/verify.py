@@ -468,7 +468,8 @@ CASES = {
     "lattice": Kind(LATTICE, True, lambda v: verify_lattice(
         v["matrix"], v["shifts"], v["window"], v["mode"])),
     "limform": Kind(LEVELS + (NMAX,), False, lambda v: verify_limform(
-        *_levels(v), v["window"].q_max, _every_z(v["window"]).u_max, _n_max(v))),
+        *_levels(v), v["window"].q_max, _every_z(v["window"]).u_max, _n_max(v)),
+        exact=True),
     "points": Kind((Flag("levels", parse_matrix, True), Flag("points", parse_ints, True),
                     Flag("alt-points", parse_ints, True)), True,
                    lambda v: verify_points(v["levels"], v["window"], v["points"],

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -23,7 +24,8 @@ from ferchar.fermionic import (A_matrix, B_matrix, FermionicSumSpec,
                                gordon_spec,
                                gram_matrix_for_partition,
                                lattice_principal_character,
-                               limit_sum_polynomial, mf_spec, w_fusion_spec)
+                               limit_sum_polynomial, mf_spec, stabilized_limit,
+                               w_fusion_spec)
 from ferchar.gradedchar import (GradedCharacter, Truncation, compare, convolve,
                                 inv_pochhammer)
 from ferchar.presented import InitialConditions, Partition, build_presentation_A
@@ -290,13 +292,15 @@ def lattice_sums(draw):
             window, (draw(small(-3, 3)), draw(small(-3, 6))))
 
 
-def reference_lattice_terms(gram, shifts, z_weights, u_weights, window, origin):
-    """Every term of the box 0 <= x_i < 20 within window.  On its own a
-    coordinate adds G_ii v(v-1)/2 + shift v >= -21 (G_ii >= 1, shift >= -6)
-    and cross terms are nonnegative, so a term with q - q0 <= 5 + 3 has
+def reference_lattice_terms(gram, shifts, z_weights, u_weights, window, origin,
+                            box=None):
+    """Every term of the box within window; box is one range per coordinate,
+    by default 0 <= x_i < 20.  On its own a coordinate adds
+    G_ii v(v-1)/2 + shift v >= -21 (G_ii >= 1, shift >= -6) and cross terms
+    are nonnegative, so a term with q - q0 <= 5 + 3 has
     G_ii v(v-1)/2 + shift v <= 8 + 2 * 21 for each coordinate: v <= 18."""
     out = []
-    for x in itertools.product(range(20), repeat=len(gram)):
+    for x in itertools.product(*box or [range(20)] * len(gram)):
         q = origin[1] + sum(gram[i][j] * x[i] * x[j] for i in range(len(x))
                             for j in range(i + 1, len(x)))
         q += sum(gram[i][i] * v * (v - 1) // 2 + s * v
@@ -314,6 +318,78 @@ def reference_lattice_terms(gram, shifts, z_weights, u_weights, window, origin):
 @settings(max_examples=100, deadline=None)
 def test_lattice_terms_match_the_box(args):
     assert sorted(_lattice_terms(*args)) == reference_lattice_terms(*args)
+
+
+def ellipsoid_box(gram, shifts, origin, q_max):
+    """One range per coordinate holding every x >= 0 with exponent <= q_max,
+    for positive definite G: the exponent is e + (x - c)^T G (x - c) / 2,
+    with c = -G^-1 b, b_i = shifts_i - G_ii / 2 and e its least real value,
+    so |x_i - c_i| <= sqrt(2 (q_max - e) (G^-1)_ii), widened by 1."""
+    size = len(gram)
+    rows = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(size)]
+            for i, row in enumerate(gram)]
+    for j in range(size):  # Gauss-Jordan; pivots of a positive definite G are positive
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for r in range(size):
+            if r != j:
+                rows[r] = [x - rows[r][j] * y for x, y in zip(rows[r], rows[j])]
+    inv = [row[size:] for row in rows]
+    b = [s - Fraction(gram[i][i], 2) for i, s in enumerate(shifts)]
+    c = [-sum(map(mul, row, b)) for row in inv]
+    radius = 2 * (q_max - origin[1] - sum(map(mul, b, c)) / 2)
+    half = [math.sqrt(max(radius * inv[i][i], 0)) + 1 for i in range(size)]
+    return [range(max(0, math.floor(c[i] - half[i])), math.floor(c[i] + half[i]) + 1)
+            for i in range(size)]
+
+
+@pytest.mark.parametrize("levels", [(1, 1, 1, 2), (0, 2, 1, 2)])
+def test_level_terms_match_the_box(monkeypatch, levels):
+    # the finite-level sums of a limit, every level up to stabilization:
+    # sizes 4 and 6, shifts down to -45 and a nonzero origin, beyond what the
+    # hypothesis strategy draws; each call is checked as the library makes it
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _lattice_terms(*args)
+
+    monkeypatch.setattr(fermionic, "_lattice_terms", spy)
+    _, level, _ = stabilized_limit(*levels, 5)
+    assert len(calls) == level and min(calls[-1][1]) < -40
+    for gram, shifts, z_w, u_w, window, origin in calls:
+        box = ellipsoid_box(gram, shifts, origin, window.q_max)
+        assert sorted(_lattice_terms(gram, shifts, z_w, u_w, window, origin)) == \
+            reference_lattice_terms(gram, shifts, z_w, u_w, window, origin, box)
+
+
+def lattice_nodes(run) -> int:
+    """The number of calls run() makes to _lattice_terms' node function."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        count += (event == "call" and code.co_name == "rec"
+                  and code.co_filename == fermionic.__file__)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_limit_levels_visit_few_nodes():
+    # the real-minimum bound cuts the four finite-level sums of a K = 6
+    # limit to 1,001 nodes for 197 terms; low alone enters 203,281
+    nodes = lattice_nodes(lambda: stabilized_limit(0, 3, 0, 3, 3))
+    assert 0 < nodes < 2500
+
+
+def test_k8_limit_reconstructs():
+    r = character_L_fusion(0, 4, 0, 4, 3)
+    assert r.reconstructed_match and r.reconstructed_detail is None
 
 
 def test_lattice_spec_validation():

@@ -248,13 +248,16 @@ def test_mf_scan_asks_for_no_infeasible_component(monkeypatch):
 
 def test_every_cache_has_a_stated_lifetime():
     # presented._CACHES and verify._MEMOS last one run_cases call;
-    # fermionic._poch_product, a table of q-series that depends on nothing
-    # else, lasts the process, so the commands of one process share it
+    # fermionic._poch_product, a table of q-series, and
+    # fermionic._suffix_forms, the determinants and adjugates of a gram's
+    # suffix blocks, depend on nothing else and last the process, so the
+    # commands of one process share them
     modules = [importlib.import_module(f"ferchar.{m.name}")
                for m in pkgutil.iter_modules(ferchar.__path__)]
     caches = {f for module in modules for f in vars(module).values()
               if hasattr(f, "cache_clear")}
-    assert caches == {*presented._CACHES, *verify._MEMOS, fermionic._poch_product}
+    assert caches == {*presented._CACHES, *verify._MEMOS, fermionic._poch_product,
+                      fermionic._suffix_forms}
 
 
 def without_millis(reports) -> list:
@@ -823,6 +826,23 @@ def test_points_default_and_exact_field_report_exact(capsys):
                         for r in json.loads(capsys.readouterr().out)])
     assert reports[0] == reports[1]
     assert [(r["field"], r["seed"]) for r in reports[0]] == [("exact", None)]
+
+
+@pytest.mark.parametrize("extra,flag", [
+    (["--field", "two-prime"], "--field two-prime"),
+    (["--field", "two-prime", "--seed", "3"], "--seed"),
+], ids=["field", "field-seed"])
+def test_limform_refuses_a_field_it_ignores(capsys, extra, flag):
+    # verify limform evaluates closed formulas alone: a two-prime field or a
+    # seed is refused, never reported as exact; --field exact is accepted
+    argv = ["verify", "limform", *(f"--{k}={v}" for k, v in LIMFORM.items()),
+            "--qmax", "2", "--format", "json"]
+    assert cli.main([*argv, *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("configuration error: verify limform runs over the "
+                                 f"rationals alone and takes no {flag}\n")
+    assert cli.main([*argv, "--field", "exact"]) == 0
+    assert [r["field"] for r in json.loads(capsys.readouterr().out)] == ["exact"] * 2
 
 
 @pytest.mark.parametrize("command", ["char", "verify"])
