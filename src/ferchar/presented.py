@@ -31,8 +31,15 @@ depend only on the generator families, and a relation's terms only on
 the families and its factor copies, so they are cached on the
 presentation's `_free` part, one object per family tuple: presentations
 that share their families, such as every two-family lambda of an mf
-scan, share their components.  clear_caches() drops every cache;
-verify.run_cases calls it once, when its cases are done.
+scan, share their components.  A component's dimension depends only on
+the families, the relation families live there (those with a row: the
+complementary tridegree is within reach) and the field, so it is cached
+on the presentation restricted to its live relations, keyed by value:
+presentations that reach a component through equal live relations, such
+as the lambdas of an mf scan with equal first parts in low u-degrees,
+share its rows and rank, and a component with no live relation is its
+free monomials.  clear_caches() drops every cache; verify.run_cases
+calls it once, when its cases are done.
 """
 
 from __future__ import annotations
@@ -145,14 +152,14 @@ class Presentation:
 
     @functools.cached_property
     def _hash(self) -> int:
-        # the component caches key on _free: hash it once
+        # the caches key on _free and on restrictions: hash them once
         return hash((self.families, self.relations))
 
     @functools.cached_property
     def _free(self) -> Presentation:
         """The free algebra on the families, one object per family tuple:
         the component caches key on it, with its hash computed once."""
-        return _free_presentation(self.families)
+        return _presentation(self.families, ())
 
     @functools.cached_property
     def _reach(self) -> tuple[int, int, int]:
@@ -166,8 +173,8 @@ class Presentation:
     def _relation_slots(self) -> tuple:
         """Per relation: its factor copies (family index, derivative order),
         one per unit of power."""
-        return tuple(tuple((self.family_index(nm), d)
-                           for nm, d, pw in rel.factors for _ in range(pw))
+        index = {f.name: i for i, f in enumerate(self.families)}
+        return tuple(tuple((index[nm], d) for nm, d, pw in rel.factors for _ in range(pw))
                      for rel in self.relations)
 
     @functools.cached_property
@@ -184,8 +191,9 @@ class Presentation:
 
 
 @functools.lru_cache(maxsize=None)
-def _free_presentation(families: tuple) -> Presentation:
-    return Presentation(families, ())
+def _presentation(families: tuple, relations: tuple) -> Presentation:
+    """One object per value, so its hash and cached properties are built once."""
+    return Presentation(families, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +420,23 @@ def _relation_terms(p: Presentation, slots: tuple, r: int, width: int,
     return tuple(out.items())
 
 
-# bound here, since tracing may replace the module's names with wrappers
-_CACHES = (_free_presentation, component_monomials, _mode_codes, _component_codes,
-           _relation_terms)
+def _live_relations(p: Presentation, tridegree: tuple) -> tuple:
+    """Indices of the relation families with rows at tridegree: those whose
+    complementary tridegree (tridegree less the family's z-degree, u-degree
+    and derivative order) is _feasible, tested inline since this runs once
+    per component."""
+    z, u, q = tridegree
+    u_lo, u_hi, mode_lo = p._reach
+    live = []
+    for i, (z_g, u_g, der) in enumerate(p._relation_degrees):
+        zc = z - z_g
+        if zc >= 0 and zc * u_lo <= u - u_g <= zc * u_hi and q - der >= zc * mode_lo:
+            live.append(i)
+    return tuple(live)
 
 
-def clear_caches() -> None:
-    """Drop the cached components and relation expansions."""
-    for cache in _CACHES:
-        cache.cache_clear()
-
-
-def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple, set]:
+def relation_rows(p: Presentation, tridegree: tuple,
+                  live: tuple | range | None = None) -> tuple[list[dict], tuple, set]:
     """(rows, monos, killed): the relation subspace of the free component
     is spanned by the integer rows and the unit vectors of the killed
     columns; columns index monos = component_monomials(p, tridegree).
@@ -446,7 +459,9 @@ def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple,
     codes; exponents are at most z, so codes of width z.bit_length() never
     carry.  Each z^r coefficient is expanded in codes once per (families,
     factor copies, r, width) and cached, whatever the cap on r; components
-    and their codes are cached on the families alone (p._free).
+    and their codes are cached on the families alone (p._free).  Only the
+    live relation families contribute: live, the indices that
+    _live_relations(p, tridegree) gives, selected here when not given.
     """
     z, u, q = tridegree
     free = p._free
@@ -456,11 +471,10 @@ def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple,
     width = z.bit_length()
     index = {code: i for i, code in enumerate(_component_codes(free, tridegree, width))}
     coefficients = []  # (terms, complementary codes) of each nonzero coefficient
-    for rel, slots, (z_g, u_g, der) in zip(p.relations, p._relation_slots,
-                                             p._relation_degrees):
+    for i in _live_relations(p, tridegree) if live is None else live:
+        rel, slots, (z_g, u_g, der) = (p.relations[i], p._relation_slots[i],
+                                       p._relation_degrees[i])
         zc, uc = z - z_g, u - u_g
-        if zc < 0 or not _feasible(free, zc, uc, q - der):
-            continue
         r_hi = q - der
         if rel.low is not None:
             r_hi = min(r_hi, rel.low - 1)
@@ -492,13 +506,50 @@ def relation_rows(p: Presentation, tridegree: tuple) -> tuple[list[dict], tuple,
 def component_dimension(p: Presentation, tridegree: tuple,
                         mode: FieldMode | None = None) -> int:
     """Dimension of one graded component of the quotient: the free
-    monomials less the killed columns and the rank of the other rows."""
+    monomials less the killed columns and the rank of the other rows.
+
+    It depends only on the families, the relation families live at the
+    tridegree and the field, so presentations that reach the component
+    through equal live families share one computation of it."""
+    live = _live_relations(p, tridegree)
+    if not live:
+        return len(component_monomials(p._free, tridegree))
     mode = mode or FieldMode.exact()
-    rows, monos, killed = relation_rows(p, tridegree)
+    return _live_dimension(_restriction(p, live), tridegree, mode.kind, mode.primes)
+
+
+@functools.lru_cache(maxsize=None)
+def _restriction(p: Presentation, live: tuple) -> Presentation:
+    """p with only the relation families of indices live: p itself when
+    they are all of them, else one object per value (_presentation)."""
+    if len(live) == len(p.relations):
+        return p
+    return _presentation(p.families, tuple(p.relations[i] for i in live))
+
+
+@functools.lru_cache(maxsize=None)
+def _live_dimension(p: Presentation, tridegree: tuple, kind: str, primes) -> int:
+    """component_dimension of p, all of whose relation families are live,
+    in the field mode of that kind and primes.  Keyed on those, since a
+    mode's seed only picks its primes; presentations are keyed by value,
+    so equal restrictions of different presentations share an entry.
+    relation_rows is told that every family is live, not asked again."""
+    rows, monos, killed = relation_rows(p, tridegree, range(len(p.relations)))
     free = len(monos) - len(killed)
     if not rows:
         return free
-    return free - int_rank(rows, mode, free).rank
+    return free - int_rank(rows, FieldMode(kind, None, primes), free).rank
+
+
+# bound here, since tracing may replace the module's names with wrappers
+_CACHES = (_presentation, component_monomials, _mode_codes, _component_codes,
+           _relation_terms, _restriction, _live_dimension)
+
+
+def clear_caches() -> None:
+    """Drop the cached components, relation expansions and dimensions."""
+    for cache in _CACHES:
+        cache.cache_clear()
 
 
 def graded_character(p: Presentation, truncation: Truncation,

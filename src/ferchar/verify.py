@@ -16,11 +16,12 @@ parser takes command-line text or a JSON value alike.
 
 `run_cases` runs every case of `verify` and `scan`, in a process pool
 only with jobs > 1, which is when it imports `concurrent.futures`.  Every
-cache but fermionic's table of q-series products, which depends on its
-arguments alone, lasts one `run_cases` call: the components of presented
-(keyed on the generator families), and the cyclic modules and
-predicted-algebra characters of the fusion route, so a scan builds each
-once.
+cache but fermionic's table of q-series products and trailing-block
+forms, which depend on their arguments alone, lasts one `run_cases`
+call: the components of presented (keyed on the generator families), the
+component dimensions it shares across presentations by their live
+relation families, and the cyclic modules and predicted-algebra
+characters of the fusion route, so a scan builds each once.
 """
 
 from __future__ import annotations
@@ -318,7 +319,7 @@ EVALUATORS = {
     "fusion-w": Kind(LEVELS, False, lambda v: _closed(
         f"fusion-w{_levels(v)}", fermionic.w_fusion_spec(*_levels(v)), v)),
     "fusion": Kind(LEVELS + (POINTS,), True, _fusion),
-    "limform": Kind(LEVELS + (NMAX,), False, _limform),
+    "limform": Kind(LEVELS + (NMAX,), False, _limform, exact=True),
     "lattice": Kind(LATTICE, False, _lattice),
     "quadratic": Kind(LATTICE, True, lambda v: _brute(
         "quadratic", build_presentation_quadratic(v["matrix"], v["shifts"]), v, 0)),
@@ -545,10 +546,11 @@ def run_cases(descs: list, jobs: int = 1,
     checked before each case, with or without a pool; a pool cancels the
     cases it has not started when the run ends.  Every cache lives
     for one call: the memos of cyclic modules and predicted-algebra
-    characters, and the components and relation terms of presented, so
-    later cases of a scan reuse what earlier ones built.  With jobs > 1
-    each worker keeps its own, and they end with the pool; only then is
-    `concurrent.futures` imported, so the sequential path never names it."""
+    characters, and the components, relation terms and component
+    dimensions of presented, so later cases of a scan reuse what earlier
+    ones built.  With jobs > 1 each worker keeps its own, and they end
+    with the pool; only then is `concurrent.futures` imported, so the
+    sequential path never names it."""
     reports: list = []
     start = time.monotonic()
     # expired: what result(timeout) raises once its timeout passes; a

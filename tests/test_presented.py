@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies
 
+from ferchar import presented
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode, int_rank, reduce_rows
 from ferchar.fermionic import gram_matrix_for_partition
@@ -558,5 +559,84 @@ def test_quotient_data_match_reference_rows(p, data):
         for mode in (FieldMode.exact(), two):
             rank = int_rank(rows, mode).rank if rows else 0
             assert component_dimension(p, t, mode) == len(monos) - rank
+    finally:
+        clear_caches()
+
+
+@strategies.composite
+def presentations_with_overlapping_relations(draw):
+    """2-3 presentations on equal, separately built families, each with the
+    first relation family of one pool and its own choice of the others, in
+    pool order."""
+    ints = strategies.integers
+    specs = [(draw(ints(0, 1)), draw(ints(0, 2))) for _ in range(draw(ints(1, 2)))]
+    pool = [RelationFamily(tuple((f"g{draw(ints(0, len(specs) - 1))}", draw(ints(0, 2)),
+                                  draw(ints(1, 2)))
+                                 for _ in range(draw(ints(1, 2)))),
+                           draw(strategies.one_of(strategies.none(), ints(1, 3))))
+            for _ in range(draw(ints(2, 4)))]
+    subsets = draw(strategies.lists(strategies.frozensets(ints(1, len(pool) - 1)),
+                                    min_size=2, max_size=3, unique=True))
+    out = []
+    for picked in subsets:
+        families = [GeneratorFamily(f"g{i}", u, m) for i, (u, m) in enumerate(specs)]
+        out.append(Presentation.make(families, [pool[i] for i in sorted({0, *picked})]))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations_with_overlapping_relations(), strategies.data())
+def test_shared_dimensions_match_reference_rows(ps, data):
+    # presentations that reach a component through equal live relation
+    # families share its dimension; each must still read its own
+    # reference dimension, exactly and modulo two primes, whichever
+    # presentation or field mode filled the entry
+    p = ps[0]
+    u_reach = max(f.u_increment for f in p.families)
+    mode_lo = min(f.min_mode for f in p.families)
+    two = FieldMode.two_prime(data.draw(strategies.integers(0, 3)))
+    try:
+        for z, u, q in itertools.product(range(4), range(3), range(5)):
+            if u > z * u_reach:
+                continue
+            t = (z, u, q + z * mode_lo)
+            for other in ps:
+                rows, monos = ref_relation_rows(other, t)
+                for mode in (FieldMode.exact(), two):
+                    rank = int_rank(rows, mode).rank if rows else 0
+                    assert component_dimension(other, t, mode) == len(monos) - rank
+    finally:
+        clear_caches()
+
+
+def test_equal_live_relations_share_a_component(monkeypatch):
+    # at u = 0 only a(z)^{lambda_0 + 1} is live, and (3, 1) and (3, 2)
+    # share it: after the character of (3, 1), every u = 0 component of
+    # (3, 2) comes from the memo with no new relation rows; at u = 1,
+    # a^3 b is live for (3, 2) alone, so those components build rows
+    window = Truncation(6, 5, 1)
+    lam31, lam32 = (build_presentation_A(Partition.make(parts)) for parts in ((3, 1), (3, 2)))
+    cold = graded_character(lam32, window)
+    clear_caches()
+    graded_character(lam31, window)
+    calls = []
+    rows_of = presented.relation_rows
+
+    def counted(p, tridegree, *live):
+        calls.append(tridegree)
+        return rows_of(p, tridegree, *live)
+
+    monkeypatch.setattr(presented, "relation_rows", counted)
+    try:
+        hits = presented._live_dimension.cache_info().hits
+        components = [(z, 0, q) for z in range(6) for q in range(7)]
+        assert [component_dimension(lam32, t) for t in components] == \
+            [cold.coeffs.get(t, 0) for t in components]
+        assert calls == []
+        # a^4 is live from z = 4 on, in 2 * 7 components
+        assert presented._live_dimension.cache_info().hits - hits == 14
+        assert [component_dimension(lam32, (z, 1, q)) for z in (4, 5) for q in range(7)] == \
+            [cold.coeffs.get((z, 1, q), 0) for z in (4, 5) for q in range(7)]
+        assert calls
     finally:
         clear_caches()

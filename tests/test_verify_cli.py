@@ -209,6 +209,39 @@ def test_caches_live_for_one_run_cases(monkeypatch):
     assert sizes() == [0] * len(presented._CACHES)
 
 
+def test_dimension_memo_lives_for_one_run_cases(monkeypatch):
+    # the component dimensions shared by live relation families, and the
+    # restrictions they are keyed on: clear_caches() empties them, and
+    # run_cases does when it returns and when its budget runs out
+    memos = (presented._live_dimension, presented._restriction)
+
+    def sizes():
+        return [memo.cache_info().currsize for memo in memos]
+
+    presented.graded_character(build_presentation_A(Partition.make((2, 1))),
+                               Truncation(4, 3, 2))
+    assert all(sizes())
+    presented.clear_caches()
+    assert sizes() == [0, 0]
+    compare = verify.compare
+    warm = []
+
+    def observed(*args):
+        warm.append(sizes())
+        return compare(*args)
+
+    monkeypatch.setattr(verify, "compare", observed)
+    reports, timed_out = run_cases(MF_SCAN)
+    assert not timed_out and len(warm) == len(MF_SCAN) and all(map(all, warm))
+    assert sizes() == [0, 0]
+    warm.clear()
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+    reports, timed_out = run_cases(MF_SCAN, timeout=1.5)
+    assert timed_out and len(warm) == 1 and all(warm[0])
+    assert sizes() == [0, 0]
+
+
 def test_mf_scan_builds_each_component_once(monkeypatch):
     # the components depend on the families alone: one family for a
     # one-part lambda, a and b for the others; so every case after the
@@ -843,6 +876,28 @@ def test_limform_refuses_a_field_it_ignores(capsys, extra, flag):
                                  f"rationals alone and takes no {flag}\n")
     assert cli.main([*argv, "--field", "exact"]) == 0
     assert [r["field"] for r in json.loads(capsys.readouterr().out)] == ["exact"] * 2
+
+
+@pytest.mark.parametrize("extra,flag", [
+    (["--field", "two-prime"], "--field two-prime"),
+    (["--seed", "3"], "--seed"),
+    (["--field", "two-prime", "--seed", "3"], "--seed"),
+], ids=["field", "seed", "field-seed"])
+def test_char_limform_refuses_a_field_it_ignores(capsys, extra, flag):
+    # the limform evaluator is a closed formula: char refuses a two-prime
+    # field or a seed as verify limform does; --field exact and no flag
+    # print the same character
+    argv = ["char", "limform", *(f"--{k}={v}" for k, v in LIMFORM.items()),
+            "--qmax", "2", "--format", "json"]
+    assert cli.main([*argv, *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("configuration error: char limform runs over the "
+                                 f"rationals alone and takes no {flag}\n")
+    printed = []
+    for field in ([], ["--field", "exact"]):
+        assert cli.main([*argv, *field]) == 0
+        printed.append(json.loads(capsys.readouterr().out))
+    assert printed[0] == printed[1] and printed[0]["coefficients"]
 
 
 @pytest.mark.parametrize("command", ["char", "verify"])
