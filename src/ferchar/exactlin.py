@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
-
-from .frozen import frozen
 
 
 class NonUnit(ArithmeticError):
@@ -187,13 +186,13 @@ def random_prime_31(rng: random.Random) -> int:
             return c
 
 
-@frozen
-class FieldMode:
-    """Where ranks are computed: exact rationals, or two random prime fields."""
+class FieldMode(namedtuple("FieldMode", "kind seed primes", defaults=(None, None))):
+    """Where ranks are computed: exact rationals, or two random prime fields.
 
-    kind: str  # "exact" | "two-prime"
-    seed: int | None = None
-    primes: tuple[int, int] | None = None
+    kind, a str: "exact" | "two-prime"; seed, an int or None; primes, a
+    tuple[int, int] or None."""
+
+    __slots__ = ()
 
     @staticmethod
     def exact() -> FieldMode:
@@ -209,10 +208,11 @@ class FieldMode:
         return FieldMode("two-prime", seed, (p1, p2))
 
 
-@frozen
-class RankResult:
-    rank: int
-    escalated: bool = False
+class RankResult(namedtuple("RankResult", "rank escalated", defaults=(False,))):
+    """rank, an int; escalated, a bool: true when two-prime mode recomputed
+    the rank over the rationals."""
+
+    __slots__ = ()
 
 
 def two_prime(compute, mode: FieldMode):

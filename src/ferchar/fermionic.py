@@ -52,11 +52,11 @@ import functools
 import itertools
 import math
 import time
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul
 
 from .errors import ConfigurationError, ResourceLimitError, StabilizationError
-from .frozen import frozen
 from .gradedchar import (Comparison, GradedCharacter, Truncation, compare,
                          convolve, inv_pochhammer)
 from .presented import InitialConditions, Partition, check_lattice, low_ranges
@@ -116,13 +116,13 @@ def delta_vector(index: int, length: int) -> tuple[int, ...]:
 # closed sums
 
 
-@frozen
-class FermionicSumSpec:
-    a_n: tuple  # quadratic form on n
-    a_m: tuple  # quadratic form on m
-    b: tuple  # coupling, n_len x m_len
-    n_linear: tuple[int, ...]  # extra exponent sum_i n_i * n_linear[i]
-    m_linear: tuple[int, ...]
+class FermionicSumSpec(namedtuple("FermionicSumSpec", "a_n a_m b n_linear m_linear")):
+    """a_n, a tuple: the quadratic form on n; a_m, a tuple: the quadratic
+    form on m; b, a tuple: the coupling, n_len x m_len; n_linear, a tuple of
+    ints: the extra exponent sum_i n_i * n_linear[i]; m_linear, a tuple of
+    ints: its like on m."""
+
+    __slots__ = ()
 
     @property
     def n_len(self) -> int:
@@ -318,9 +318,9 @@ def _lattice_terms(gram, shifts, z_weights, u_weights, window,
 
 def _lattice_character(terms, window) -> GradedCharacter:
     """The sum of terms (x, z, u, q), each z^z u^u q^q / (q)_x, on window."""
-    coeffs: dict = {}
+    coeffs, q_max = {}, window.q_max
     for x, z, u, q in terms:
-        _add_series(coeffs, z, u, q, _term_series(x, window.q_max - q))
+        _add_series(coeffs, z, u, q, _term_series(x, q_max - q))
     return GradedCharacter.make(coeffs, window)
 
 
@@ -365,10 +365,10 @@ def character_W_fusion(i1: int, k1: int, i2: int, k2: int,
 # lattice principal characters
 
 
-@frozen
-class LatticeSpec:
-    gram: tuple
-    shifts: tuple[int, ...]
+class LatticeSpec(namedtuple("LatticeSpec", "gram shifts")):
+    """gram, a tuple of rows; shifts, a tuple of ints."""
+
+    __slots__ = ()
 
     @staticmethod
     def make(gram, shifts) -> LatticeSpec:
@@ -392,15 +392,16 @@ def lattice_principal_character(spec: LatticeSpec, window: Truncation) -> Graded
 # limit characters
 
 
-@frozen
-class LimitFusionResult:
-    character: GradedCharacter
-    stabilized_at: int  # first level whose window character equals the next
-    reconstructed_match: bool
-    reconstructed_detail: str | None
-    literal_comparison: Comparison
-    literal_fractional_terms: int
-    seconds: tuple[float, float, float]  # limit, reconstruction, literal routes
+class LimitFusionResult(namedtuple(
+        "LimitFusionResult", "character stabilized_at reconstructed_match reconstructed_detail"
+        " literal_comparison literal_fractional_terms seconds")):
+    """character, a GradedCharacter; stabilized_at, an int: the first level
+    whose window character equals the next; reconstructed_match, a bool;
+    reconstructed_detail, a str or None; literal_comparison, a Comparison;
+    literal_fractional_terms, an int; seconds, a tuple[float, float, float]:
+    the limit, reconstruction and literal routes."""
+
+    __slots__ = ()
 
 
 def _level_terms(i1, k1, i2, k2, level, window) -> list:

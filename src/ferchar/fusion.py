@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import namedtuple
 
 from .errors import ConfigurationError
 from .exactlin import FieldMode, NonUnit, echelon, two_prime
@@ -36,7 +37,6 @@ from .exactlin import FieldMode, NonUnit, echelon, two_prime
 # boundary and stops with BoundaryMissing without it
 from .exactlin import reduce_rows  # noqa: F401
 from .fermionic import delta_vector
-from .frozen import frozen
 # compare is unused here, but perfbench/spans.py traces ferchar.fusion.compare
 from .gradedchar import GradedCharacter, Truncation, compare  # noqa: F401
 from .presented import (InitialConditions, Partition, Presentation,
@@ -47,14 +47,13 @@ from .presented import (InitialConditions, Partition, Presentation,
 # cyclic modules
 
 
-@frozen
-class CyclicModule:
-    label: str
-    q_max: int
-    z_max: int
-    degrees: tuple  # global index -> (z, q) of the basis vector
-    actions: dict  # (j, global index) -> ((target global index, coeff), ...)
-    field: int | None = None
+class CyclicModule(namedtuple("CyclicModule", "label q_max z_max degrees actions field",
+                              defaults=(None,))):
+    """label, a str; q_max and z_max, ints; degrees, a tuple: global index ->
+    (z, q) of the basis vector; actions, a dict: (j, global index) ->
+    ((target global index, coeff), ...); field, an int or None."""
+
+    __slots__ = ()
 
 
 def cyclic_module_from_presentation(p: Presentation, q_max: int, z_max: int,
@@ -130,10 +129,11 @@ class FusionContext:
         self.n = len(modules)
         # one lexicographic sweep over the slots, kept to the window
         sweep = [((), 0, 0)]
+        z_max, q_max = window.z_max, window.q_max
         for module in modules:
             sweep = [(elem + (g,), z + dz, q + dq) for elem, z, q in sweep
                      for g, (dz, dq) in enumerate(module.degrees)
-                     if z + dz <= window.z_max and q + dq <= window.q_max]
+                     if z + dz <= z_max and q + dq <= q_max]
         self._elems: dict = {}  # (z, q) -> its elements, in column order
         for elem, z, q in sweep:
             self._elems.setdefault((z, q), []).append(elem)
@@ -195,11 +195,11 @@ class FusionContext:
         primes; otherwise it raises NonUnit.  So a candidate is standard
         modulo N exactly when it is standard modulo both primes.
         """
-        w = self.window
+        q_max, z_max, u_max = self.window
         counts: dict = {}
         standard: dict = {}  # (z, q) -> [(degree, monomial, raw image)], in order
-        for big_z in range(w.z_max + 1):
-            for big_q in range(w.q_max + 1):
+        for big_z in range(z_max + 1):
+            for big_q in range(q_max + 1):
                 full = self.tensor_dimension(big_z, big_q)
                 if not full:
                     continue
@@ -208,7 +208,7 @@ class FusionContext:
                     ((l + m, ((j, m),) + mono, image)
                      for j in range(big_q + 1)
                      for l, mono, image in standard.get((big_z - 1, big_q - j), ())
-                     for m in range(min(self.n, w.u_max - l + 1))
+                     for m in range(min(self.n, u_max - l + 1))
                      if not mono or (j, m) >= mono[0]),
                     key=lambda cand: cand[:2])
                 basis: dict = {}

@@ -16,7 +16,7 @@ Key choices:
 
 from __future__ import annotations
 
-from .frozen import frozen
+from collections import namedtuple
 
 Key = tuple  # (z_deg, u_deg, q_deg)
 
@@ -29,19 +29,20 @@ def _min_opt(a, b):
     return min(a, b)
 
 
-@frozen
-class Truncation:
-    q_max: int
-    z_max: int | None = None
-    u_max: int | None = None
+class Truncation(namedtuple("Truncation", "q_max z_max u_max", defaults=(None, None))):
+    """The window q <= q_max, z <= z_max, u <= u_max.  q_max, an int;
+    z_max and u_max, ints or None: None leaves that degree unbounded."""
+
+    __slots__ = ()
 
     def contains(self, key: Key) -> bool:
         z, u, q = key
-        if q > self.q_max:
+        q_max, z_max, u_max = self
+        if q > q_max:
             return False
-        if self.z_max is not None and z > self.z_max:
+        if z_max is not None and z > z_max:
             return False
-        if self.u_max is not None and u > self.u_max:
+        if u_max is not None and u > u_max:
             return False
         return True
 
@@ -51,10 +52,11 @@ class Truncation:
                           _min_opt(self.u_max, other.u_max))
 
 
-@frozen
-class GradedCharacter:
-    coeffs: dict
-    truncation: Truncation
+class GradedCharacter(namedtuple("GradedCharacter", "coeffs truncation")):
+    """coeffs, a dict: (z, u, q) -> dimension; truncation, a Truncation:
+    the window on which coeffs is complete."""
+
+    __slots__ = ()
 
     @staticmethod
     def make(coeffs: dict, truncation: Truncation) -> GradedCharacter:
@@ -116,21 +118,22 @@ def convolve(a, b, q_max: int) -> tuple[int, ...]:
 # comparison
 
 
-@frozen
-class Comparison:
-    verdict: str  # "EQUAL" | "LE" | "MISMATCH"
-    window: Truncation
-    first_diff: tuple | None = None  # (z, u, q, left, right)
+class Comparison(namedtuple("Comparison", "verdict window first_diff", defaults=(None,))):
+    """verdict, a str: "EQUAL" | "LE" | "MISMATCH"; window, a Truncation;
+    first_diff, a tuple (z, u, q, left, right) or None."""
+
+    __slots__ = ()
 
 
 def compare(a: GradedCharacter, b: GradedCharacter) -> Comparison:
     window = a.truncation.meet(b.truncation)
-    keys = set(a.coeffs) | set(b.coeffs)
+    a_coeffs, b_coeffs = a.coeffs, b.coeffs
+    keys = set(a_coeffs) | set(b_coeffs)
     keys = sorted(k for k in keys if window.contains(k))
     first_diff = None
     all_le = True
     for k in keys:
-        va, vb = a.coeffs.get(k, 0), b.coeffs.get(k, 0)
+        va, vb = a_coeffs.get(k, 0), b_coeffs.get(k, 0)
         if va != vb:
             if first_diff is None:
                 first_diff = (k[0], k[1], k[2], va, vb)

@@ -46,10 +46,10 @@ from __future__ import annotations
 
 import bisect
 import functools
+from collections import namedtuple
 
 from .errors import ConfigurationError
 from .exactlin import FieldMode, int_rank, reduce_rows
-from .frozen import frozen
 from .gradedchar import GradedCharacter, Truncation
 
 Mode = tuple  # (family index, q-degree n) for the coefficient a_{f,-n}
@@ -60,9 +60,10 @@ Monomial = tuple  # modes sorted ascending, with repetition
 # presentation data
 
 
-@frozen
-class Partition:
-    parts: tuple[int, ...]
+class Partition(namedtuple("Partition", "parts")):
+    """parts, a tuple of ints."""
+
+    __slots__ = ()
 
     @staticmethod
     def make(parts) -> Partition:
@@ -92,10 +93,10 @@ class Partition:
         return all(p[i - 1] - p[i] <= p[i] - p[i + 1] for i in range(1, len(p) - 1))
 
 
-@frozen
-class InitialConditions:
-    c: tuple[int, ...]
-    d: tuple[int, ...]
+class InitialConditions(namedtuple("InitialConditions", "c d")):
+    """c and d, tuples of ints."""
+
+    __slots__ = ()
 
     @staticmethod
     def make(c, d) -> InitialConditions:
@@ -105,24 +106,26 @@ class InitialConditions:
         return InitialConditions(c, d)
 
 
-@frozen
-class GeneratorFamily:
-    name: str
-    u_increment: int = 0
-    min_mode: int = 0
+class GeneratorFamily(namedtuple("GeneratorFamily", "name u_increment min_mode",
+                                 defaults=(0, 0))):
+    """name, a str; u_increment and min_mode, ints."""
+
+    __slots__ = ()
 
 
-@frozen
-class RelationFamily:
-    factors: tuple  # ((family name, derivative order, power), ...)
-    low: int | None = None  # None = ALL coefficients, r = coefficients of z^0..z^{r-1}
-    label: str = ""
+class RelationFamily(namedtuple("RelationFamily", "factors low label",
+                                defaults=(None, ""))):
+    """factors, a tuple: ((family name, derivative order, power), ...); low,
+    an int or None: None = ALL coefficients, r = coefficients of
+    z^0..z^{r-1}; label, a str."""
+
+    __slots__ = ()
 
 
-@frozen
-class Presentation:
-    families: tuple
-    relations: tuple
+class Presentation(namedtuple("Presentation", "families relations")):
+    """families, a tuple of GeneratorFamily; relations, a tuple of
+    RelationFamily.  No __slots__: the cached properties below keep their
+    values in the instance dict."""
 
     @staticmethod
     def make(families, relations) -> Presentation:
@@ -182,12 +185,6 @@ class Presentation:
         """Per relation: its z-degree, u-degree and total derivative order."""
         return tuple((len(slots), sum(self.families[f].u_increment for f, _ in slots),
                       sum(d for _, d in slots)) for slots in self._relation_slots)
-
-    def family_index(self, name: str) -> int:
-        for i, f in enumerate(self.families):
-            if f.name == name:
-                return i
-        raise KeyError(name)
 
 
 @functools.lru_cache(maxsize=None)

@@ -29,31 +29,26 @@ from __future__ import annotations
 import functools
 import json
 import time
+from collections import namedtuple
 from collections.abc import Callable
 
 from . import fermionic, fusion
 from .errors import ConfigurationError
 from .exactlin import FieldMode
-from .frozen import frozen
 from .gradedchar import Comparison, Truncation, compare
 from .presented import (InitialConditions, Partition, build_presentation_A,
                         build_presentation_quadratic, clear_caches,
                         graded_character, presentation_from_json)
 
 
-@frozen
-class VerificationReport:
-    case: str
-    left: str
-    right: str
-    window: Truncation
-    verdict: str
-    first_diff: tuple | None
-    millis: int
-    field: str
-    seed: int | None
-    informational: bool = False
-    passed: bool = True
+class VerificationReport(namedtuple(
+        "VerificationReport", "case left right window verdict first_diff millis field seed"
+        " informational passed", defaults=(False, True))):
+    """case, left and right, strs; window, a Truncation; verdict, a str;
+    first_diff, a tuple or None; millis, an int; field, a str; seed, an int
+    or None; informational and passed, bools."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         w = self.window
@@ -207,23 +202,24 @@ def load_presentation(value):
     return presentation_from_json(data)
 
 
-@frozen
-class Flag:
-    """--name on the command line, name in config files and descriptors."""
+class Flag(namedtuple("Flag", "name parse required", defaults=(False,))):
+    """--name on the command line, name in config files and descriptors.
 
-    name: str
-    parse: Callable  # command-line text or JSON value -> value
-    required: bool = False
+    name, a str; parse, a Callable: command-line text or JSON value ->
+    value; required, a bool."""
+
+    __slots__ = ()
 
 
-@frozen
-class Kind:
-    """One registered evaluator, case or scan."""
+class Kind(namedtuple("Kind", "flags finite run exact", defaults=(False,))):
+    """One registered evaluator, case or scan.
 
-    flags: tuple
-    finite: bool  # without --zmax/--umax, z runs to q_max and u to z_max
-    run: Callable  # flag values, "window", "mode" -> evaluator, reports or cases
-    exact: bool = False  # over Q alone: --field two-prime and --seed are refused
+    flags, a tuple of Flag; finite, a bool: without --zmax/--umax, z runs to
+    q_max and u to z_max; run, a Callable: flag values, "window", "mode" ->
+    evaluator, reports or cases; exact, a bool: over Q alone, so --field
+    two-prime and --seed are refused."""
+
+    __slots__ = ()
 
 
 def parse_values(flags, raw: dict) -> dict:

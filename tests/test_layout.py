@@ -84,15 +84,17 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_import_loads_no_dataclasses_logging_or_pool():
-    # a fresh interpreter, counting only what importing ferchar.cli adds to
-    # sys.modules, so what site loads does not count: logging comes with
-    # the exact-recompute warning and the pool with --jobs > 1
+    # a fresh interpreter without site (-S), whose .pth hooks may preload
+    # typing and so hide its cost, counting what importing ferchar.cli adds
+    # to sys.modules: logging comes with the exact-recompute warning and
+    # the pool with --jobs > 1
     code = ("import sys; before = set(sys.modules); import ferchar.cli; "
             "print(*sorted(set(sys.modules) - before))")
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path},
+                         check=True).stdout
     added = set(out.split())
     assert "ferchar.cli" in added
-    assert {"dataclasses", "logging", "concurrent.futures"} & added == set()
+    assert {"dataclasses", "logging", "concurrent.futures", "typing"} & added == set()
     assert [p.name for p in sorted(SRC.glob("*.py")) if "dataclass" in p.read_text()] == []

@@ -328,7 +328,7 @@ def _ref_series(p, rel, z_cap):
     """{z exponent: {monomial: coefficient}} of the relation series."""
     series = {0: {(): 1}}
     for name, der, power in rel.factors:
-        f = p.family_index(name)
+        f = [fam.name for fam in p.families].index(name)
         base = {}
         for n in range(max(p.families[f].min_mode, der), z_cap + der + 1):
             coef = 1
@@ -359,7 +359,7 @@ def ref_relation_rows(p, tridegree):
     rows = []
     for rel in p.relations:
         z_g = sum(pw for _, _, pw in rel.factors)
-        u_g = sum(pw * p.families[p.family_index(nm)].u_increment
+        u_g = sum(pw * next(f.u_increment for f in p.families if f.name == nm)
                   for nm, _, pw in rel.factors)
         der = sum(d * pw for _, d, pw in rel.factors)
         zc, uc = z - z_g, u - u_g

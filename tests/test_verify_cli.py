@@ -294,7 +294,7 @@ def test_every_cache_has_a_stated_lifetime():
 
 
 def without_millis(reports) -> list:
-    return [type(r)(**{**vars(r), "millis": 0}) for r in reports]
+    return [r._replace(millis=0) for r in reports]
 
 
 def clear_memos() -> None:
@@ -526,6 +526,9 @@ def test_cli_scan(capsys, monkeypatch):
     code, cut = run_cli(capsys, *argv, "--timeout", "0")
     assert code == 3
     assert len(json.loads(cut)) < len(json.loads(out))
+    # a scan with no case says so
+    assert run_cli(capsys, "scan", "mf", "--max-size", "0", "--qmax", "2",
+                   "--format", "table") == (0, "(no cases)\n")
 
 
 def test_cli_verify_honours_timeout(capsys):
@@ -715,6 +718,10 @@ def test_cli_config_errors(tmp_path, capsys):
     code, _ = run_cli(capsys, "char", "gordon", "--k", "1", "--qmax", "2",
                       "--config", str(cfg))
     assert code == 2
+    cfg.write_text(json.dumps([{"k": 1}]))
+    assert cli.main(["char", "gordon", "--k", "1", "--qmax", "2",
+                     "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", "configuration error: config must be a JSON object\n")
 
 
 def test_cli_parsers():
@@ -751,6 +758,17 @@ def test_custom_descriptor_strings_parse_as_flags(capsys):
         reports.append([{key: v for key, v in r.items() if key != "millis"}
                         for r in json.loads(out)])
     assert reports[0] == reports[1]
+
+
+def test_custom_config_takes_descriptor_objects(tmp_path, capsys):
+    # a config file holds the descriptors as JSON objects, not as text
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps({"left": {"kind": "gordon", "k": 1},
+                               "right": {"kind": "algebra", "lambda": [1]},
+                               "qmax": 3, "zmax": 2, "umax": 0, "format": "json"}))
+    code, out = run_cli(capsys, "verify", "custom", "--config", str(cfg))
+    assert code == 0
+    assert [r["verdict"] for r in json.loads(out)] == ["EQUAL"]
 
 
 @pytest.mark.parametrize("data", [{"field": "Exact"}, {"format": "yaml"},
@@ -790,6 +808,18 @@ def test_malformed_case_values_exit_2(tmp_path, capsys):
                   "--out", str(tmp_path / "missing" / "out.txt"))):
         assert cli.main(list(argv)) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "custom", "--left", '{"kind": "algebra", "lambda": [1]}', "--right",
+      '{"kind": "gordon", "k": 1}', "--qmax", "3", "--zmax", "2"),
+     "brute-force cases need a finite u window"),
+    (("verify", "points", "--levels", "1,1", "--points", "1", "--alt-points", "2",
+      "--qmax", "3"), "need at least two (i, k) pairs"),
+])
+def test_case_values_out_of_range_exit_2(capsys, argv, message):
+    assert cli.main(list(argv)) == 2
+    assert capsys.readouterr() == ("", f"configuration error: {message}\n")
 
 
 FUSION_LEVELS = ("--i1", "0", "--k1", "1", "--i2", "0", "--k2", "1", "--qmax", "2")
@@ -918,6 +948,11 @@ def test_gordon_level_zero_has_one_message(capsys, command):
     ({"name": "a"}, {"factors": [["a", 0, 2.0]]}),
     ({"name": "a"}, {"factors": [["a", 0, 2]], "low": "1"}),
     ({"name": "a"}, {"factors": [["a", 0, 2]], "label": 7}),
+    ({"name": "a", "u_increment": 2}, {"factors": [["a", 0, 2]]}),
+    ({"name": "a", "min_mode": -1}, {"factors": [["a", 0, 2]]}),
+    ({"name": "a"}, {"factors": []}),
+    ({"name": "a"}, {"factors": [["a", -1, 2]]}),
+    ({"name": "a"}, {"factors": [["a", 0, 0]]}),
 ])
 def test_malformed_presentation_file_exits_2(tmp_path, capsys, family, relation):
     path = tmp_path / "bad.json"
