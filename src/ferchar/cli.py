@@ -6,11 +6,10 @@ verdicts; `scan` sweeps a family of cases.  Their kinds and flags come
 from the registries in `ferchar.verify`; each call builds only the
 parser of the command and kind that its argv names.  `--timeout` is
 checked before `char` evaluates and before each case of `verify` and
-`scan`, and is spent once the elapsed time reaches it; `--jobs` sets the
-worker count of `scan` alone.  Exit codes:
+`scan`, and is spent once the elapsed time reaches it; `--jobs`, a flag
+of the `scan` kinds alone, sets its worker count (0 means 1).  Exit codes:
 0 all passed, 1 a required comparison mismatched, 2 bad configuration,
-3 a resource or stabilization limit was hit.  FERCHAR_THREADS overrides
---jobs.
+3 a resource or stabilization limit was hit.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 import time
 
@@ -41,7 +39,7 @@ COMMON_FLAGS = (
     Flag("qmax", parse_size, True), Flag("zmax", parse_size), Flag("umax", parse_size),
     Flag("field", choice("two-prime", "exact")), Flag("seed", parse_int),
     Flag("format", choice("json", "csv", "table")), Flag("out", parse_text),
-    Flag("config", parse_text), Flag("jobs", parse_size), Flag("timeout", parse_seconds),
+    Flag("config", parse_text), Flag("timeout", parse_seconds),
 )
 
 
@@ -124,18 +122,6 @@ def resolve_mode(args, kind: catalog.Kind) -> FieldMode:
     if kind.exact or args.field == "exact":
         return FieldMode.exact()
     return FieldMode.two_prime(0 if args.seed is None else args.seed)
-
-
-def resolve_jobs(args) -> int:
-    """Scan workers: FERCHAR_THREADS if set, else --jobs; both parse as
-    --jobs does, and 0 means 1."""
-    env = os.environ.get("FERCHAR_THREADS")
-    if env:
-        try:
-            return parse_size(env) or 1
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"FERCHAR_THREADS: {exc}") from None
-    return args.jobs or 1
 
 
 def resolve_window(args, finite: bool) -> Truncation:
@@ -236,7 +222,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             descs, jobs = [(args.kind, values)], 1
         else:
-            descs, jobs = kind.run(values), resolve_jobs(args)
+            descs, jobs = kind.run(values), args.jobs or 1
         return _finish_reports(*catalog.run_cases(descs, jobs, args.timeout), args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -8,15 +8,18 @@ One enumerator, _lattice_terms, lists the terms of every closed sum
 
 on a truncation window, and _lattice_character adds them up into a
 GradedCharacter, where (q)_x = prod_i (q)_{x_i} and (z0, q0) is the
-origin, (0, 0) but in the limit route.  The lattice characters weight
-every coordinate z^1 u^0.  The fermionic sums
+origin, (0, 0) but in the limit route.  A LatticeSpec holds one such sum
+(gram, shifts, z_weights, u_weights), and evaluate_fermionic_sum
+evaluates it.  The lattice characters (LatticeSpec.make) weight every
+coordinate z^1 u^0.  The fermionic sums
 
     sum over n (and m) u^|m| (z/q)^(|n|+|m|)
         q^(nAn/2 + nBm + mAm/2 + linear terms) / ((q)_n (q)_m),
 
 with |n| = n_1 + 2 n_2 + 3 n_3 + ... the weighted length, are the case
-x = (n, m) with the block Gram matrix [[A, B], [B^T, A']] (_block): the
-diagonal of A(k) is 2, 4, ..., 2k, so sum_i G_ii x_i / 2 is |n| + |m|.
+x = (n, m) with the block Gram matrix [[A, B], [B^T, A']], which gmf_spec
+builds, the linear terms as shifts: the diagonal of A(k) is 2, 4, ...,
+2k, so sum_i G_ii x_i / 2 is |n| + |m|.
 Every entry of G and of the weights is nonnegative, so z, u and every
 cross term never decrease as one coordinate grows.  A shift may be
 negative: the exponent is then convex in each coordinate, falling first
@@ -59,7 +62,8 @@ from operator import add, mul
 from .errors import ConfigurationError, ResourceLimitError, StabilizationError
 from .gradedchar import (Comparison, GradedCharacter, Truncation, compare,
                          convolve, inv_pochhammer)
-from .presented import InitialConditions, Partition, check_lattice, low_ranges
+from .presented import (InitialConditions, Partition, check_initial_conditions,
+                        check_lattice, low_ranges)
 
 # ---------------------------------------------------------------------------
 # matrices
@@ -116,49 +120,53 @@ def delta_vector(index: int, length: int) -> tuple[int, ...]:
 # closed sums
 
 
-class FermionicSumSpec(namedtuple("FermionicSumSpec", "a_n a_m b n_linear m_linear")):
-    """a_n, a tuple: the quadratic form on n; a_m, a tuple: the quadratic
-    form on m; b, a tuple: the coupling, n_len x m_len; n_linear, a tuple of
-    ints: the extra exponent sum_i n_i * n_linear[i]; m_linear, a tuple of
-    ints: its like on m."""
+class LatticeSpec(namedtuple("LatticeSpec", "gram shifts z_weights u_weights")):
+    """The closed sum of the module docstring: gram, a tuple of rows;
+    shifts, z_weights and u_weights, tuples of ints, one per row."""
 
     __slots__ = ()
 
-    @property
-    def n_len(self) -> int:
-        return len(self.a_n)
+    @staticmethod
+    def make(gram, shifts) -> LatticeSpec:
+        """A lattice principal character: gram and shifts checked, and every
+        coordinate weighted z^1 u^0."""
+        gram, shifts = check_lattice(gram, shifts)
+        return LatticeSpec(gram, shifts, (1,) * len(gram), (0,) * len(gram))
 
-    @property
-    def m_len(self) -> int:
-        return len(self.a_m)
 
-
-def gordon_spec(k: int) -> FermionicSumSpec:
+def gordon_spec(k: int) -> LatticeSpec:
     if k < 1:
         raise ConfigurationError("level must be >= 1")
     return mf_spec(Partition.make((k,)))
 
 
-def mf_spec(lam: Partition) -> FermionicSumSpec:
-    b = B_matrix(lam) if lam.s >= 1 else tuple(() for _ in range(lam.lam0))
-    return FermionicSumSpec(A_matrix(lam.lam0), A_matrix(lam.s), b,
-                            (0,) * lam.lam0, (0,) * lam.s)
+def mf_spec(lam: Partition) -> LatticeSpec:
+    return gmf_spec(lam, InitialConditions((0,) * lam.lam0, (0,) * lam.s))
 
 
-def gmf_spec(lam: Partition, ic: InitialConditions) -> FermionicSumSpec:
-    if len(ic.c) != lam.lam0 or len(ic.d) != lam.s:
-        raise ConfigurationError(
-            f"initial conditions must have lengths {lam.lam0} and {lam.s}")
-    base = mf_spec(lam)
-    return FermionicSumSpec(base.a_n, base.a_m, base.b,
-                            low_ranges(ic.c), low_ranges(ic.d))
+def gmf_spec(lam: Partition, ic: InitialConditions) -> LatticeSpec:
+    """The fermionic sum of (lam, c, d) in block form over x = (n, m): Gram
+    matrix [[A(lam0), B], [B^T, A(s)]], shifts low_ranges(c) +
+    low_ranges(d), z-weights (1..lam0, 1..s) and u-weights
+    (0, ..., 0, 1..s)."""
+    check_initial_conditions(lam, ic)
+    n, s = lam.lam0, lam.s
+    b = B_matrix(lam) if s else ((),) * n
+    gram = tuple(map(add, A_matrix(n), b)) + tuple(map(add, zip(*b), A_matrix(s)))
+    m_w = tuple(range(1, s + 1))
+    return LatticeSpec(gram, low_ranges(ic.c) + low_ranges(ic.d),
+                       tuple(range(1, n + 1)) + m_w, (0,) * n + m_w)
+
+
+def check_level(i: int, k: int) -> None:
+    """Refuse a module W_{i,k} outside 1 <= k, 0 <= i <= k."""
+    if k < 1 or not 0 <= i <= k:
+        raise ConfigurationError(f"need 1 <= k and 0 <= i <= k, got i={i}, k={k}")
 
 
 def _check_levels(i1, k1, i2, k2):
-    if k1 < 1 or k2 < 1:
-        raise ConfigurationError("levels must be >= 1")
-    if not (0 <= i1 <= k1 and 0 <= i2 <= k2):
-        raise ConfigurationError(f"need 0 <= i <= k, got ({i1},{k1}), ({i2},{k2})")
+    check_level(i1, k1)
+    check_level(i2, k2)
 
 
 def fusion_rule(i1: int, k1: int, i2: int,
@@ -173,7 +181,7 @@ def fusion_rule(i1: int, k1: int, i2: int,
                                        delta_vector(min(i1, i2) + 1, lam.s))
 
 
-def w_fusion_spec(i1: int, k1: int, i2: int, k2: int) -> FermionicSumSpec:
+def w_fusion_spec(i1: int, k1: int, i2: int, k2: int) -> LatticeSpec:
     """Closed sum for W_{i1,k1} * W_{i2,k2}: the gmf sum of fusion_rule."""
     return gmf_spec(*fusion_rule(i1, k1, i2, k2))
 
@@ -324,19 +332,14 @@ def _lattice_character(terms, window) -> GradedCharacter:
     return GradedCharacter.make(coeffs, window)
 
 
-def _block(spec: FermionicSumSpec) -> tuple:
-    """(gram, shifts, z_weights, u_weights) of spec as a lattice sum over
-    x = (n, m): Gram matrix [[a_n, b], [b^T, a_m]], z-weights
-    (1..n_len, 1..m_len) and u-weights (0, ..., 0, 1..m_len)."""
-    n_w, m_w = tuple(range(1, spec.n_len + 1)), tuple(range(1, spec.m_len + 1))
-    gram = tuple(a + b for a, b in zip(spec.a_n, spec.b))
-    gram += tuple(tuple(row[j] for row in spec.b) + spec.a_m[j] for j in range(spec.m_len))
-    return gram, spec.n_linear + spec.m_linear, n_w + m_w, (0,) * spec.n_len + m_w
+def evaluate_fermionic_sum(spec: LatticeSpec, window: Truncation) -> GradedCharacter:
+    """The closed sum of spec on window."""
+    return _lattice_character(_lattice_terms(*spec, window), window)
 
 
-def evaluate_fermionic_sum(spec: FermionicSumSpec, window: Truncation) -> GradedCharacter:
-    """The lattice sum of _block(spec) on window."""
-    return _lattice_character(_lattice_terms(*_block(spec), window), window)
+# the lattice principal characters are the sums of LatticeSpec.make; one
+# function, so that a traced call is one fermionic.sum span
+lattice_principal_character = evaluate_fermionic_sum
 
 
 # ---------------------------------------------------------------------------
@@ -359,33 +362,6 @@ def character_A_lambda_cd(lam: Partition, ic: InitialConditions,
 def character_W_fusion(i1: int, k1: int, i2: int, k2: int,
                        window: Truncation) -> GradedCharacter:
     return evaluate_fermionic_sum(w_fusion_spec(i1, k1, i2, k2), window)
-
-
-# ---------------------------------------------------------------------------
-# lattice principal characters
-
-
-class LatticeSpec(namedtuple("LatticeSpec", "gram shifts")):
-    """gram, a tuple of rows; shifts, a tuple of ints."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def make(gram, shifts) -> LatticeSpec:
-        gram, shifts = check_lattice(gram, shifts)
-        if any(x < 0 for row in gram for x in row):
-            raise ConfigurationError("enumeration assumes nonnegative entries")
-        return LatticeSpec(gram, shifts)
-
-
-def lattice_principal_character(spec: LatticeSpec, window: Truncation) -> GradedCharacter:
-    """sum over n >= 0 of z^(n_1+...+n_N) q^(nMn/2 + sum n_i (v_i - m_ii/2)) / (q)_n.
-
-    The z-grading counts generators (each has z-degree 1); u is not used.
-    """
-    size = len(spec.gram)
-    terms = _lattice_terms(spec.gram, spec.shifts, (1,) * size, (0,) * size, window)
-    return _lattice_character(terms, window)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +390,7 @@ def _level_terms(i1, k1, i2, k2, level, window) -> list:
     f(N) = N^2 - (2 level + 1) N = (N^2 - N) - 2 level N, and a
     w_fusion_spec term has z = sum N_i + sum M_j.
     """
-    gram, shifts, z_w, u_w = _block(w_fusion_spec(i1, k1, i2, k2))
+    gram, shifts, z_w, u_w = w_fusion_spec(i1, k1, i2, k2)
     big = k1 + k2
     return _lattice_terms(gram, tuple(s - 2 * level * w for s, w in zip(shifts, z_w)),
                           tuple(2 * w for w in z_w), u_w, window,

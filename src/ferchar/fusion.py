@@ -36,7 +36,7 @@ from .exactlin import FieldMode, NonUnit, echelon, two_prime
 # unused here, but perfbench/spans.py traces ferchar.fusion.reduce_rows as a
 # boundary and stops with BoundaryMissing without it
 from .exactlin import reduce_rows  # noqa: F401
-from .fermionic import delta_vector
+from .fermionic import check_level, delta_vector
 # compare is unused here, but perfbench/spans.py traces ferchar.fusion.compare
 from .gradedchar import GradedCharacter, Truncation, compare  # noqa: F401
 from .presented import (InitialConditions, Partition, Presentation,
@@ -88,8 +88,7 @@ def cyclic_module_from_presentation(p: Presentation, q_max: int, z_max: int,
 def principal_subspace(i: int, k: int, q_max: int, z_max: int,
                        field: int | None = None) -> CyclicModule:
     """W_{i,k}: C[e modes]/(e(z)^{k+1}, e(z)^l divisible by z^{l-i} for l > i)."""
-    if k < 1 or not 0 <= i <= k:
-        raise ConfigurationError(f"need 1 <= k and 0 <= i <= k, got i={i}, k={k}")
+    check_level(i, k)
     pres = build_presentation_A(Partition.make((k,)),
                                 InitialConditions.make(delta_vector(i + 1, k), ()))
     return cyclic_module_from_presentation(pres, q_max, z_max, field, f"W[{i},{k}]")

@@ -206,6 +206,14 @@ def low_ranges(values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def check_initial_conditions(lam: Partition, ic: InitialConditions) -> None:
+    """Refuse initial conditions whose c and d do not have lengths lam0 and s."""
+    if len(ic.c) != lam.lam0 or len(ic.d) != lam.s:
+        raise ConfigurationError(
+            f"initial conditions c (len {len(ic.c)}) and d (len {len(ic.d)}) "
+            f"must have lengths {lam.lam0} and {lam.s}")
+
+
 def build_presentation_A(lam: Partition, ic: InitialConditions | None = None) -> Presentation:
     """Quotient of C[a modes; b modes] by a(z)^{lam_j+1} b(z)^j (j = 0..s)
     and b(z)^{s+1}, plus the divisibility conditions from ic: z^{v_i}
@@ -228,10 +236,7 @@ def build_presentation_A(lam: Partition, ic: InitialConditions | None = None) ->
     if s >= 1:
         relations.append(RelationFamily((("b", 0, s + 1),), None, f"b^{s + 1}"))
     if ic is not None:
-        if len(ic.c) != lam.lam0 or len(ic.d) != s:
-            raise ConfigurationError(
-                f"initial conditions c (len {len(ic.c)}) and d (len {len(ic.d)}) "
-                f"must have lengths {lam.lam0} and {s}")
+        check_initial_conditions(lam, ic)
         for name, values in (("a", ic.c), ("b", ic.d)):
             v = (0,) + low_ranges(values)
             for i in range(1, len(v)):
@@ -243,7 +248,10 @@ def build_presentation_A(lam: Partition, ic: InitialConditions | None = None) ->
 
 def check_lattice(gram, shifts) -> tuple[tuple, tuple]:
     """gram and shifts as integer tuples, checked: a square symmetric
-    matrix with positive even diagonal, and one nonnegative shift per row."""
+    matrix with nonnegative entries and positive even diagonal, and one
+    nonnegative shift per row.  A negative M_ij, a pole, would give the
+    quadratic presentation no relation and break the lattice sum
+    enumerator's rule that cross terms only add."""
     gram = tuple(tuple(int(x) for x in row) for row in gram)
     n = len(gram)
     if any(len(row) != n for row in gram):
@@ -255,6 +263,8 @@ def check_lattice(gram, shifts) -> tuple[tuple, tuple]:
     shifts = tuple(int(x) for x in shifts)
     if len(shifts) != n or any(x < 0 for x in shifts):
         raise ConfigurationError(f"need {n} nonnegative shifts, got {shifts}")
+    if any(x < 0 for row in gram for x in row):
+        raise ConfigurationError("matrix entries must be nonnegative")
     return gram, shifts
 
 

@@ -301,11 +301,6 @@ def _limform(v):
         *a, w.q_max, w.u_max, n_max)[0])
 
 
-def _lattice(v):
-    spec = fermionic.LatticeSpec.make(v["matrix"], v["shifts"])
-    return "lattice", lambda: fermionic.lattice_principal_character(spec, v["window"])
-
-
 EVALUATORS = {
     "gordon": Kind((K,), False, lambda v: _closed(
         f"gordon(k={v['k']})", fermionic.gordon_spec(v["k"]), v)),
@@ -316,7 +311,8 @@ EVALUATORS = {
         f"fusion-w{_levels(v)}", fermionic.w_fusion_spec(*_levels(v)), v)),
     "fusion": Kind(LEVELS + (POINTS,), True, _fusion),
     "limform": Kind(LEVELS + (NMAX,), False, _limform, exact=True),
-    "lattice": Kind(LATTICE, False, _lattice),
+    "lattice": Kind(LATTICE, False, lambda v: _closed(
+        "lattice", fermionic.LatticeSpec.make(v["matrix"], v["shifts"]), v)),
     "quadratic": Kind(LATTICE, True, lambda v: _brute(
         "quadratic", build_presentation_quadratic(v["matrix"], v["shifts"]), v, 0)),
     "presentation": Kind((Flag("file", load_presentation, True),), True,
@@ -516,10 +512,11 @@ def scan_fusion_cases(kmax: int, window: Truncation, mode: FieldMode) -> list:
     return out
 
 
+JOBS = Flag("jobs", parse_size)  # the worker count; 0 means 1
 SCANS = {
-    "mf": Kind((Flag("max-size", parse_size, True),), True,
+    "mf": Kind((Flag("max-size", parse_size, True), JOBS), True,
                lambda v: scan_mf_cases(v["max-size"], v["window"], v["mode"])),
-    "fusion": Kind((Flag("kmax", parse_size, True),), True,
+    "fusion": Kind((Flag("kmax", parse_size, True), JOBS), True,
                    lambda v: scan_fusion_cases(v["kmax"], v["window"], v["mode"])),
 }
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -11,8 +12,7 @@ from hypothesis import example, given, settings, strategies
 
 from ferchar import fermionic
 from ferchar.errors import ConfigurationError, StabilizationError
-from ferchar.fermionic import (A_matrix, B_matrix, FermionicSumSpec,
-                               LatticeSpec, _add_series, _check_levels,
+from ferchar.fermionic import (A_matrix, B_matrix, LatticeSpec, _add_series, _check_levels,
                                _lattice_terms, _level_terms,
                                _limit_exponent, _literal_limit_character,
                                _literal_shell, _reconstruction_check,
@@ -28,7 +28,8 @@ from ferchar.fermionic import (A_matrix, B_matrix, FermionicSumSpec,
                                w_fusion_spec)
 from ferchar.gradedchar import (GradedCharacter, Truncation, compare, convolve,
                                 inv_pochhammer)
-from ferchar.presented import InitialConditions, Partition, build_presentation_A
+from ferchar.presented import (InitialConditions, Partition, build_presentation_A,
+                               build_presentation_quadratic)
 
 
 def test_A_matrix():
@@ -109,12 +110,42 @@ def test_w_fusion_validates_levels():
 
 
 # ---------------------------------------------------------------------------
-# the fusion rule and the limit exponent against the forms that stated
-# them on their own: w_fusion_spec built directly, the predicted algebra
-# and P in Fraction arithmetic
+# the spec builders, the fusion rule and the limit exponent against the
+# forms that stated them on their own: the paper's (A, A', B, linear) form
+# of each fermionic sum, the predicted algebra and P in Fraction arithmetic
 
 
-def reference_w_fusion_spec(i1: int, k1: int, i2: int, k2: int) -> FermionicSumSpec:
+# the paper's form of a fermionic sum over (n, m): the quadratic forms on n
+# and on m, the coupling b (len(a_n) x len(a_m)) and the linear terms
+PaperForm = namedtuple("PaperForm", "a_n a_m b n_linear m_linear")
+
+
+def block(form: PaperForm) -> tuple:
+    """(gram, shifts, z_weights, u_weights) of form as a lattice sum over
+    x = (n, m): Gram matrix [[a_n, b], [b^T, a_m]], z-weights (1..len(n),
+    1..len(m)) and u-weights (0, ..., 0, 1..len(m))."""
+    n_len, m_len = len(form.a_n), len(form.a_m)
+    gram = tuple(a + b for a, b in zip(form.a_n, form.b))
+    gram += tuple(tuple(row[j] for row in form.b) + form.a_m[j] for j in range(m_len))
+    n_w, m_w = tuple(range(1, n_len + 1)), tuple(range(1, m_len + 1))
+    return gram, form.n_linear + form.m_linear, n_w + m_w, (0,) * n_len + m_w
+
+
+def paper_form(parts, c, d) -> PaperForm:
+    """The gmf sum of (lambda, c, d) in the paper's form: A(lambda_0) and
+    A(s), B_ij = max(0, i - lambda_j), and the linear terms
+    sum_{t <= i} (i - t + 1) c_t on n_i and their like of d on m_j."""
+    def linear(values):
+        return tuple(sum((i - t) * values[t] for t in range(i))
+                     for i in range(1, len(values) + 1))
+
+    s = len(parts) - 1
+    b = tuple(tuple(max(0, i - parts[j]) for j in range(1, s + 1))
+              for i in range(1, parts[0] + 1))
+    return PaperForm(A_matrix(parts[0]), A_matrix(s), b, linear(c), linear(d))
+
+
+def reference_w_fusion_spec(i1: int, k1: int, i2: int, k2: int) -> PaperForm:
     """Closed sum for the fused principal subspaces W_{i1,k1} * W_{i2,k2},
     built directly: n runs over Z^{k1+k2}, m over Z^{min(k1,k2)},
     B_{ij} = max(0, i - k1 - k2 + 2j), linear terms (j - i1 - i2) n_j for
@@ -128,7 +159,7 @@ def reference_w_fusion_spec(i1: int, k1: int, i2: int, k2: int) -> FermionicSumS
     n_lin = tuple(max(0, j - i1 - i2) for j in range(1, big + 1))
     mn = min(i1, i2)
     m_lin = tuple(max(0, j - mn) for j in range(1, small + 1))
-    return FermionicSumSpec(A_matrix(big), A_matrix(small), b, n_lin, m_lin)
+    return PaperForm(A_matrix(big), A_matrix(small), b, n_lin, m_lin)
 
 
 def reference_fusion_presentation(i1: int, k1: int, i2: int, k2: int):
@@ -167,9 +198,37 @@ def test_fusion_rule_matches_the_direct_forms():
               for i1 in range(k1 + 1) for i2 in range(k2 + 1)]
     assert len(levels) == 400
     for a in levels:
-        assert w_fusion_spec(*a) == reference_w_fusion_spec(*a), a
+        assert w_fusion_spec(*a) == block(reference_w_fusion_spec(*a)), a
         assert build_presentation_A(*fusion_rule(*a)) == \
             reference_fusion_presentation(*a), a
+
+
+def partitions(max_size: int) -> list:
+    """Every partition of 1..max_size, also with a zero part appended."""
+    out = []
+
+    def rec(rest, largest, acc):
+        if acc:
+            out.extend((acc, acc + (0,)))
+        for p in range(min(rest, largest), 0, -1):
+            rec(rest - p, p, acc + (p,))
+
+    rec(max_size, max_size, ())
+    return out
+
+
+def test_spec_builders_are_blocks_of_the_paper_form():
+    for k in range(1, 5):
+        assert gordon_spec(k) == block(paper_form((k,), (0,) * k, ())), k
+    lams = partitions(4)
+    assert len(lams) == 22
+    for parts in lams:
+        lam, s = Partition.make(parts), len(parts) - 1
+        assert mf_spec(lam) == block(paper_form(parts, (0,) * parts[0], (0,) * s)), parts
+        for c in itertools.product((0, 1), repeat=parts[0]):
+            for d in itertools.product((0, 1), repeat=s):
+                assert gmf_spec(lam, InitialConditions.make(c, d)) == \
+                    block(paper_form(parts, c, d)), (parts, c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +271,22 @@ def _coupling(b: tuple, n: tuple, m: tuple) -> int:
                for i, ni in enumerate(n) if ni)
 
 
-def reference_fermionic_sum(spec, window: Truncation) -> GradedCharacter:
-    """The closed sum enumerated over the partial sums N_i = n_i + n_{i+1}
-    + ... of n and of m, whose sum N_i (N_i - 1) bounds the exponent."""
+def reference_fermionic_sum(form: PaperForm, window: Truncation) -> GradedCharacter:
+    """The closed sum of the paper's form enumerated over the partial sums
+    N_i = n_i + n_{i+1} + ... of n and of m, whose sum N_i (N_i - 1) bounds
+    the exponent."""
     q_max = window.q_max
     z_cap = window.z_max
     m_cap = z_cap
     if window.u_max is not None:
         m_cap = window.u_max if m_cap is None else min(m_cap, window.u_max)
-    n_cands = _monotone_partial_sums(spec.n_len, q_max, z_cap)
-    m_cands = _monotone_partial_sums(spec.m_len, q_max, m_cap)
+    n_cands = _monotone_partial_sums(len(form.a_n), q_max, z_cap)
+    m_cands = _monotone_partial_sums(len(form.a_m), q_max, m_cap)
     coeffs: dict = {}
     for npart in n_cands:
         wn = sum(npart)
         n = _diffs(npart)
-        qn = sum(v * (v - 1) for v in npart) + sum(a * b for a, b in zip(n, spec.n_linear))
+        qn = sum(v * (v - 1) for v in npart) + sum(a * b for a, b in zip(n, form.n_linear))
         if qn > q_max:
             continue
         for mpart in m_cands:
@@ -235,7 +295,7 @@ def reference_fermionic_sum(spec, window: Truncation) -> GradedCharacter:
                 continue
             m = _diffs(mpart)
             q0 = qn + sum(v * (v - 1) for v in mpart)
-            q0 += sum(a * b for a, b in zip(m, spec.m_linear)) + _coupling(spec.b, n, m)
+            q0 += sum(a * b for a, b in zip(m, form.m_linear)) + _coupling(form.b, n, m)
             if q0 > q_max:
                 continue
             _add_series(coeffs, wn + wm, wm, q0, _term_series(n + m, q_max - q0))
@@ -243,20 +303,23 @@ def reference_fermionic_sum(spec, window: Truncation) -> GradedCharacter:
 
 
 def _closed_specs():
+    """(library spec, paper form) of the same sum."""
     for k in (1, 2, 3):
-        yield pytest.param(gordon_spec(k), id=f"gordon k={k}")
+        yield pytest.param(gordon_spec(k), paper_form((k,), (0,) * k, ()),
+                           id=f"gordon k={k}")
     for parts in ((1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1),
                   (2, 2), (2, 1, 1), (1, 1, 1, 1), (2, 1, 0)):
         lam = Partition.make(parts)
-        yield pytest.param(mf_spec(lam), id=f"mf {parts}")
+        yield pytest.param(mf_spec(lam), paper_form(parts, (0,) * lam.lam0, (0,) * lam.s),
+                           id=f"mf {parts}")
         for c in itertools.product((0, 1), repeat=lam.lam0):
             for d in itertools.product((0, 1), repeat=lam.s):
                 yield pytest.param(gmf_spec(lam, InitialConditions.make(c, d)),
-                                   id=f"gmf {parts} c={c} d={d}")
+                                   paper_form(parts, c, d), id=f"gmf {parts} c={c} d={d}")
     levels = [(i1, k1, i2, k2) for k1, k2 in ((1, 1), (1, 2), (2, 2))
               for i1 in range(k1 + 1) for i2 in range(k2 + 1)]
     for a in levels + [(1, 3, 2, 3)]:
-        yield pytest.param(w_fusion_spec(*a), id=f"w {a}")
+        yield pytest.param(w_fusion_spec(*a), reference_w_fusion_spec(*a), id=f"w {a}")
 
 
 CLOSED_WINDOWS = (Truncation(5, None, None), Truncation(5, 3, None),
@@ -264,11 +327,11 @@ CLOSED_WINDOWS = (Truncation(5, None, None), Truncation(5, 3, None),
                   Truncation(4, 2, 0), Truncation(0, None, None))
 
 
-@pytest.mark.parametrize("spec", list(_closed_specs()))
-def test_closed_sum_matches_partial_sum_reference(spec):
+@pytest.mark.parametrize("spec,form", list(_closed_specs()))
+def test_closed_sum_matches_partial_sum_reference(spec, form):
     for window in CLOSED_WINDOWS:
         assert evaluate_fermionic_sum(spec, window) == \
-            reference_fermionic_sum(spec, window), window
+            reference_fermionic_sum(form, window), window
 
 
 @strategies.composite
@@ -399,12 +462,17 @@ def test_lattice_spec_validation():
                          (((2, -1), (-1, 2)), (0, 0)),
                          (((2,),), (0, 0)),
                          (((2,),), (-1,))):
-        with pytest.raises(ConfigurationError):
-            LatticeSpec.make(gram, shifts)
+        # the lattice sum and the quadratic presentation refuse alike
+        for build in (LatticeSpec.make, build_presentation_quadratic):
+            with pytest.raises(ConfigurationError):
+                build(gram, shifts)
 
 
 def test_lattice_rank_one_character():
     spec = LatticeSpec.make(((2,),), (0,))
+    assert spec == (((2,),), (0,), (1,), (0,))  # z^1 u^0 per coordinate
+    # one function, so that a traced call is one fermionic.sum span
+    assert lattice_principal_character is evaluate_fermionic_sum
     c = lattice_principal_character(spec, Truncation(6, 3, 0))
     assert c.coeffs == {(0, 0, 0): 1,
                         (1, 0, 0): 1, (1, 0, 1): 1, (1, 0, 2): 1, (1, 0, 3): 1,
@@ -526,21 +594,22 @@ def reference_level_terms(i1, k1, i2, k2, level, q_max, u_max):
         return x * x - (2 * level + 1) * x
 
     out = []
-    for npart in partials(spec.n_len):
+    n_len, m_len = len(spec.a_n), len(spec.a_m)
+    for npart in partials(n_len):
         n = tuple(a - b for a, b in zip(npart, npart[1:] + (0,)))
-        for mpart in partials(spec.m_len):
+        for mpart in partials(m_len):
             m = tuple(a - b for a, b in zip(mpart, mpart[1:] + (0,)))
             wm = sum(mpart)
             if u_max is not None and wm > u_max:
                 continue
-            q = (level * level * spec.n_len + level * (i1 + i2)
+            q = (level * level * n_len + level * (i1 + i2)
                  + sum(map(f, npart + mpart))
                  + sum(a * b for a, b in zip(n, spec.n_linear))
                  + sum(a * b for a, b in zip(m, spec.m_linear))
                  + sum(n[i] * spec.b[i][j] * m[j]
-                       for i in range(spec.n_len) for j in range(spec.m_len)))
+                       for i in range(n_len) for j in range(m_len)))
             if q <= q_max:
-                z = 2 * (sum(npart) + wm) - i1 - i2 - 2 * level * spec.n_len
+                z = 2 * (sum(npart) + wm) - i1 - i2 - 2 * level * n_len
                 out.append((npart, m, z, wm, q))
     return sorted(out)
 

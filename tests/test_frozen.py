@@ -45,7 +45,7 @@ def sample(cls, salt=0) -> tuple:
 
 
 def test_every_value_class_is_found():
-    assert len(CLASSES) == 17
+    assert len(CLASSES) == 16
     assert all(c.__module__.startswith("ferchar.") for c in CLASSES)
     assert all(issubclass(c, tuple) for c in CLASSES)
     # Presentation alone keeps an instance dict, for its cached properties

@@ -514,12 +514,11 @@ def test_cli_verify_custom(capsys):
     assert code == 0
 
 
-def test_cli_scan(capsys, monkeypatch):
+def test_cli_scan(capsys):
     code, out = run_cli(capsys, "scan", "mf", "--max-size", "2", "--qmax", "3")
     assert code == 0
     assert len(out.strip().splitlines()) == 3
     # a spent budget stops the scan between cases and exits 3
-    monkeypatch.delenv("FERCHAR_THREADS", raising=False)
     argv = ["scan", "mf", "--max-size", "3", "--qmax", "2", "--format", "json"]
     code, out = run_cli(capsys, *argv)
     assert code == 0
@@ -676,9 +675,8 @@ def readme_commands() -> list:
             if line.startswith("ferchar ")]
 
 
-def test_readme_examples_run(capsys, monkeypatch):
+def test_readme_examples_run(capsys):
     # scan fusion meets criterion 4's LE verdicts and exits 1
-    monkeypatch.delenv("FERCHAR_THREADS", raising=False)
     commands = readme_commands()
     assert len(commands) >= 9
     for argv in commands:
@@ -808,6 +806,19 @@ def test_malformed_case_values_exit_2(tmp_path, capsys):
                   "--out", str(tmp_path / "missing" / "out.txt"))):
         assert cli.main(list(argv)) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
+    # a negative matrix entry, refused by the lattice sum and the quadratic
+    # presentation alike, as kinds and in custom descriptors
+    lattice = {"matrix": [[2, -1], [-1, 2]], "shifts": [0, 0]}
+    kinds = [[command, name, "--matrix", "2,-1;-1,2", "--shifts", "0,0"]
+             for command, name in (("char", "quadratic"), ("char", "lattice"),
+                                   ("verify", "lattice"))]
+    descriptors = [["verify", "custom", "--left", json.dumps({"kind": kind, **lattice}),
+                    "--right", '{"kind": "gordon", "k": 1}', "--umax", "0"]
+                   for kind in ("quadratic", "lattice")]
+    for argv in kinds + descriptors:
+        assert cli.main([*argv, "--qmax", "3", "--zmax", "2"]) == 2
+        assert capsys.readouterr() == \
+            ("", "configuration error: matrix entries must be nonnegative\n")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -816,6 +827,16 @@ def test_malformed_case_values_exit_2(tmp_path, capsys):
      "brute-force cases need a finite u window"),
     (("verify", "points", "--levels", "1,1", "--points", "1", "--alt-points", "2",
       "--qmax", "3"), "need at least two (i, k) pairs"),
+    # one rule, one message: the fused modules' levels, the brute-force and
+    # the closed routes alike
+    *[((command, kind, "--i1", "0", "--k1", "0", "--i2", "0", "--k2", "1",
+        "--qmax", "2"), "need 1 <= k and 0 <= i <= k, got i=0, k=0")
+      for command, kind in (("char", "fusion"), ("char", "fusion-w"),
+                            ("verify", "limform"))],
+    # the initial conditions' lengths, the algebra and the gmf sum alike
+    *[(("char", kind, "--lambda", "2,1", "--c", "1", "--qmax", "2"),
+       "initial conditions c (len 1) and d (len 1) must have lengths 2 and 1")
+      for kind in ("algebra", "gmf")],
 ])
 def test_case_values_out_of_range_exit_2(capsys, argv, message):
     assert cli.main(list(argv)) == 2
@@ -1114,23 +1135,26 @@ def test_malformed_values_exit_2(capsys, scratch, data):
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
-def test_jobs_resolution(monkeypatch, capsys):
-    ns = type("NS", (), {"jobs": 3})()
-    monkeypatch.delenv("FERCHAR_THREADS", raising=False)
-    assert cli.resolve_jobs(ns) == 3
-    ns.jobs = 0
-    assert cli.resolve_jobs(ns) == 1
-    monkeypatch.setenv("FERCHAR_THREADS", "5")
-    assert cli.resolve_jobs(ns) == 5
-    monkeypatch.setenv("FERCHAR_THREADS", "0")  # as --jobs 0
-    ns.jobs = 2
-    assert cli.resolve_jobs(ns) == 1
-    for bad in ("zero", "-3", "1.5"):
-        monkeypatch.setenv("FERCHAR_THREADS", bad)
-        with pytest.raises(ConfigurationError):
-            cli.resolve_jobs(ns)
-        assert cli.main(["scan", "mf", "--max-size", "1", "--qmax", "1"]) == 2
-        assert capsys.readouterr().err.startswith("configuration error: FERCHAR_THREADS")
+def test_jobs_resolution(tmp_path, capsys):
+    # --jobs is a flag of the scan kinds alone: char and verify refuse it on
+    # the command line and in a config file; scan reads 0 as one worker
+    (tmp_path / "c.json").write_text(json.dumps({"jobs": 2}))
+    for argv in (("verify", "gordon", "--k", "1", "--qmax", "3"),
+                 ("char", "gordon", "--k", "1", "--qmax", "3")):
+        with pytest.raises(SystemExit) as stop:
+            cli.main([*argv, "--jobs", "2"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert cli.main([*argv, "--config", str(tmp_path / "c.json")]) == 2
+        assert capsys.readouterr().err == \
+            "configuration error: config key 'jobs' does not match a flag\n"
+    argv = ["scan", "mf", "--max-size", "2", "--qmax", "2", "--format", "json"]
+    runs = []
+    for extra in ([], ["--jobs", "0"], ["--config", str(tmp_path / "c.json")]):
+        code, out = run_cli(capsys, *argv, *extra)
+        runs.append((code, [{k: v for k, v in r.items() if k != "millis"}
+                            for r in json.loads(out)]))
+    assert runs[0][0] == 0 and len(runs[0][1]) == 3 and runs == [runs[0]] * 3
 
 
 # every kind's help, and the errors of each level of the tree
