@@ -16,12 +16,15 @@ and F_l is spanned by products of operators with m-weights summing to at
 most l applied to the tensor of cyclic vectors; they commute, so these are
 monomials in x_{j,m} = E_j(m), and F_l has a basis of standard monomials.
 Powers m >= n are linear combinations of m <= n-1 (Vandermonde), so the
-monomials only use m = 0..n-1.  A tensor basis element is the tuple of
-its slots' global indices; inside a (z, q) component the elements run in
-lexicographic order.  The u-degree-l layer of the fused character is
-dim F_l - dim F_{l-1} per (z, q) component, the number of standard
-monomials of degree l; all of this is exact on a finite window because
-the operators strictly raise z and never lower q.
+monomials only use m = 0..n-1.  A tensor basis element is coded by one
+integer, sum_t g_t * stride_t over its slots' global indices g_t, with
+the last slot's stride 1 and each other stride the product of the basis
+sizes after it; so codes order as the tuples (g_1, ..., g_n) do, and
+acting in slot t moves a code by a multiple of stride_t.  The u-degree-l
+layer of the fused character is dim F_l - dim F_{l-1} per (z, q)
+component, the number of standard monomials of degree l; all of this is
+exact on a finite window because the operators strictly raise z and
+never lower q.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import namedtuple
+import operator
+from collections import Counter, namedtuple
 
 from .errors import ConfigurationError
 from .exactlin import FieldMode, NonUnit, echelon, two_prime
@@ -65,6 +69,7 @@ def cyclic_module_from_presentation(p: Presentation, q_max: int, z_max: int,
     degrees = []
     comps = {}  # (z, q) -> (global index of its first vector, basis, expansion)
     for z in range(z_max + 1):
+        layer = len(degrees)
         for q in range(q_max + 1):
             basis, expansion = normal_form_basis(p, (z, 0, q), field)
             if (z, q) == (0, 0) and expansion != {(): ((0, 1),)}:
@@ -72,6 +77,8 @@ def cyclic_module_from_presentation(p: Presentation, q_max: int, z_max: int,
             if basis:
                 comps[(z, q)] = len(degrees), basis, expansion
                 degrees.extend([(z, q)] * len(basis))
+        if len(degrees) == layer:
+            break  # a z + 1 monomial is a generator times a z monomial
     actions = {}
     for (z, q), (first, basis, _) in comps.items():
         for j in range(p.families[0].min_mode, q_max - q + 1):
@@ -124,47 +131,45 @@ class FusionContext:
         for m in modules:
             if m.q_max < window.q_max or m.z_max < window.z_max:
                 raise ConfigurationError(f"module {m.label} window too small")
-        self.modules, self.points, self.window = modules, points, window
-        self.n = len(modules)
-        # one lexicographic sweep over the slots, kept to the window
-        sweep = [((), 0, 0)]
+        self.window, self.n = window, len(modules)
+        sizes = [len(module.degrees) for module in modules]
+        strides = [math.prod(sizes[t + 1:]) for t in range(self.n)]
+        # the dimension of each nonzero (z, q) tensor component in the window
         z_max, q_max = window.z_max, window.q_max
+        dims = {(0, 0): 1}
         for module in modules:
-            sweep = [(elem + (g,), z + dz, q + dq) for elem, z, q in sweep
-                     for g, (dz, dq) in enumerate(module.degrees)
-                     if z + dz <= z_max and q + dq <= q_max]
-        self._elems: dict = {}  # (z, q) -> its elements, in column order
-        for elem, z, q in sweep:
-            self._elems.setdefault((z, q), []).append(elem)
-        # an element's position in its (z, q) component
-        self._pos = {elem: i for elems in self._elems.values()
-                     for i, elem in enumerate(elems)}
-
-    def tensor_dimension(self, big_z: int, big_q: int) -> int:
-        return len(self._elems.get((big_z, big_q), ()))
+            factor = Counter(module.degrees)
+            dims, tensor = {}, dims
+            for (z, q), d in tensor.items():
+                for (dz, dq), e in factor.items():
+                    if z + dz <= z_max and q + dq <= q_max:
+                        dims[(z + dz, q + dq)] = dims.get((z + dz, q + dq), 0) + d * e
+        self.dimensions = dict(sorted(dims.items()))
+        # per power m < n: (stride, size, actions, z_t^m) of the slots whose
+        # z_t^m does not vanish in the field
+        p = self.field
+        self._slots = []
+        for m in range(self.n):
+            scales = [pow(x, m, p) if p is not None else x ** m for x in points]
+            self._slots.append([(stride, size, module.actions, scale)
+                                for module, scale, stride, size
+                                in zip(modules, scales, strides, sizes) if scale])
 
     def vacuum(self) -> dict:
-        return {self._pos[(0,) * self.n]: 1}
+        return {0: 1}
 
     def apply(self, j: int, m: int, component: tuple, vec: dict) -> dict:
         """E_j(m) applied to a vector in the (z, q) component."""
         big_z, big_q = component
         out: dict = {}
-        if (big_z + 1, big_q + j) not in self._elems:
+        if (big_z + 1, big_q + j) not in self.dimensions:
             return out
-        p = self.field
-        # slots whose z_t^m vanishes in the field contribute nothing
-        slots = []
-        for t, (module, point) in enumerate(zip(self.modules, self.points)):
-            scale = pow(point, m, p) if p is not None else point ** m
-            if scale:
-                slots.append((t, module.actions, scale))
-        elems, pos = self._elems[component], self._pos
-        for src, coeff in vec.items():
-            elem = elems[src]
-            for t, actions, scale in slots:
-                for tgt, c in actions.get((j, elem[t]), ()):
-                    key = pos[elem[:t] + (tgt,) + elem[t + 1:]]
+        p, slots = self.field, self._slots[m]
+        for code, coeff in vec.items():
+            for stride, size, actions, scale in slots:
+                g = code // stride % size
+                for tgt, c in actions.get((j, g), ()):
+                    key = code + (tgt - g) * stride
                     w = out.get(key, 0) + coeff * scale * c
                     if p is not None:
                         w %= p
@@ -194,35 +199,31 @@ class FusionContext:
         primes; otherwise it raises NonUnit.  So a candidate is standard
         modulo N exactly when it is standard modulo both primes.
         """
-        q_max, z_max, u_max = self.window
+        u_max = self.window.u_max
         counts: dict = {}
         standard: dict = {}  # (z, q) -> [(degree, monomial, raw image)], in order
-        for big_z in range(z_max + 1):
-            for big_q in range(q_max + 1):
-                full = self.tensor_dimension(big_z, big_q)
-                if not full:
-                    continue
-                found = [(0, (), self.vacuum())] if big_z == 0 else []
-                candidates = sorted(
-                    ((l + m, ((j, m),) + mono, image)
-                     for j in range(big_q + 1)
-                     for l, mono, image in standard.get((big_z - 1, big_q - j), ())
-                     for m in range(min(self.n, u_max - l + 1))
-                     if not mono or (j, m) >= mono[0]),
-                    key=lambda cand: cand[:2])
-                basis: dict = {}
-                for l, mono, image in candidates:
-                    if len(basis) == full:
-                        break
-                    j, m = mono[0]
-                    image = self.apply(j, m, (big_z - 1, big_q - j), image)
-                    rank = len(basis)
-                    echelon((image,), self.field, full, basis)
-                    if len(basis) > rank:
-                        found.append((l, mono, image))
-                standard[(big_z, big_q)] = found
-                for l, _, _ in found:
-                    counts[(big_z, l, big_q)] = counts.get((big_z, l, big_q), 0) + 1
+        for (big_z, big_q), full in self.dimensions.items():
+            found = [(0, (), self.vacuum())] if big_z == 0 else []
+            candidates = sorted(
+                ((l + m, ((j, m),) + mono, image)
+                 for j in range(big_q + 1)
+                 for l, mono, image in standard.get((big_z - 1, big_q - j), ())
+                 for m in range(min(self.n, u_max - l + 1))
+                 if not mono or (j, m) >= mono[0]),
+                key=operator.itemgetter(0, 1))
+            basis: dict = {}
+            for l, mono, image in candidates:
+                if len(basis) == full:
+                    break
+                j, m = mono[0]
+                image = self.apply(j, m, (big_z - 1, big_q - j), image)
+                rank = len(basis)
+                echelon((image,), self.field, full, basis)
+                if len(basis) > rank:
+                    found.append((l, mono, image))
+            standard[(big_z, big_q)] = found
+            for l, _, _ in found:
+                counts[(big_z, l, big_q)] = counts.get((big_z, l, big_q), 0) + 1
         return counts
 
 

@@ -567,11 +567,16 @@ def graded_character(p: Presentation, truncation: Truncation,
     coeffs = {}
     u_reach = max(f.u_increment for f in p.families)
     for z in range(truncation.z_max + 1):
+        layer = len(coeffs)
         for u in range(min(truncation.u_max, z * u_reach) + 1):
             for q in range(truncation.q_max + 1):
                 d = component_dimension(p, (z, u, q), mode)
                 if d:
                     coeffs[(z, u, q)] = d
+        if len(coeffs) == layer:
+            # a z + 1 monomial is a generator (z-degree 1, u and q not
+            # lowered) times a z monomial, so the quotient ends here
+            break
     return GradedCharacter(coeffs, truncation)
 
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 
 import pytest
 
+from ferchar import fusion
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode, NonUnit, reduce_rows
+from ferchar.fermionic import delta_vector
 from ferchar.fusion import (CyclicModule, FusionContext,
                             cyclic_module_from_presentation, default_points,
                             fusion_character, principal_fusion_character,
@@ -14,7 +17,8 @@ from ferchar.fusion import (CyclicModule, FusionContext,
 from ferchar.gradedchar import Truncation, char_mul, compare
 from ferchar.presented import (GeneratorFamily, InitialConditions, Partition,
                                Presentation, RelationFamily,
-                               build_presentation_A, graded_character)
+                               build_presentation_A, graded_character,
+                               normal_form_basis)
 
 
 def trivial_module(q_max: int, z_max: int, field: int | None = None) -> CyclicModule:
@@ -76,7 +80,6 @@ def check_cyclic(module: CyclicModule) -> bool:
 
 
 def w_char(i, k, q_max, z_max):
-    from ferchar.fermionic import delta_vector
     pres = build_presentation_A(Partition.make((k,)),
                                 InitialConditions.make(delta_vector(i + 1, k), ()))
     return graded_character(pres, Truncation(q_max, z_max, 0))
@@ -142,9 +145,65 @@ def test_apply_drops_terms_that_vanish_mod_a_composite():
     # mod 6: coefficient 2 at point 3 vanishes where out had no entry
     line = CyclicModule("line", 1, 1, ((0, 0), (1, 1)), {(1, 0): ((1, 1),)}, 6)
     ctx = FusionContext((line, line), (3, 2), Truncation(1, 1, 1))
-    assert ctx.apply(1, 1, (0, 0), {0: 2}) == {ctx._pos[(0, 1)]: 4}
-    assert ctx.apply(1, 1, (0, 0), {0: 1}) == {ctx._pos[(1, 0)]: 3,
-                                                ctx._pos[(0, 1)]: 2}
+    # with strides (2, 1) the slot tuples (0, 1) and (1, 0) have codes 1 and 2
+    assert ctx.apply(1, 1, (0, 0), {0: 2}) == {1: 4}
+    assert ctx.apply(1, 1, (0, 0), {0: 1}) == {2: 3, 1: 2}
+
+
+@pytest.mark.parametrize("levels", [((1, 1), (0, 2)), ((1, 1), (0, 2), (1, 2))])
+def test_tensor_dimensions_count_the_cut_product(levels):
+    w = Truncation(4, 3, 2)
+    mods = [principal_subspace(i, k, 5, 4) for i, k in levels]
+    brute: dict = {}
+    for degrees in itertools.product(*(m.degrees for m in mods)):
+        z, q = map(sum, zip(*degrees))
+        if z <= w.z_max and q <= w.q_max:
+            brute[(z, q)] = brute.get((z, q), 0) + 1
+    ctx = FusionContext(mods, default_points(len(mods)), w)
+    assert ctx.dimensions == brute
+    assert list(ctx.dimensions) == sorted(brute)
+
+
+LEVELS_K3 = [(i, k) for k in (1, 2, 3) for i in range(k + 1)]
+
+
+@pytest.mark.parametrize("mode", [FieldMode.exact(), FieldMode.two_prime(0)])
+def test_two_factor_fusion_is_symmetric(mode):
+    # z -> 1 - z swaps the points (1, 0) and sends each E_j(m) to a
+    # triangular combination of the E_j(m') with m' <= m, diagonal +-1, so
+    # every F_l is kept; swapping the modules swaps the code strides
+    w = Truncation(6, 4, 3)
+    for a, b in itertools.combinations(LEVELS_K3, 2):
+        assert principal_fusion_character((a, b), w, mode) == \
+            principal_fusion_character((b, a), w, mode), (a, b)
+
+
+def test_a_large_z_cap_costs_only_the_nonzero_z_range(monkeypatch):
+    # a z + 1 monomial is a generator times a z monomial, so a module's z
+    # loop ends at its first zero z-layer, and the filtration walks only
+    # the nonzero tensor components
+    calls = []
+
+    def counted(p, tridegree, field=None):
+        calls.append(tridegree)
+        return normal_form_basis(p, tridegree, field)
+
+    monkeypatch.setattr(fusion, "normal_form_basis", counted)
+    pres = [build_presentation_A(Partition.make((k,)),
+                                 InitialConditions.make(delta_vector(i + 1, k), ()))
+            for i, k in ((0, 1), (1, 2))]
+
+    def fused(z_max):
+        w = Truncation(2, z_max, 1)
+        mods = [cyclic_module_from_presentation(p, 2, z_max) for p in pres]
+        return mods, fusion_character(mods, (1, 0), w)
+
+    small = fused(20)[1]
+    calls.clear()
+    mods, big = fused(10**6)
+    assert big.coeffs == small.coeffs
+    # each module asks for its nonzero z-layers and one zero layer, q <= 2
+    assert len(calls) == sum((max(z for z, _ in m.degrees) + 2) * 3 for m in mods)
 
 
 def test_fusion_with_trivial_factor_is_u_trivial():
@@ -254,7 +313,7 @@ def filtration_recomputed(ctx):
     layers, dims = {}, {}
     for big_z in range(w.z_max + 1):
         for big_q in range(w.q_max + 1):
-            if not ctx.tensor_dimension(big_z, big_q):
+            if (big_z, big_q) not in ctx.dimensions:
                 continue
             for l in range(w.u_max + 1):
                 vecs = [ctx.vacuum()] if (big_z, big_q) == (0, 0) else []

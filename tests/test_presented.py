@@ -228,6 +228,27 @@ def test_graded_character_needs_finite_window():
         graded_character(p, Truncation(3, None, 0))
 
 
+@pytest.mark.parametrize("parts", [(2,), (2, 1)])
+def test_a_large_z_cap_costs_only_the_nonzero_z_range(parts, monkeypatch):
+    # every generator has z-degree 1 and lowers neither u nor q, so the z
+    # loop ends at the first z-layer that is zero on the whole window
+    p = build_presentation_A(Partition.make(parts))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return component_dimension(*args)
+
+    monkeypatch.setattr(presented, "component_dimension", counted)
+    small = graded_character(p, Truncation(2, 20, 1))
+    calls.clear()
+    c = graded_character(p, Truncation(2, 10**6, 1))
+    assert c.coeffs == small.coeffs
+    z_top = max(z for z, _, _ in c.coeffs)
+    assert 0 < len(calls) <= (z_top + 2) * 2 * 3
+    assert max(z for z, _, _ in calls) == z_top + 1
+
+
 def test_component_dimension_two_prime_matches_exact():
     p = build_presentation_A(Partition.make((2, 1)))
     for z in range(4):
