@@ -3,13 +3,14 @@
 Three commands: `char` evaluates a single character (brute force or
 closed sum) and prints it; `verify` runs one catalog case and reports
 verdicts; `scan` sweeps a family of cases.  Their kinds and flags come
-from the registries in `ferchar.verify`; each call builds only the
-parser of the command and kind that its argv names.  `--timeout` is
+from the registries in `ferchar.verify`.  A command, one of its kinds and
+that kind's flags are parsed by the kind's parser alone; any other argv,
+such as help or an error, by the whole argparse tree.  `--timeout` is
 checked before `char` evaluates and before each case of `verify` and
 `scan`, and is spent once the elapsed time reaches it; `--jobs`, a flag
 of the `scan` kinds alone, sets its worker count (0 means 1).  Exit codes:
 0 all passed, 1 a required comparison mismatched, 2 bad configuration,
-3 a resource or stabilization limit was hit.
+3 a resource or stabilization limit was hit, or memory ran out.
 """
 
 from __future__ import annotations
@@ -43,42 +44,44 @@ COMMON_FLAGS = (
 )
 
 
-def _kind_parser(chosen: bool, **kwargs) -> argparse.ArgumentParser | None:
-    """A kind's parser, for the kind that argv names.  argparse only lists
-    the names of the other kinds, so they share the placeholder None."""
-    return argparse.ArgumentParser(**kwargs) if chosen else None
+def _add_flags(parser, kind: catalog.Kind) -> argparse.ArgumentParser:
+    # argparse keeps the text: values are parsed after the config merge,
+    # so that --config files can supply them too
+    for flag in kind.flags + COMMON_FLAGS:
+        parser.add_argument("--" + flag.name, dest=flag.name)
+    return parser
 
 
-def build_parser(argv: list) -> argparse.ArgumentParser:
-    """The parser for argv.  Every command is registered with its help
-    text, but only the command that argv names gets its kinds, and only
-    the kind it names gets a parser, with its flags.  Help, usage and
-    error text are those of the whole tree: argparse descends only into
-    the command and kind that argv names, and refuses any other name
-    where it stands."""
-    # the first two arguments that do not start with "-" are the ones
-    # argparse reads as command and kind: no parser above a kind has an
-    # option that takes a value
-    names = (a for a in argv if not a.startswith("-"))
-    chosen_command, chosen_kind = next(names, None), next(names, None)
+def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree: every command, kind and flag."""
     parser = argparse.ArgumentParser(
         prog="ferchar",
         description="exact verification of graded character formulas")
     commands = parser.add_subparsers(dest="command", required=True)
     for command, (registry, help_text) in COMMANDS.items():
-        command_parser = commands.add_parser(command, help=help_text)
-        if command != chosen_command:
-            continue
-        kinds = command_parser.add_subparsers(dest="kind", required=True,
-                                              parser_class=_kind_parser)
+        kinds = commands.add_parser(command, help=help_text).add_subparsers(
+            dest="kind", required=True)
         for name, kind in registry.items():
-            sp = kinds.add_parser(name, chosen=name == chosen_kind)
-            if sp is not None:
-                # argparse keeps the text: values are parsed after the
-                # config merge, so that --config files can supply them too
-                for flag in kind.flags + COMMON_FLAGS:
-                    sp.add_argument("--" + flag.name, dest=flag.name)
+            _add_flags(kinds.add_parser(name), kind)
     return parser
+
+
+def parse_argv(argv: list) -> argparse.Namespace:
+    """argv parsed as the whole tree parses it.  When argv is a command,
+    one of its kinds and then that kind's flags alone, the kind's own
+    parser, the one the tree descends into, parses them; any other argv,
+    leftover arguments and any "--" (whose handling differs between
+    Python versions) go to the whole tree, so that help, usage and error
+    text are its own."""
+    registry = COMMANDS[argv[0]][0] if argv and argv[0] in COMMANDS else {}
+    if len(argv) > 1 and argv[1] in registry and "--" not in argv:
+        command, kind = argv[:2]
+        parser = argparse.ArgumentParser(prog=f"ferchar {command} {kind}")
+        args, rest = _add_flags(parser, registry[kind]).parse_known_args(argv[2:])
+        if not rest:
+            args.command, args.kind = command, kind
+            return args
+    return build_parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +210,7 @@ def _finish_reports(reports, timed_out: bool, args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = parse_argv(argv)
     try:
         kind = resolve_flags(args)
         values = _case_values(kind, args)
@@ -232,6 +235,9 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -9,16 +10,17 @@ import pytest
 from ferchar import fusion
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode, NonUnit, reduce_rows
-from ferchar.fermionic import delta_vector
+from ferchar.fermionic import character_A_lambda_cd, delta_vector
 from ferchar.fusion import (CyclicModule, FusionContext,
                             cyclic_module_from_presentation, default_points,
                             fusion_character, principal_fusion_character,
                             principal_subspace)
-from ferchar.gradedchar import Truncation, char_mul, compare
+from ferchar.gradedchar import GradedCharacter, Truncation, char_mul, compare
 from ferchar.presented import (GeneratorFamily, InitialConditions, Partition,
                                Presentation, RelationFamily,
                                build_presentation_A, graded_character,
                                normal_form_basis)
+from helpers import char_reweight
 
 
 def trivial_module(q_max: int, z_max: int, field: int | None = None) -> CyclicModule:
@@ -359,3 +361,70 @@ def test_three_factor_filtration_matches_recomputation(points, field):
     ctx = FusionContext(mods, points, w)
     assert ctx.layer_counts() == differenced(filtration_recomputed(ctx))
 
+
+
+# ---------------------------------------------------------------------------
+# recursions of the filtration characters
+
+RECURSION_WINDOW = Truncation(9, 7, 7)
+RECURSION_LEVELS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+@functools.cache
+def fused(a1: int, k1: int, a2: int, k2: int):
+    """F[a1, a2] at levels (k1, k2): the two-prime filtration character on
+    RECURSION_WINDOW.  For one factor, ch W_{i,k} - ch W_{i-1,k} =
+    z^i sigma ch W_{k-i,k}, where sigma maps (z, u, q) to (z, u, q + z):
+    the kernel of W_{i,k} -> W_{i-1,k} is a shifted W_{k-i,k}
+    (Feigin-Stoyanovsky, arXiv:hep-th/9308079).  The tests below check the
+    two-factor forms that hold when one index is 0, and that the u = 0
+    layer is the principal subspace of level k1 + k2."""
+    return principal_fusion_character(((a1, k1), (a2, k2)), RECURSION_WINDOW,
+                                      FieldMode.two_prime(0))
+
+
+def sigma(c):
+    return char_reweight(c, 1, 0, 1, 0)
+
+
+def z_power(a: int, c):
+    return char_reweight(c, 1, a, 0, 0)
+
+
+def difference(a, b):
+    """a - b on the meet of their windows."""
+    out = dict(a.coeffs)
+    for key, v in b.coeffs.items():
+        out[key] = out.get(key, 0) - v
+    return GradedCharacter.make(out, a.truncation.meet(b.truncation))
+
+
+@pytest.mark.parametrize("k1,k2", RECURSION_LEVELS)
+def test_filtration_r0(k1, k2):
+    # F[0, 0] = sigma F[k1, k2]
+    assert compare(fused(0, k1, 0, k2), sigma(fused(k1, k1, k2, k2))).verdict == "EQUAL"
+
+
+@pytest.mark.parametrize("k1,k2", RECURSION_LEVELS)
+def test_filtration_r1_with_one_index_zero(k1, k2):
+    # F[a1, 0] - F[a1 - 1, 0] = z^a1 sigma F[k1 - a1, k2], and the same
+    # with the factors swapped, lowering a2 while a1 = 0
+    for a1 in range(1, k1 + 1):
+        step = difference(fused(a1, k1, 0, k2), fused(a1 - 1, k1, 0, k2))
+        rule = z_power(a1, sigma(fused(k1 - a1, k1, k2, k2)))
+        assert compare(step, rule).verdict == "EQUAL", a1
+    for a2 in range(1, k2 + 1):
+        step = difference(fused(0, k1, a2, k2), fused(0, k1, a2 - 1, k2))
+        rule = z_power(a2, sigma(fused(k1, k1, k2 - a2, k2)))
+        assert compare(step, rule).verdict == "EQUAL", a2
+
+
+@pytest.mark.parametrize("k1,k2", RECURSION_LEVELS)
+def test_filtration_u0_layer_is_the_principal_subspace(k1, k2):
+    layer_window = Truncation(9, 7, 0)
+    for a1, a2 in itertools.product(range(k1 + 1), range(k2 + 1)):
+        layer = GradedCharacter.make(fused(a1, k1, a2, k2).coeffs, layer_window)
+        closed = character_A_lambda_cd(
+            Partition.make((k1 + k2,)),
+            InitialConditions.make(delta_vector(a1 + a2 + 1, k1 + k2), ()), layer_window)
+        assert compare(layer, closed).verdict == "EQUAL", (a1, a2)

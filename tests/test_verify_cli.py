@@ -1169,7 +1169,12 @@ GOLDEN_ARGVS = (
     # refuses as names
     + [["--x", "verify", "lattice", "-h"], ["-1", "verify", "lattice"],
        ["verify", "-x", "lattice", "--qmax", "1"], ["verify", "--qmax", "1"],
-       ["--", "verify", "lattice", "-h"], ["char", "verify", "-h"]])
+       ["--", "verify", "lattice", "-h"], ["char", "verify", "-h"]]
+    # a kind's flags and then something else, which its parser leaves over
+    # or which Python versions read differently
+    + [["verify", "lattice", "--qmax", "1", "extra"],
+       ["verify", "lattice", "--qmax", "1", "--"],
+       ["verify", "lattice", "--", "--qmax", "1"]])
 
 
 def exit_of(capsys, parse, argv) -> tuple:
@@ -1198,13 +1203,57 @@ def test_cli_builds_only_the_selected_kind(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
     argv = ["verify", "lattice", "--matrix", "2", "--shifts", "0", "--qmax", "1"]
     flags = len(verify.CASES["lattice"].flags) + len(cli.COMMON_FLAGS)
-    # one -h per parser: the top level, each command and the one kind
-    # that argv names; the other kinds have no parser
-    helps = 1 + len(cli.COMMANDS) + 1
     for calls_made in (1, 2):  # a second call builds a second parser
         assert cli.main(argv) == 0
+        # one parser, the kind's: its -h and its flags
         assert len([c for c in calls if c != "-h"]) == calls_made * flags
-        assert calls.count("-h") == calls_made * helps
+        assert calls.count("-h") == calls_made
+    calls.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "lattice", "--bogus", "1"])
+    # the kind's parser leaves --bogus 1 over, and the whole tree reports it
+    kinds = [kind for registry, _ in cli.COMMANDS.values() for kind in registry.values()]
+    assert calls.count("-h") == 1 + 1 + len(cli.COMMANDS) + len(kinds)
+    assert len([c for c in calls if c != "-h"]) == flags + sum(
+        len(kind.flags) + len(cli.COMMON_FLAGS) for kind in kinds)
+
+
+def unique_prefix(option: str, options) -> str | None:
+    """The shortest abbreviation of option that argparse reads as it alone,
+    or None when only the whole option does."""
+    for end in range(3, len(option)):
+        if not any(o.startswith(option[:end]) for o in options if o != option):
+            return option[:end]
+    return None
+
+
+@pytest.mark.parametrize("equals", [False, True], ids=["space", "equals"])
+@pytest.mark.parametrize("command,kind", [
+    (command, kind) for command, (registry, _) in cli.COMMANDS.items() for kind in registry])
+def test_parse_argv_matches_the_whole_tree(monkeypatch, command, kind, equals):
+    options = ["--" + f.name for f in cli.COMMANDS[command][0][kind].flags + cli.COMMON_FLAGS]
+    values = {option[2:]: f"v{i}" for i, option in enumerate(options)}
+    # abbreviate the first flag that has an abbreviation
+    short = next(p for o in options if (p := unique_prefix(o, options + ["--help"])))
+    argv = [command, kind]
+    for option, value in zip(options, values.values()):
+        option = short if option.startswith(short) else option
+        argv += [f"{option}={value}"] if equals else [option, value]
+    expected = build_parser().parse_args(argv)
+    assert vars(expected) == {"command": command, "kind": kind, **values}
+    # the kind's parser alone: the whole tree is never built
+    monkeypatch.setattr(cli, "build_parser", None)
+    assert cli.parse_argv(argv) == expected
+
+
+def test_cli_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(fermionic, "evaluate_fermionic_sum", exhausted)
+    for command in ("char", "verify"):
+        assert cli.main([command, "gordon", "--k", "1", "--qmax", "3"]) == 3
+        assert capsys.readouterr() == ("", "resource limit: out of memory\n")
 
 
 @pytest.mark.parametrize("argv", [
