@@ -9,10 +9,13 @@ Expected verdicts: EQUAL everywhere, except that the closed sum for a
 non-convex partition is only an upper bound, where LE also passes.
 
 Three registries declare every kind once: EVALUATORS (one character,
-for `char` and `custom` pairs), CASES (for `verify` and `run_case`) and
-SCANS.  A kind lists its flags; a flag's name is its command-line flag
-(`--lambda`), its config key and its descriptor key (`"lambda"`), and its
-parser takes command-line text or a JSON value alike.
+for `char` and the descriptor pairs of `verify custom`), CASES (for
+`verify` and `run_case`) and SCANS.  Evaluators and cases build each
+route with the one builder of its kind: `_brute` (a presented algebra),
+`_closed` (a closed sum) or `_fused` (a fusion filtration).  A kind lists
+its flags; a flag's name is its command-line flag (`--lambda`), its
+config key and its descriptor key (`"lambda"`), and its parser takes
+command-line text or a JSON value alike.
 
 `run_cases` runs every case of `verify` and `scan`, in a process pool
 only with jobs > 1, which is when it imports `concurrent.futures`.  Every
@@ -216,8 +219,8 @@ class Kind(namedtuple("Kind", "flags finite run exact", defaults=(False,))):
 
     flags, a tuple of Flag; finite, a bool: without --zmax/--umax, z runs to
     q_max and u to z_max; run, a Callable: flag values, "window", "mode" ->
-    evaluator, reports or cases; exact, a bool: over Q alone, so --field
-    two-prime and --seed are refused."""
+    evaluator, reports or cases; exact, a bool: over Q alone or with no
+    linear algebra at all, so --field two-prime and --seed are refused."""
 
     __slots__ = ()
 
@@ -246,17 +249,24 @@ def _n_max(v: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# evaluators: (label, fn() -> GradedCharacter) from flag values plus "window"
-# and "mode"; every check, the window's included, runs when one is built
+# routes: (label, fn() -> GradedCharacter), one builder per route kind,
+# which the cases and the evaluators (a route from flag values plus
+# "window" and "mode") share; every check, the window's included, runs
+# when a route is built
 
 
-def _closed(label: str, spec, v):
-    return label, lambda: fermionic.evaluate_fermionic_sum(spec, v["window"])
+def _closed(label: str, spec, window: Truncation):
+    return label, lambda: fermionic.evaluate_fermionic_sum(spec, window)
 
 
-def _brute(label: str, pres, v, u_max: int | None = None):
-    w, mode = _brute_window(v["window"], u_max), v["mode"]
+def _brute(label: str, pres, window: Truncation, mode: FieldMode):
+    w = _brute_window(window, None)
     return label, lambda: graded_character(pres, w, mode)
+
+
+def _fused(label: str, levels, window: Truncation, mode: FieldMode, points):
+    return label, functools.partial(fusion.principal_fusion_character, levels,
+                                    _brute_window(window, None), mode, points)
 
 
 def _lambda_cd(parts, c, d) -> tuple[Partition, InitialConditions]:
@@ -268,23 +278,13 @@ def _lambda_cd(parts, c, d) -> tuple[Partition, InitialConditions]:
 
 def _algebra(v):
     lam, ic = _lambda_cd(v["lambda"], v["c"], v["d"])
-    return _brute(f"algebra(lambda={lam.parts})", build_presentation_A(lam, ic), v)
-
-
-def _mf(v):
-    lam = Partition.make(v["lambda"])
-    return _closed(f"mf(lambda={lam.parts})", fermionic.mf_spec(lam), v)
+    return _brute(f"algebra(lambda={lam.parts})", build_presentation_A(lam, ic),
+                  v["window"], v["mode"])
 
 
 def _gmf(v):
     lam, ic = _lambda_cd(v["lambda"], v["c"], v["d"])
-    return _closed(f"gmf(lambda={lam.parts})", fermionic.gmf_spec(lam, ic), v)
-
-
-def _fusion(v):
-    a, w, mode = _levels(v), _brute_window(v["window"], None), v["mode"]
-    return f"fusion{a}", functools.partial(fusion.principal_fusion_character,
-                                           (a[:2], a[2:]), w, mode, v["points"])
+    return _closed(f"gmf(lambda={lam.parts})", fermionic.gmf_spec(lam, ic), v["window"])
 
 
 def _every_z(window: Truncation) -> Truncation:
@@ -303,20 +303,27 @@ def _limform(v):
 
 EVALUATORS = {
     "gordon": Kind((K,), False, lambda v: _closed(
-        f"gordon(k={v['k']})", fermionic.gordon_spec(v["k"]), v)),
+        f"gordon(k={v['k']})", fermionic.gordon_spec(v["k"]), v["window"]), exact=True),
     "algebra": Kind((LAMBDA, C, D), True, _algebra),
-    "mf": Kind((LAMBDA,), False, _mf),
-    "gmf": Kind((LAMBDA, Flag("c", parse_ints, True), D), False, _gmf),
+    "mf": Kind((LAMBDA,), False, lambda v: _closed(
+        f"mf(lambda={v['lambda']})", fermionic.mf_spec(Partition.make(v["lambda"])),
+        v["window"]), exact=True),
+    "gmf": Kind((LAMBDA, Flag("c", parse_ints, True), D), False, _gmf, exact=True),
     "fusion-w": Kind(LEVELS, False, lambda v: _closed(
-        f"fusion-w{_levels(v)}", fermionic.w_fusion_spec(*_levels(v)), v)),
-    "fusion": Kind(LEVELS + (POINTS,), True, _fusion),
+        f"fusion-w{_levels(v)}", fermionic.w_fusion_spec(*_levels(v)), v["window"]),
+        exact=True),
+    "fusion": Kind(LEVELS + (POINTS,), True, lambda v: _fused(
+        f"fusion{_levels(v)}", ((v["i1"], v["k1"]), (v["i2"], v["k2"])), v["window"],
+        v["mode"], v["points"])),
     "limform": Kind(LEVELS + (NMAX,), False, _limform, exact=True),
     "lattice": Kind(LATTICE, False, lambda v: _closed(
-        "lattice", fermionic.LatticeSpec.make(v["matrix"], v["shifts"]), v)),
+        "lattice", fermionic.LatticeSpec.make(v["matrix"], v["shifts"]), v["window"]),
+        exact=True),
     "quadratic": Kind(LATTICE, True, lambda v: _brute(
-        "quadratic", build_presentation_quadratic(v["matrix"], v["shifts"]), v, 0)),
-    "presentation": Kind((Flag("file", load_presentation, True),), True,
-                         lambda v: _brute("presentation", v["file"], v)),
+        "quadratic", build_presentation_quadratic(v["matrix"], v["shifts"]),
+        _brute_window(v["window"], 0), v["mode"])),
+    "presentation": Kind((Flag("file", load_presentation, True),), True, lambda v: _brute(
+        "presentation", v["file"], v["window"], v["mode"])),
 }
 
 
@@ -343,50 +350,45 @@ def build_evaluator(desc: dict, window: Truncation, mode: FieldMode):
 # ---------------------------------------------------------------------------
 # catalog
 
-_ALGEBRA_VS_SUM = ("algebra-bruteforce", "fermionic-sum")
-
-
-def _expected(lam: Partition) -> str:
-    return "EQUAL" if lam.is_convex() else "LE"
-
 
 def verify_custom(left_desc: dict, right_desc: dict, window: Truncation,
-                  mode: FieldMode, case: str | None = None,
-                  labels: tuple | None = None, expected: str = "EQUAL") -> list:
-    """One report comparing two evaluators on window.
+                  mode: FieldMode) -> list:
+    """One report comparing two evaluator descriptors on window.
 
     Both are built on window and mode, and so validated, window included,
-    before either runs.  case and the (left, right) labels default to the
-    evaluators' own labels."""
-    (left, left_fn), (right, right_fn) = (build_evaluator(left_desc, window, mode),
-                                          build_evaluator(right_desc, window, mode))
-    routes = tuple(zip(labels or (left, right), (left_fn, right_fn)))
-    return _compare_routes(case or f"custom {left} vs {right}", routes, ((0, 1),),
-                           mode, expected)
+    before either runs."""
+    routes = [build_evaluator(desc, window, mode) for desc in (left_desc, right_desc)]
+    return _compare_routes(f"custom {routes[0][0]} vs {routes[1][0]}", routes,
+                           ((0, 1),), mode)
+
+
+def _algebra_vs_sum(case: str, window: Truncation, mode: FieldMode,
+                    lam: Partition, ic: InitialConditions, spec) -> list:
+    """The algebra of (lam, ic) against the closed sum spec on window; the
+    sum of a partition that is not convex is only an upper bound (LE)."""
+    routes = (_brute("algebra-bruteforce", build_presentation_A(lam, ic), window, mode),
+              _closed("fermionic-sum", spec, window))
+    return _compare_routes(case, routes, ((0, 1),), mode,
+                           "EQUAL" if lam.is_convex() else "LE")
 
 
 def verify_gordon(k: int, window: Truncation, mode: FieldMode) -> list:
-    fermionic.gordon_spec(k)  # refuse k < 1 as char gordon does, before the algebra
-    return verify_custom({"kind": "algebra", "lambda": (k,)},
-                         {"kind": "gordon", "k": k}, _brute_window(window, 0),
-                         mode, f"gordon k={k}", _ALGEBRA_VS_SUM)
+    spec = fermionic.gordon_spec(k)  # refuse k < 1 as char gordon does, before the algebra
+    return _algebra_vs_sum(f"gordon k={k}", _brute_window(window, 0), mode,
+                           *_lambda_cd((k,), None, None), spec)
 
 
 def verify_mf(parts, window: Truncation, mode: FieldMode) -> list:
     lam = Partition.make(parts)
-    return verify_custom({"kind": "algebra", "lambda": lam.parts},
-                         {"kind": "mf", "lambda": lam.parts},
-                         _brute_window(window, None), mode,
-                         f"mf lambda={lam.parts}", _ALGEBRA_VS_SUM, _expected(lam))
+    return _algebra_vs_sum(f"mf lambda={lam.parts}", _brute_window(window, None), mode,
+                           *_lambda_cd(lam.parts, None, None), fermionic.mf_spec(lam))
 
 
 def verify_gmf(parts, c, d, window: Truncation, mode: FieldMode) -> list:
     lam, ic = _lambda_cd(parts, c, d)
-    values = {"lambda": lam.parts, "c": ic.c, "d": ic.d}
-    return verify_custom({"kind": "algebra", **values}, {"kind": "gmf", **values},
-                         _brute_window(window, None), mode,
-                         f"gmf lambda={lam.parts} c={ic.c} d={ic.d}",
-                         _ALGEBRA_VS_SUM, _expected(lam))
+    return _algebra_vs_sum(f"gmf lambda={lam.parts} c={ic.c} d={ic.d}",
+                           _brute_window(window, None), mode, lam, ic,
+                           fermionic.gmf_spec(lam, ic))
 
 
 # A fusion scan meets each cyclic module and each predicted algebra (which
@@ -399,10 +401,8 @@ _MEMOS = (fusion.module_memo, _fusion_algebra)  # run_cases clears both
 def verify_fusion(i1: int, k1: int, i2: int, k2: int, window: Truncation,
                   mode: FieldMode, points=None) -> list:
     w = _brute_window(window, None)
-    routes = (("fusion-bruteforce", functools.partial(
-                   fusion.principal_fusion_character, ((i1, k1), (i2, k2)), w, mode,
-                   points)),
-              ("w-fusion-sum", lambda: fermionic.character_W_fusion(i1, k1, i2, k2, w)),
+    routes = (_fused("fusion-bruteforce", ((i1, k1), (i2, k2)), w, mode, points),
+              _closed("w-fusion-sum", fermionic.w_fusion_spec(i1, k1, i2, k2), w),
               ("algebra-bruteforce", lambda: _fusion_algebra(build_presentation_A(
                   *fermionic.fusion_rule(i1, k1, i2, k2)), w, mode)))
     return _compare_routes(f"fusion ({i1},{k1})x({i2},{k2})", routes,
@@ -410,12 +410,12 @@ def verify_fusion(i1: int, k1: int, i2: int, k2: int, window: Truncation,
 
 
 def verify_lattice(gram, shifts, window: Truncation, mode: FieldMode) -> list:
-    spec = fermionic.LatticeSpec.make(gram, shifts)
-    values = {"matrix": spec.gram, "shifts": spec.shifts}
-    return verify_custom({"kind": "quadratic", **values}, {"kind": "lattice", **values},
-                         _brute_window(window, 0), mode,
-                         f"lattice M={spec.gram} v={spec.shifts}",
-                         ("quadratic-bruteforce", "lattice-sum"))
+    spec, w = fermionic.LatticeSpec.make(gram, shifts), _brute_window(window, 0)
+    routes = (_brute("quadratic-bruteforce",
+                     build_presentation_quadratic(spec.gram, spec.shifts), w, mode),
+              _closed("lattice-sum", spec, w))
+    return _compare_routes(f"lattice M={spec.gram} v={spec.shifts}", routes, ((0, 1),),
+                           mode)
 
 
 def verify_limform(i1: int, k1: int, i2: int, k2: int, q_max: int,
@@ -442,11 +442,10 @@ def verify_points(levels, window: Truncation, points_a, points_b) -> list:
         raise ConfigurationError("need at least two (i, k) pairs")
     if any(len(x) != 2 for x in levels):
         raise ConfigurationError(f"levels must be (i, k) pairs, got {levels}")
-    w, mode = _brute_window(window, None), FieldMode.exact()
+    mode = FieldMode.exact()
     # the modules are memos: the second point set reuses the first's
     return _compare_routes(f"fusion-points {levels}",
-                           [(f"points={tuple(p)}", functools.partial(
-                               fusion.principal_fusion_character, levels, w, mode, p))
+                           [_fused(f"points={tuple(p)}", levels, window, mode, p)
                             for p in (points_a, points_b)], ((0, 1),),
                            mode, informational=len(levels) > 2)
 

@@ -27,7 +27,7 @@ from ferchar.verify import (build_evaluator, convex_partitions, parse_ints,
                             parse_matrix, run_case, run_cases,
                             scan_fusion_cases, scan_mf_cases, verify_custom,
                             verify_fusion, verify_gordon, verify_limform,
-                            verify_mf, verify_points)
+                            verify_gmf, verify_lattice, verify_mf, verify_points)
 from helpers import build_parser, presentation_to_json
 
 W32 = Truncation(3, 2, 0)
@@ -95,6 +95,32 @@ def test_verify_custom_pair():
     report, = verify_custom({"kind": "gordon", "k": 1},
                             {"kind": "algebra", "lambda": [1]}, W32, MODE)
     assert report.verdict == "EQUAL"
+
+
+@pytest.mark.parametrize("preset,left,right,window,verdict", [
+    (lambda w: verify_gordon(2, w, MODE), {"kind": "algebra", "lambda": [2]},
+     {"kind": "gordon", "k": 2}, Truncation(5, 4, 0), "EQUAL"),
+    (lambda w: verify_mf((3, 1), w, MODE), {"kind": "algebra", "lambda": [3, 1]},
+     {"kind": "mf", "lambda": [3, 1]}, Truncation(5, 4, 3), "EQUAL"),
+    # not convex: the sum is only an upper bound, and exceeds the algebra here
+    (lambda w: verify_mf((2, 1, 1), w, MODE), {"kind": "algebra", "lambda": [2, 1, 1]},
+     {"kind": "mf", "lambda": [2, 1, 1]}, Truncation(5, 4, 3), "LE"),
+    (lambda w: verify_gmf((2, 1), (1, 0), (1,), w, MODE),
+     {"kind": "algebra", "lambda": [2, 1], "c": [1, 0], "d": [1]},
+     {"kind": "gmf", "lambda": [2, 1], "c": [1, 0], "d": [1]}, Truncation(5, 4, 3), "EQUAL"),
+    (lambda w: verify_lattice(((2, 1), (1, 2)), (0, 1), w, MODE),
+     {"kind": "quadratic", "matrix": [[2, 1], [1, 2]], "shifts": [0, 1]},
+     {"kind": "lattice", "matrix": [[2, 1], [1, 2]], "shifts": [0, 1]},
+     Truncation(5, 3, 0), "EQUAL"),
+], ids=["gordon", "mf-convex", "mf-not-convex", "gmf", "lattice"])
+def test_presets_match_their_custom_pair(preset, left, right, window, verdict):
+    # a preset builds its two routes itself; on the same window it reads as
+    # verify custom of the matching descriptors
+    report, = preset(window)
+    custom, = verify_custom(left, right, window, MODE)
+    assert (report.verdict, report.first_diff, report.window) == \
+        (custom.verdict, custom.first_diff, custom.window)
+    assert report.verdict == verdict and report.passed
 
 
 def test_build_evaluator_errors():
@@ -929,26 +955,54 @@ def test_limform_refuses_a_field_it_ignores(capsys, extra, flag):
     assert [r["field"] for r in json.loads(capsys.readouterr().out)] == ["exact"] * 2
 
 
-@pytest.mark.parametrize("extra,flag", [
-    (["--field", "two-prime"], "--field two-prime"),
-    (["--seed", "3"], "--seed"),
-    (["--field", "two-prime", "--seed", "3"], "--seed"),
+# the char kinds that do no linear algebra over a finite field, with flags
+CLOSED_CHARS = {
+    "limform": [f"--{k}={v}" for k, v in LIMFORM.items()],
+    "gordon": ["--k", "2"],
+    "mf": ["--lambda", "2,1"],
+    "gmf": ["--lambda", "2,1", "--c", "1,0"],
+    "fusion-w": ["--i1", "0", "--k1", "1", "--i2", "1", "--k2", "2"],
+    "lattice": ["--matrix", "2,1;1,2", "--shifts", "0,1"],
+}
+
+
+@pytest.mark.parametrize("values,flag", [
+    ({"field": "two-prime"}, "--field two-prime"),
+    ({"seed": 3}, "--seed"),
+    ({"field": "two-prime", "seed": 3}, "--seed"),
 ], ids=["field", "seed", "field-seed"])
-def test_char_limform_refuses_a_field_it_ignores(capsys, extra, flag):
-    # the limform evaluator is a closed formula: char refuses a two-prime
-    # field or a seed as verify limform does; --field exact and no flag
-    # print the same character
-    argv = ["char", "limform", *(f"--{k}={v}" for k, v in LIMFORM.items()),
-            "--qmax", "2", "--format", "json"]
-    assert cli.main([*argv, *extra]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == ("configuration error: char limform runs over the "
-                                 f"rationals alone and takes no {flag}\n")
-    printed = []
-    for field in ([], ["--field", "exact"]):
-        assert cli.main([*argv, *field]) == 0
-        printed.append(json.loads(capsys.readouterr().out))
-    assert printed[0] == printed[1] and printed[0]["coefficients"]
+def test_char_limform_refuses_a_field_it_ignores(tmp_path, capsys, values, flag):
+    # the limform evaluator and the closed sums are closed formulas: char
+    # refuses a two-prime field or a seed, from argv or a config file, as
+    # verify limform does; --field exact and no flag print the same character
+    (tmp_path / "c.json").write_text(json.dumps(values))
+    for kind, kind_argv in CLOSED_CHARS.items():
+        argv = ["char", kind, *kind_argv, "--qmax", "2", "--format", "json"]
+        for extra in ([f"--{k}={v}" for k, v in values.items()],
+                      ["--config", str(tmp_path / "c.json")]):
+            assert cli.main([*argv, *extra]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == (f"configuration error: char {kind} runs over "
+                                         f"the rationals alone and takes no {flag}\n")
+        printed = []
+        for field in ([], ["--field", "exact"]):
+            assert cli.main([*argv, *field]) == 0
+            printed.append(json.loads(capsys.readouterr().out))
+        assert printed[0] == printed[1] and printed[0]["coefficients"]
+
+
+@pytest.mark.parametrize("kind,kind_argv", [
+    ("gordon", ["--k", "2"]), ("mf", ["--lambda", "2,1"]),
+    ("gmf", ["--lambda", "2,1", "--c", "1,0"]),
+    ("fusion", ["--i1", "0", "--k1", "1", "--i2", "1", "--k2", "2"]),
+    ("lattice", ["--matrix", "2,1;1,2", "--shifts", "0,1"])])
+def test_cases_of_closed_chars_take_a_field(capsys, kind, kind_argv):
+    # the cases pair a closed sum with a brute-force route, so they keep
+    # --field two-prime and --seed
+    argv = ["verify", kind, *kind_argv, "--qmax", "2", "--format", "json"]
+    assert cli.main([*argv, "--field", "two-prime", "--seed", "3"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert {(r["field"], r["seed"]) for r in reports} == {("two-prime", 3)}
 
 
 @pytest.mark.parametrize("command", ["char", "verify"])
