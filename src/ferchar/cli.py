@@ -118,11 +118,12 @@ def resolve_flags(args: argparse.Namespace) -> catalog.Kind:
 
 
 def resolve_mode(args, kind: catalog.Kind) -> FieldMode:
-    if kind.exact and (args.field == "two-prime" or args.seed is not None):
+    exact = kind.over_q(vars(args))
+    if exact and (args.field == "two-prime" or args.seed is not None):
         flag = "--seed" if args.seed is not None else "--field two-prime"
         raise ConfigurationError(f"{args.command} {args.kind} runs over the "
                                  f"rationals alone and takes no {flag}")
-    if kind.exact or args.field == "exact":
+    if exact or args.field == "exact":
         return FieldMode.exact()
     return FieldMode.two_prime(0 if args.seed is None else args.seed)
 

@@ -24,7 +24,12 @@ acting in slot t moves a code by a multiple of stride_t.  The u-degree-l
 layer of the fused character is dim F_l - dim F_{l-1} per (z, q)
 component, the number of standard monomials of degree l; all of this is
 exact on a finite window because the operators strictly raise z and
-never lower q.
+never lower q.  A standard monomial M' is extended from the pivot row it
+left in its component's echelon, not from its raw image: the two differ by
+a unit factor and by images of smaller monomials, which x carries into the
+span of the larger component's echelon (see `FusionContext.layer_counts`),
+so the standard monomials are unchanged and x M' repeats none of the
+eliminations M' went through.
 """
 
 from __future__ import annotations
@@ -192,35 +197,48 @@ class FusionContext:
         monomials form an order ideal (Macaulay's basis theorem), and each is
         x M' with M' standard and x >= every variable of M'.  So a component
         echelons only these candidates, each monomial once and in order,
-        applying x to the raw image of M', until it is full.
+        until it is full.
+
+        x is applied to the pivot row that M' left in its component's
+        echelon, not to its raw image, so that x M' does not repeat the
+        eliminations M' went through.  That row is a image(M') + sum b_k
+        image(M_k) with a a unit and each M_k smaller than M'; the order is
+        multiplicative, so each x M_k is smaller than x M', and the images of
+        all monomials smaller than x M' already lie in the span of the
+        component's echelon.  So x pivot(M') = a image(x M') modulo that
+        span, and a candidate is standard exactly when it is standard from
+        its raw image.  Over Q a pivot row is an integer multiple of such a
+        row, which spans the same line.
 
         Modulo N = p1 p2, `echelon` either clears a column, the same step
         in both fields, or makes a pivot led by a unit, nonzero modulo both
         primes; otherwise it raises NonUnit.  So a candidate is standard
-        modulo N exactly when it is standard modulo both primes.
+        modulo N exactly when it is standard modulo both primes, and the
+        argument above holds in each field.
         """
         u_max = self.window.u_max
         counts: dict = {}
-        standard: dict = {}  # (z, q) -> [(degree, monomial, raw image)], in order
+        standard: dict = {}  # (z, q) -> [(degree, monomial, pivot row)], in order
         for (big_z, big_q), full in self.dimensions.items():
             found = [(0, (), self.vacuum())] if big_z == 0 else []
             candidates = sorted(
-                ((l + m, ((j, m),) + mono, image)
+                ((l + m, ((j, m),) + mono, row)
                  for j in range(big_q + 1)
-                 for l, mono, image in standard.get((big_z - 1, big_q - j), ())
+                 for l, mono, row in standard.get((big_z - 1, big_q - j), ())
                  for m in range(min(self.n, u_max - l + 1))
                  if not mono or (j, m) >= mono[0]),
                 key=operator.itemgetter(0, 1))
             basis: dict = {}
-            for l, mono, image in candidates:
+            for l, mono, row in candidates:
                 if len(basis) == full:
                     break
                 j, m = mono[0]
-                image = self.apply(j, m, (big_z - 1, big_q - j), image)
                 rank = len(basis)
-                echelon((image,), self.field, full, basis)
+                echelon((self.apply(j, m, (big_z - 1, big_q - j), row),),
+                        self.field, full, basis)
                 if len(basis) > rank:
-                    found.append((l, mono, image))
+                    # the pivot row just inserted, the newest in the echelon
+                    found.append((l, mono, basis[next(reversed(basis))]))
             standard[(big_z, big_q)] = found
             for l, _, _ in found:
                 counts[(big_z, l, big_q)] = counts.get((big_z, l, big_q), 0) + 1

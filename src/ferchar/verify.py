@@ -219,10 +219,15 @@ class Kind(namedtuple("Kind", "flags finite run exact", defaults=(False,))):
 
     flags, a tuple of Flag; finite, a bool: without --zmax/--umax, z runs to
     q_max and u to z_max; run, a Callable: flag values, "window", "mode" ->
-    evaluator, reports or cases; exact, a bool: over Q alone or with no
-    linear algebra at all, so --field two-prime and --seed are refused."""
+    evaluator, reports or cases; exact, a bool or a Callable: flag values ->
+    bool: over Q alone or with no linear algebra at all, so --field
+    two-prime and --seed are refused."""
 
     __slots__ = ()
+
+    def over_q(self, values: dict) -> bool:
+        """Whether the kind runs over Q alone on these flag values."""
+        return self.exact(values) if callable(self.exact) else self.exact
 
 
 def parse_values(flags, raw: dict) -> dict:
@@ -327,15 +332,21 @@ EVALUATORS = {
 }
 
 
-def build_evaluator(desc: dict, window: Truncation, mode: FieldMode):
-    """(label, fn() -> GradedCharacter) on window and mode from a descriptor
-    dict: "kind" plus values of that evaluator's flags."""
+def evaluator_kind(desc) -> Kind:
+    """The evaluator that a descriptor dict's "kind" names."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigurationError(f"evaluator descriptor needs a kind: {desc!r}")
     name = desc["kind"]
     kind = EVALUATORS.get(name) if isinstance(name, str) else None
     if kind is None:
         raise ConfigurationError(f"unknown evaluator kind {name!r}")
+    return kind
+
+
+def build_evaluator(desc: dict, window: Truncation, mode: FieldMode):
+    """(label, fn() -> GradedCharacter) on window and mode from a descriptor
+    dict: "kind" plus values of that evaluator's flags."""
+    kind, name = evaluator_kind(desc), desc["kind"]
     names = {f.name for f in kind.flags}
     for key in desc:
         if key != "kind" and key not in names:
@@ -466,9 +477,12 @@ CASES = {
                     Flag("alt-points", parse_ints, True)), True,
                    lambda v: verify_points(v["levels"], v["window"], v["points"],
                                            v["alt-points"]), exact=True),
+    # two closed evaluators do no linear algebra, so the pair is exact
     "custom": Kind((Flag("left", parse_json, True), Flag("right", parse_json, True)),
                    False, lambda v: verify_custom(v["left"], v["right"], v["window"],
-                                                  v["mode"])),
+                                                  v["mode"]),
+                   exact=lambda v: all(evaluator_kind(v[side]).exact
+                                       for side in ("left", "right"))),
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 from ferchar import fusion
 from ferchar.errors import ConfigurationError
 from ferchar.exactlin import FieldMode, NonUnit, reduce_rows
-from ferchar.fermionic import character_A_lambda_cd, delta_vector
+from ferchar.fermionic import character_A_lambda_cd, character_W_fusion, delta_vector
 from ferchar.fusion import (CyclicModule, FusionContext,
                             cyclic_module_from_presentation, default_points,
                             fusion_character, principal_fusion_character,
@@ -239,6 +239,14 @@ def test_fusion_two_prime_matches_exact():
     assert compare(exact, two).verdict == "EQUAL"
 
 
+def test_k4_filtration_matches_the_closed_sum():
+    # (4,4,4,4) is EQUAL by the fused-character match rule; the filtration
+    # at k = 4, on a window where the standard monomials reach degree 6
+    w = Truncation(8, 6, 6)
+    fused = principal_fusion_character(((4, 4), (4, 4)), w, FieldMode.two_prime(0))
+    assert compare(fused, character_W_fusion(4, 4, 4, 4, w)).verdict == "EQUAL"
+
+
 @pytest.mark.parametrize("points", [None, (3, 5, 11)])
 @pytest.mark.parametrize("levels", [((1, 1), (0, 2), (1, 2)), ((0, 1), (1, 1), (1, 1))])
 def test_three_factor_two_prime_matches_exact(levels, points):
@@ -345,10 +353,21 @@ def differenced(dims):
                                     (1, 2, 1, 2), (1, 1, 0, 2),
                                     (1, 3, 2, 3), (0, 2, 1, 3)])
 def test_incremental_filtration_matches_recomputation(levels, field):
+    check_incremental_filtration(levels, field, Truncation(4, 3, 3))
+
+
+@pytest.mark.parametrize("field", [None, math.prod(FieldMode.two_prime(0).primes)])
+@pytest.mark.parametrize("levels", [(2, 2, 2, 2), (1, 3, 2, 3), (1, 2, 2, 2)])
+def test_incremental_filtration_matches_recomputation_on_a_wider_window(levels, field):
+    # here the pivot rows that standard monomials are extended from differ
+    # from their raw images
+    check_incremental_filtration(levels, field, Truncation(6, 4, 4))
+
+
+def check_incremental_filtration(levels, field, w):
     i1, k1, i2, k2 = levels
-    w = Truncation(4, 3, 3)
-    ctx = FusionContext((principal_subspace(i1, k1, 4, 3, field),
-                         principal_subspace(i2, k2, 4, 3, field)), (1, 0), w)
+    ctx = FusionContext((principal_subspace(i1, k1, w.q_max, w.z_max, field),
+                         principal_subspace(i2, k2, w.q_max, w.z_max, field)), (1, 0), w)
     assert ctx.layer_counts() == differenced(filtration_recomputed(ctx))
 
 

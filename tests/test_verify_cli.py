@@ -955,6 +955,57 @@ def test_limform_refuses_a_field_it_ignores(capsys, extra, flag):
     assert [r["field"] for r in json.loads(capsys.readouterr().out)] == ["exact"] * 2
 
 
+CLOSED_PAIR = ("verify", "custom", "--left", '{"kind": "gordon", "k": 1}',
+               "--right", '{"kind": "mf", "lambda": [1]}', "--qmax", "3",
+               "--format", "json")
+
+
+def test_custom_closed_pair_reports_exact(capsys):
+    # two closed evaluators do no linear algebra: the report says exact
+    # with no seed, with or without --field exact
+    for extra in ([], ["--field", "exact"]):
+        assert cli.main([*CLOSED_PAIR, *extra]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [(r["verdict"], r["field"], r["seed"]) for r in reports] == \
+            [("EQUAL", "exact", None)]
+
+
+@pytest.mark.parametrize("source,values,flag", [
+    ("argv", {"field": "two-prime"}, "--field two-prime"),
+    ("argv", {"seed": 5}, "--seed"),
+    ("argv", {"field": "exact", "seed": 5}, "--seed"),
+    ("config", {"field": "two-prime"}, "--field two-prime"),
+    ("config", {"seed": 5}, "--seed"),
+], ids=["argv-field", "argv-seed", "argv-exact-seed", "config-field", "config-seed"])
+def test_custom_closed_pair_refuses_a_field(tmp_path, capsys, source, values, flag):
+    # as the closed char kinds do: a two-prime field or a seed is refused,
+    # from argv or a config file, never reported as if it had been used
+    (tmp_path / "c.json").write_text(json.dumps(values))
+    extra = ([f"--{k}={v}" for k, v in values.items()] if source == "argv"
+             else ["--config", str(tmp_path / "c.json")])
+    assert cli.main([*CLOSED_PAIR, *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("configuration error: verify custom runs over the "
+                                 f"rationals alone and takes no {flag}\n")
+
+
+@pytest.mark.parametrize("left,right", [
+    ('{"kind": "gordon", "k": 1}', '{"kind": "algebra", "lambda": [1]}'),
+    ('{"kind": "algebra", "lambda": [1]}', '{"kind": "gordon", "k": 1}'),
+], ids=["brute-right", "brute-left"])
+def test_custom_pair_with_a_brute_side_takes_a_field(capsys, left, right):
+    # a brute-force side does linear algebra: two-prime with seed 0 by
+    # default, and --seed and --field exact are honoured
+    argv = ["verify", "custom", "--left", left, "--right", right, "--qmax", "3",
+            "--zmax", "2", "--umax", "0", "--format", "json"]
+    for extra, expected in (([], ("two-prime", 0)), (["--seed", "5"], ("two-prime", 5)),
+                            (["--field", "exact"], ("exact", None))):
+        assert cli.main([*argv, *extra]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [(r["verdict"], r["field"], r["seed"]) for r in reports] == \
+            [("EQUAL", *expected)]
+
+
 # the char kinds that do no linear algebra over a finite field, with flags
 CLOSED_CHARS = {
     "limform": [f"--{k}={v}" for k, v in LIMFORM.items()],
