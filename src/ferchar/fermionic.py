@@ -1,6 +1,7 @@
 """Closed fermionic sum evaluators.
 
-One enumerator, _lattice_terms, lists the terms of every closed sum
+_lattice_terms lists the terms of every closed sum but the literal limit
+sum, which _literal_shell enumerates on its own:
 
     z^z0 q^q0 sum over nonnegative integer vectors x
         z^(z_weights.x) u^(u_weights.x) q^(xGx/2 - sum_i G_ii x_i/2 + shifts.x)
@@ -186,6 +187,8 @@ def w_fusion_spec(i1: int, k1: int, i2: int, k2: int) -> LatticeSpec:
     return gmf_spec(*fusion_rule(i1, k1, i2, k2))
 
 
+# not a run_cache: this table, like _suffix_forms, depends on its
+# arguments alone, so it lasts the process
 @functools.lru_cache(maxsize=None)
 def _poch_product(counts: tuple, q_cap: int) -> tuple:
     series = (1,) + (0,) * q_cap

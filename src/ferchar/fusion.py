@@ -34,7 +34,6 @@ eliminations M' went through.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -49,7 +48,7 @@ from .fermionic import check_level, delta_vector
 # compare is unused here, but perfbench/spans.py traces ferchar.fusion.compare
 from .gradedchar import GradedCharacter, Truncation, compare  # noqa: F401
 from .presented import (InitialConditions, Partition, Presentation,
-                        build_presentation_A, normal_form_basis)
+                        build_presentation_A, normal_form_basis, run_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +95,7 @@ def cyclic_module_from_presentation(p: Presentation, q_max: int, z_max: int,
     return CyclicModule(label, q_max, z_max, tuple(degrees), actions, field)
 
 
-@functools.lru_cache(maxsize=None)
+@run_cache
 def principal_subspace(i: int, k: int, q_max: int, z_max: int,
                        field: int | None = None) -> CyclicModule:
     """W_{i,k}: C[e modes]/(e(z)^{k+1}, e(z)^l divisible by z^{l-i} for l > i)."""
@@ -271,8 +270,3 @@ def principal_fusion_character(levels, window: Truncation,
         return fusion_character(mods, points, window)
 
     return two_prime(run, mode or FieldMode.exact())[0]
-
-
-# the memo of cyclic modules, bound at import, as a traced run replaces
-# principal_subspace by a wrapper without cache_clear
-module_memo = principal_subspace

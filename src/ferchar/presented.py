@@ -38,8 +38,7 @@ on the presentation restricted to its live relations, keyed by value:
 presentations that reach a component through equal live relations, such
 as the lambdas of an mf scan with equal first parts in low u-degrees,
 share its rows and rank, and a component with no live relation is its
-free monomials.  clear_caches() drops every cache; verify.run_cases
-calls it once, when its cases are done.
+free monomials.
 """
 
 from __future__ import annotations
@@ -54,6 +53,27 @@ from .gradedchar import GradedCharacter, Truncation
 
 Mode = tuple  # (family index, q-degree n) for the coefficient a_{f,-n}
 Monomial = tuple  # modes sorted ascending, with repetition
+
+_CACHES: list = []  # every run_cache, in definition order
+
+
+def run_cache(fn):
+    """fn, memoized for one verify.run_cases call: an unbounded cache that
+    run_cases empties through clear_caches() when it returns, raises or
+    times out, so the later cases of a scan reuse what earlier ones built
+    and the next call starts cold.  Registered here when it is defined, so
+    a wrapper that later replaces its module's name does not hide it.
+    With jobs > 1 each worker keeps its own until the pool ends; what a
+    command that runs no case builds lasts until its process ends."""
+    cache = functools.lru_cache(maxsize=None)(fn)
+    _CACHES.append(cache)
+    return cache
+
+
+def clear_caches() -> None:
+    """Empty every run_cache."""
+    for cache in _CACHES:
+        cache.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +207,7 @@ class Presentation(namedtuple("Presentation", "families relations")):
                       sum(d for _, d in slots)) for slots in self._relation_slots)
 
 
-@functools.lru_cache(maxsize=None)
+@run_cache
 def _presentation(families: tuple, relations: tuple) -> Presentation:
     """One object per value, so its hash and cached properties are built once."""
     return Presentation(families, relations)
@@ -338,7 +358,7 @@ def _feasible(p: Presentation, z: int, u: int, q: int) -> bool:
     return z * u_lo <= u <= z * u_hi and q >= z * mode_lo
 
 
-@functools.lru_cache(maxsize=None)
+@run_cache
 def component_monomials(p: Presentation, tridegree: tuple) -> tuple:
     """All free monomials of the tridegree, in increasing grevlex order.
 
@@ -391,21 +411,21 @@ def _mode_code(nfam: int, width: int, f: int, n: int) -> int:
     return 1 << width * (n * nfam + f)
 
 
-@functools.lru_cache(maxsize=None)
+@run_cache
 def _mode_codes(nfam: int, width: int, q: int):
     """The lookup mode (f, n) -> its code, for every mode with n <= q."""
     return {(f, n): _mode_code(nfam, width, f, n)
             for f in range(nfam) for n in range(q + 1)}.__getitem__
 
 
-@functools.lru_cache(maxsize=None)
+@run_cache
 def _component_codes(p: Presentation, tridegree: tuple, width: int) -> list:
     """The codes of component_monomials(p, tridegree), in column order."""
     codes = _mode_codes(len(p.families), width, tridegree[2])
     return [sum(map(codes, m)) for m in component_monomials(p, tridegree)]
 
 
-@functools.lru_cache(maxsize=None)
+@run_cache
 def _relation_terms(p: Presentation, slots: tuple, r: int, width: int,
                     slot: int = 0) -> tuple:
     """The z^r coefficient of the product of the factor copies slots[slot:]
@@ -525,7 +545,7 @@ def component_dimension(p: Presentation, tridegree: tuple,
     return _live_dimension(_restriction(p, live), tridegree, mode.kind, mode.primes)
 
 
-@functools.lru_cache(maxsize=None)
+@run_cache
 def _restriction(p: Presentation, live: tuple) -> Presentation:
     """p with only the relation families of indices live: p itself when
     they are all of them, else one object per value (_presentation)."""
@@ -534,7 +554,7 @@ def _restriction(p: Presentation, live: tuple) -> Presentation:
     return _presentation(p.families, tuple(p.relations[i] for i in live))
 
 
-@functools.lru_cache(maxsize=None)
+@run_cache
 def _live_dimension(p: Presentation, tridegree: tuple, kind: str, primes) -> int:
     """component_dimension of p, all of whose relation families are live,
     in the field mode of that kind and primes.  Keyed on those, since a
@@ -546,17 +566,6 @@ def _live_dimension(p: Presentation, tridegree: tuple, kind: str, primes) -> int
     if not rows:
         return free
     return free - int_rank(rows, FieldMode(kind, None, primes), free).rank
-
-
-# bound here, since tracing may replace the module's names with wrappers
-_CACHES = (_presentation, component_monomials, _mode_codes, _component_codes,
-           _relation_terms, _restriction, _live_dimension)
-
-
-def clear_caches() -> None:
-    """Drop the cached components, relation expansions and dimensions."""
-    for cache in _CACHES:
-        cache.cache_clear()
 
 
 def graded_character(p: Presentation, truncation: Truncation,

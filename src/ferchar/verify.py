@@ -18,13 +18,9 @@ config key and its descriptor key (`"lambda"`), and its parser takes
 command-line text or a JSON value alike.
 
 `run_cases` runs every case of `verify` and `scan`, in a process pool
-only with jobs > 1, which is when it imports `concurrent.futures`.  Every
-cache but fermionic's table of q-series products and trailing-block
-forms, which depend on their arguments alone, lasts one `run_cases`
-call: the components of presented (keyed on the generator families), the
-component dimensions it shares across presentations by their live
-relation families, and the cyclic modules and predicted-algebra
-characters of the fusion route, so a scan builds each once.
+only with jobs > 1, which is when it imports `concurrent.futures`; its
+cases share the caches of `presented.run_cache`, so a scan builds each
+component, cyclic module and predicted algebra once.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from .exactlin import FieldMode
 from .gradedchar import Comparison, Truncation, compare
 from .presented import (InitialConditions, Partition, build_presentation_A,
                         build_presentation_quadratic, clear_caches,
-                        graded_character, presentation_from_json)
+                        graded_character, presentation_from_json, run_cache)
 
 
 class VerificationReport(namedtuple(
@@ -405,8 +401,7 @@ def verify_gmf(parts, c, d, window: Truncation, mode: FieldMode) -> list:
 # A fusion scan meets each cyclic module and each predicted algebra (which
 # depends only on the sorted levels, i1 + i2 and min(i1, i2)) many times;
 # no other brute-force character repeats within a scan.
-_fusion_algebra = functools.lru_cache(maxsize=None)(graded_character)
-_MEMOS = (fusion.module_memo, _fusion_algebra)  # run_cases clears both
+_fusion_algebra = run_cache(graded_character)
 
 
 def verify_fusion(i1: int, k1: int, i2: int, k2: int, window: Truncation,
@@ -550,12 +545,8 @@ def run_cases(descs: list, jobs: int = 1,
 
     The timeout budget is spent once the elapsed time reaches it, and is
     checked before each case, with or without a pool; a pool cancels the
-    cases it has not started when the run ends.  Every cache lives
-    for one call: the memos of cyclic modules and predicted-algebra
-    characters, and the components, relation terms and component
-    dimensions of presented, so later cases of a scan reuse what earlier
-    ones built.  With jobs > 1 each worker keeps its own, and they end
-    with the pool; only then is `concurrent.futures` imported, so the
+    cases it has not started when the run ends.  Each run_cache lasts one
+    call.  Only with jobs > 1 is `concurrent.futures` imported, so the
     sequential path never names it."""
     reports: list = []
     start = time.monotonic()
@@ -583,6 +574,4 @@ def run_cases(descs: list, jobs: int = 1,
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-        for memo in _MEMOS:
-            memo.cache_clear()
         clear_caches()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import importlib
 import io
 import itertools
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies
 
 import ferchar
-from ferchar import cli, fermionic, presented, verify
+from ferchar import cli, fermionic, fusion, presented, verify
 from ferchar.errors import ConfigurationError, ResourceLimitError
 from ferchar.exactlin import FieldMode
 from ferchar.gradedchar import Truncation
@@ -188,84 +189,73 @@ def test_run_cases_parallel_budget_spent_inside_a_case():
 
 
 MF_SCAN = scan_mf_cases(4, Truncation(4, 3, 2), FieldMode.exact())
+FUSION_SCAN = scan_fusion_cases(2, Truncation(3, 2, 2), MODE)
 
 
-def test_caches_live_for_one_run_cases(monkeypatch):
-    # every cache of the module is one that clear_caches() drops
-    assert {f for f in vars(presented).values() if hasattr(f, "cache_clear")} == \
-        set(presented._CACHES)
+def cache_sizes() -> list:
+    return [cache.cache_info().currsize for cache in presented._CACHES]
 
-    def sizes():
-        return [cache.cache_info().currsize for cache in presented._CACHES]
 
+# an mf scan builds no cyclic module and no predicted algebra
+@pytest.mark.parametrize("scan, idle", [
+    (MF_SCAN, {fusion.principal_subspace, verify._fusion_algebra}),
+    (FUSION_SCAN, set())], ids=["mf", "fusion"])
+def test_caches_live_for_one_run_cases(monkeypatch, scan, idle):
+    # each run_cache fills during the scan, is never cleared between its
+    # cases, and is empty after a normal return, a raised error and a timeout
+    filled = [cache not in idle for cache in presented._CACHES]
+    empty = [0] * len(presented._CACHES)
     compare = verify.compare
     warm = []
 
     def observed(*args):
-        warm.append(sizes())
+        warm.append(cache_sizes())
         return compare(*args)
 
-    monkeypatch.setattr(verify, "compare", observed)
-    reports, timed_out = run_cases(MF_SCAN)
-    assert not timed_out and len(reports) == len(MF_SCAN) == len(warm)
-    # full from the first case on, and never cleared between cases
-    assert all(warm[0])
-    assert all(a <= b for w0, w1 in zip(warm, warm[1:]) for a, b in zip(w0, w1))
-    assert sizes() == [0] * len(presented._CACHES)
-
     def fail(*args):
-        warm.append(sizes())
+        warm.append(cache_sizes())
         raise RuntimeError("comparison failed")
 
+    presented.clear_caches()
+    monkeypatch.setattr(verify, "compare", observed)
+    reports, timed_out = run_cases(scan)
+    assert not timed_out and len(reports) == len(warm)
+    assert [bool(size) for size in warm[0]] == filled
+    assert all(a <= b for w0, w1 in zip(warm, warm[1:]) for a, b in zip(w0, w1))
+    assert cache_sizes() == empty
     warm.clear()
     monkeypatch.setattr(verify, "compare", fail)
     with pytest.raises(RuntimeError):
-        run_cases(MF_SCAN)
-    assert all(warm[0])
-    assert sizes() == [0] * len(presented._CACHES)
+        run_cases(scan)
+    assert [bool(size) for size in warm[0]] == filled
+    assert cache_sizes() == empty
     # a clock that advances one second per reading: the scan times out
     # after its first case
     warm.clear()
     monkeypatch.setattr(verify, "compare", observed)
     ticks = itertools.count()
     monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
-    reports, timed_out = run_cases(MF_SCAN, timeout=1.5)
-    assert timed_out and len(reports) == len(warm) == 1
-    assert all(warm[0])
-    assert sizes() == [0] * len(presented._CACHES)
+    reports, timed_out = run_cases(scan, timeout=1.5)
+    assert timed_out and len(reports) == len(warm) and len({r.case for r in reports}) == 1
+    assert [bool(size) for size in warm[0]] == filled
+    assert cache_sizes() == empty
 
 
-def test_dimension_memo_lives_for_one_run_cases(monkeypatch):
-    # the component dimensions shared by live relation families, and the
-    # restrictions they are keyed on: clear_caches() empties them, and
-    # run_cases does when it returns and when its budget runs out
-    memos = (presented._live_dimension, presented._restriction)
+def test_a_wrapped_cache_is_still_cleared(monkeypatch):
+    # tracing replaces fusion.principal_subspace with a plain wrapper, as
+    # perfbench/spans.py does; the registry holds the cache itself, so
+    # run_cases still empties it
+    memo, calls = fusion.principal_subspace, []
 
-    def sizes():
-        return [memo.cache_info().currsize for memo in memos]
+    @functools.wraps(memo)
+    def traced(*args):
+        calls.append(args)
+        return memo(*args)
 
-    presented.graded_character(build_presentation_A(Partition.make((2, 1))),
-                               Truncation(4, 3, 2))
-    assert all(sizes())
-    presented.clear_caches()
-    assert sizes() == [0, 0]
-    compare = verify.compare
-    warm = []
-
-    def observed(*args):
-        warm.append(sizes())
-        return compare(*args)
-
-    monkeypatch.setattr(verify, "compare", observed)
-    reports, timed_out = run_cases(MF_SCAN)
-    assert not timed_out and len(warm) == len(MF_SCAN) and all(map(all, warm))
-    assert sizes() == [0, 0]
-    warm.clear()
-    ticks = itertools.count()
-    monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
-    reports, timed_out = run_cases(MF_SCAN, timeout=1.5)
-    assert timed_out and len(warm) == 1 and all(warm[0])
-    assert sizes() == [0, 0]
+    monkeypatch.setattr(fusion, "principal_subspace", traced)
+    run_cases(FUSION_SCAN)
+    assert len(calls) == 2 * len(FUSION_SCAN) and not hasattr(traced, "cache_clear")
+    assert cache_sizes() == [0] * len(presented._CACHES)
 
 
 def test_mf_scan_builds_each_component_once(monkeypatch):
@@ -306,7 +296,7 @@ def test_mf_scan_asks_for_no_infeasible_component(monkeypatch):
 
 
 def test_every_cache_has_a_stated_lifetime():
-    # presented._CACHES and verify._MEMOS last one run_cases call;
+    # the run_caches in presented._CACHES last one run_cases call;
     # fermionic._poch_product, a table of q-series, and
     # fermionic._suffix_forms, the determinants and adjugates of a gram's
     # suffix blocks, depend on nothing else and last the process, so the
@@ -315,17 +305,13 @@ def test_every_cache_has_a_stated_lifetime():
                for m in pkgutil.iter_modules(ferchar.__path__)]
     caches = {f for module in modules for f in vars(module).values()
               if hasattr(f, "cache_clear")}
-    assert caches == {*presented._CACHES, *verify._MEMOS, fermionic._poch_product,
+    assert len(set(presented._CACHES)) == len(presented._CACHES)
+    assert caches == {*presented._CACHES, fermionic._poch_product,
                       fermionic._suffix_forms}
 
 
 def without_millis(reports) -> list:
     return [r._replace(millis=0) for r in reports]
-
-
-def clear_memos() -> None:
-    for memo in verify._MEMOS:
-        memo.cache_clear()
 
 
 def assert_shared_caches_change_no_report(descs) -> None:
@@ -343,19 +329,17 @@ def test_mf_scan_caches_never_change_a_report():
     assert_shared_caches_change_no_report(MF_SCAN)
 
 
-FUSION_SCAN = scan_fusion_cases(2, Truncation(3, 2, 2), MODE)
-
-
 def test_fusion_scan_builds_each_module_and_algebra_once(monkeypatch):
     # 5 level pairs, each built once modulo the product of the two primes;
     # 14 distinct predicted presentations
-    clear_memos()
+    presented.clear_caches()
+    memos = (fusion.principal_subspace, verify._fusion_algebra)
     info = []
     run_one = verify.run_case
 
     def counted(desc):
         reports = run_one(desc)
-        info.append([memo.cache_info() for memo in verify._MEMOS])
+        info.append([memo.cache_info() for memo in memos])
         return reports
 
     monkeypatch.setattr(verify, "run_case", counted)
@@ -364,31 +348,7 @@ def test_fusion_scan_builds_each_module_and_algebra_once(monkeypatch):
     assert len(info) == 25
     assert (module_misses, module_hits) == (5, 45)
     assert (algebra_misses, algebra_hits) == (14, 11)
-    assert [memo.cache_info().currsize for memo in verify._MEMOS] == [0, 0]
-
-
-def test_fusion_memos_live_for_one_scan(monkeypatch):
-    clear_memos()
-    warm = []
-    compare = verify.compare
-
-    def fail(*args):
-        warm.append([memo.cache_info().currsize for memo in verify._MEMOS])
-        raise RuntimeError("comparison failed")
-
-    monkeypatch.setattr(verify, "compare", fail)
-    with pytest.raises(RuntimeError):
-        run_cases(FUSION_SCAN)
-    assert warm[0] == [1, 1]  # (0,1) mod p1*p2; one predicted algebra
-    assert [memo.cache_info().currsize for memo in verify._MEMOS] == [0, 0]
-    # a clock that advances one second per reading: the scan times out
-    # after its first case
-    monkeypatch.setattr(verify, "compare", compare)
-    ticks = itertools.count()
-    monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
-    reports, timed_out = run_cases(FUSION_SCAN, timeout=1.5)
-    assert timed_out and len(reports) == 3
-    assert [memo.cache_info().currsize for memo in verify._MEMOS] == [0, 0]
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
 
 
 def test_fusion_memos_never_change_a_report():
@@ -404,12 +364,12 @@ def test_fusion_memo_keys_hold_window_and_mode():
         (MODE, FieldMode.exact(), FieldMode("two-prime", None, (2, 1)))))
     fresh = []
     for window, mode in runs:
-        clear_memos()
+        presented.clear_caches()
         fresh.append(without_millis(verify_fusion(0, 1, 0, 1, window, mode)))
-    clear_memos()
+    presented.clear_caches()
     warm = [without_millis(verify_fusion(0, 1, 0, 1, window, mode))
             for window, mode in runs]
-    clear_memos()
+    presented.clear_caches()
     assert warm == fresh
     assert len({tuple(r.verdict for r in reports) for reports in fresh}) > 1
 
