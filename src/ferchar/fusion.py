@@ -55,18 +55,18 @@ from .presented import (InitialConditions, Partition, Presentation,
 # cyclic modules
 
 
-class CyclicModule(namedtuple("CyclicModule", "label q_max z_max degrees actions field",
+class CyclicModule(namedtuple("CyclicModule", "q_max z_max degrees actions field",
                               defaults=(None,))):
-    """label, a str; q_max and z_max, ints; degrees, a tuple: global index ->
-    (z, q) of the basis vector; actions, a dict: (j, global index) ->
-    ((target global index, coeff), ...); field, an int or None."""
+    """q_max and z_max, ints: the window the module is built on; degrees, a
+    tuple: global index -> (z, q) of the basis vector; actions, a dict:
+    (j, global index) -> ((target global index, coeff), ...); field, an int
+    or None."""
 
     __slots__ = ()
 
 
 def cyclic_module_from_presentation(p: Presentation, q_max: int, z_max: int,
-                                    field: int | None = None,
-                                    label: str = "") -> CyclicModule:
+                                    field: int | None = None) -> CyclicModule:
     """Exact bases and mode-action matrices for a one-family quotient."""
     if len(p.families) != 1 or p.families[0].u_increment != 0:
         raise ConfigurationError("cyclic modules need a single u-trivial family")
@@ -76,8 +76,6 @@ def cyclic_module_from_presentation(p: Presentation, q_max: int, z_max: int,
         layer = len(degrees)
         for q in range(q_max + 1):
             basis, expansion = normal_form_basis(p, (z, 0, q), field)
-            if (z, q) == (0, 0) and expansion != {(): ((0, 1),)}:
-                raise ConfigurationError("the cyclic vector was killed by the relations")
             if basis:
                 comps[(z, q)] = len(degrees), basis, expansion
                 degrees.extend([(z, q)] * len(basis))
@@ -92,7 +90,7 @@ def cyclic_module_from_presentation(p: Presentation, q_max: int, z_max: int,
             for g, mono in enumerate(basis, first):
                 image = expansion[tuple(sorted(mono + ((0, j),)))]
                 actions[(j, g)] = tuple((target + pos, c) for pos, c in image)
-    return CyclicModule(label, q_max, z_max, tuple(degrees), actions, field)
+    return CyclicModule(q_max, z_max, tuple(degrees), actions, field)
 
 
 @run_cache
@@ -102,7 +100,7 @@ def principal_subspace(i: int, k: int, q_max: int, z_max: int,
     check_level(i, k)
     pres = build_presentation_A(Partition.make((k,)),
                                 InitialConditions.make(delta_vector(i + 1, k), ()))
-    return cyclic_module_from_presentation(pres, q_max, z_max, field, f"W[{i},{k}]")
+    return cyclic_module_from_presentation(pres, q_max, z_max, field)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +132,7 @@ class FusionContext:
             raise ConfigurationError("fusion needs a finite window")
         for m in modules:
             if m.q_max < window.q_max or m.z_max < window.z_max:
-                raise ConfigurationError(f"module {m.label} window too small")
+                raise ConfigurationError("module window too small")
         self.window, self.n = window, len(modules)
         sizes = [len(module.degrees) for module in modules]
         strides = [math.prod(sizes[t + 1:]) for t in range(self.n)]
@@ -159,15 +157,11 @@ class FusionContext:
                                 for module, scale, stride, size
                                 in zip(modules, scales, strides, sizes) if scale])
 
-    def vacuum(self) -> dict:
-        return {0: 1}
-
-    def apply(self, j: int, m: int, component: tuple, vec: dict) -> dict:
-        """E_j(m) applied to a vector in the (z, q) component."""
-        big_z, big_q = component
+    def apply(self, j: int, m: int, vec: dict) -> dict:
+        """E_j(m) applied to a vector of one (z, q) component, whose image
+        lies in the (z + 1, q + j) component; the caller keeps that inside
+        the window."""
         out: dict = {}
-        if (big_z + 1, big_q + j) not in self.dimensions:
-            return out
         p, slots = self.field, self._slots[m]
         for code, coeff in vec.items():
             for stride, size, actions, scale in slots:
@@ -219,7 +213,7 @@ class FusionContext:
         counts: dict = {}
         standard: dict = {}  # (z, q) -> [(degree, monomial, pivot row)], in order
         for (big_z, big_q), full in self.dimensions.items():
-            found = [(0, (), self.vacuum())] if big_z == 0 else []
+            found = [(0, (), {0: 1})] if big_z == 0 else []
             candidates = sorted(
                 ((l + m, ((j, m),) + mono, row)
                  for j in range(big_q + 1)
@@ -233,8 +227,7 @@ class FusionContext:
                     break
                 j, m = mono[0]
                 rank = len(basis)
-                echelon((self.apply(j, m, (big_z - 1, big_q - j), row),),
-                        self.field, full, basis)
+                echelon((self.apply(j, m, row),), self.field, full, basis)
                 if len(basis) > rank:
                     # the pivot row just inserted, the newest in the echelon
                     found.append((l, mono, basis[next(reversed(basis))]))

@@ -542,7 +542,7 @@ def component_dimension(p: Presentation, tridegree: tuple,
     if not live:
         return len(component_monomials(p._free, tridegree))
     mode = mode or FieldMode.exact()
-    return _live_dimension(_restriction(p, live), tridegree, mode.kind, mode.primes)
+    return _live_dimension(_restriction(p, live), tridegree, mode)
 
 
 @run_cache
@@ -555,17 +555,16 @@ def _restriction(p: Presentation, live: tuple) -> Presentation:
 
 
 @run_cache
-def _live_dimension(p: Presentation, tridegree: tuple, kind: str, primes) -> int:
+def _live_dimension(p: Presentation, tridegree: tuple, mode: FieldMode) -> int:
     """component_dimension of p, all of whose relation families are live,
-    in the field mode of that kind and primes.  Keyed on those, since a
-    mode's seed only picks its primes; presentations are keyed by value,
-    so equal restrictions of different presentations share an entry.
-    relation_rows is told that every family is live, not asked again."""
+    in the field mode.  Presentations are keyed by value, so equal
+    restrictions of different presentations share an entry.  relation_rows
+    is told that every family is live, not asked again."""
     rows, monos, killed = relation_rows(p, tridegree, range(len(p.relations)))
     free = len(monos) - len(killed)
     if not rows:
         return free
-    return free - int_rank(rows, FieldMode(kind, None, primes), free).rank
+    return free - int_rank(rows, mode, free).rank
 
 
 def graded_character(p: Presentation, truncation: Truncation,

@@ -28,7 +28,7 @@ def trivial_module(q_max: int, z_max: int, field: int | None = None) -> CyclicMo
     pres = Presentation.make(
         (GeneratorFamily("a", 0, 0),),
         (RelationFamily((("a", 0, 1),), None, "a"),))
-    return cyclic_module_from_presentation(pres, q_max, z_max, field, "C")
+    return cyclic_module_from_presentation(pres, q_max, z_max, field)
 
 
 def action_on_vector(module: CyclicModule, j: int, vec: dict) -> dict:
@@ -101,6 +101,21 @@ def test_principal_subspace_validation():
         principal_subspace(0, 0, 3, 3)
 
 
+def test_cyclic_modules_need_one_u_trivial_family():
+    rel = RelationFamily((("a", 0, 2),), None, "a^2")
+    two = Presentation.make((GeneratorFamily("a"), GeneratorFamily("b", 0, 1)), (rel,))
+    u_graded = Presentation.make((GeneratorFamily("a", 1, 0),), (rel,))
+    for pres in (two, u_graded):
+        with pytest.raises(ConfigurationError, match="single u-trivial family"):
+            cyclic_module_from_presentation(pres, 2, 2)
+
+
+def test_principal_fusion_character_needs_a_finite_window():
+    for window in (Truncation(2, None, 2), Truncation(2, 2, None)):
+        with pytest.raises(ConfigurationError, match="finite window"):
+            principal_fusion_character(((0, 1), (1, 1)), window)
+
+
 def test_module_actions_commute_and_span():
     for i, k in ((0, 1), (1, 2)):
         mod = principal_subspace(i, k, 4, 3)
@@ -145,11 +160,11 @@ def test_fusion_spec_validation():
 
 def test_apply_drops_terms_that_vanish_mod_a_composite():
     # mod 6: coefficient 2 at point 3 vanishes where out had no entry
-    line = CyclicModule("line", 1, 1, ((0, 0), (1, 1)), {(1, 0): ((1, 1),)}, 6)
+    line = CyclicModule(1, 1, ((0, 0), (1, 1)), {(1, 0): ((1, 1),)}, 6)
     ctx = FusionContext((line, line), (3, 2), Truncation(1, 1, 1))
     # with strides (2, 1) the slot tuples (0, 1) and (1, 0) have codes 1 and 2
-    assert ctx.apply(1, 1, (0, 0), {0: 2}) == {1: 4}
-    assert ctx.apply(1, 1, (0, 0), {0: 1}) == {2: 3, 1: 2}
+    assert ctx.apply(1, 1, {0: 2}) == {1: 4}
+    assert ctx.apply(1, 1, {0: 1}) == {2: 3, 1: 2}
 
 
 @pytest.mark.parametrize("levels", [((1, 1), (0, 2)), ((1, 1), (0, 2), (1, 2))])
@@ -283,10 +298,9 @@ def compositions(n, parts):
 
 
 def apply_chain(ctx, js):
-    vec, comp = ctx.vacuum(), (0, 0)
+    vec = {0: 1}
     for j in reversed(js):
-        vec = ctx.apply(j, 0, comp, vec)
-        comp = (comp[0] + 1, comp[1] + j)
+        vec = ctx.apply(j, 0, vec)
         if not vec:
             break
     return vec
@@ -326,12 +340,12 @@ def filtration_recomputed(ctx):
             if (big_z, big_q) not in ctx.dimensions:
                 continue
             for l in range(w.u_max + 1):
-                vecs = [ctx.vacuum()] if (big_z, big_q) == (0, 0) else []
+                vecs = [{0: 1}] if (big_z, big_q) == (0, 0) else []
                 for j in range(big_q + 1 if big_z else 0):
                     src = (big_z - 1, big_q - j)
                     for m in range(min(l, ctx.n - 1) + 1):
                         for v in layers.get(src + (l - m,), ()):
-                            vecs.append(ctx.apply(j, m, src, v))
+                            vecs.append(ctx.apply(j, m, v))
                 layers[(big_z, big_q, l)] = [r for _, r in reduce_rows(vecs, ctx.field)]
                 dims[(big_z, big_q, l)] = len(layers[(big_z, big_q, l)])
     return dims

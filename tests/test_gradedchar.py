@@ -39,6 +39,14 @@ def test_char_mul_convolves_on_meet_window():
     assert out.coeffs == {(0, 0, 0): 1, (1, 0, 1): 1, (1, 0, 2): 2}
 
 
+def test_char_mul_drops_factor_coefficients_outside_the_meet():
+    # a's (0, 0, 3) and (2, 0, 0) lie in its own window but not in the meet
+    a = GradedCharacter.make({(0, 0, 0): 1, (0, 0, 3): 5, (2, 0, 0): 7}, Truncation(3, 3, 0))
+    b = GradedCharacter.make({(0, 0, 0): 2}, Truncation(2, 1, 0))
+    assert char_mul(a, b).coeffs == {(0, 0, 0): 2}
+    assert char_mul(b, a).coeffs == {(0, 0, 0): 2}
+
+
 def test_char_mul_rejects_negative_degrees():
     t = Truncation(3, None, None)
     a = GradedCharacter.make({(-1, 0, 0): 1}, t)
