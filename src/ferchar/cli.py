@@ -88,10 +88,11 @@ def parse_argv(argv: list) -> argparse.Namespace:
 # flag resolution
 
 
-def resolve_flags(args: argparse.Namespace) -> catalog.Kind:
-    """The kind that args names.  Sets each of its flags on args to the
-    parsed value from argv or else from the --config file (whose keys are
-    flag names, with - or _)."""
+def resolve(args: argparse.Namespace) -> tuple[catalog.Kind, dict]:
+    """The kind that args names and the values it runs on: its flags'
+    values plus "window" and "mode".  Each flag, the common ones too, is
+    parsed from argv or else from the --config file (whose keys are flag
+    names, with - or _) and set on args."""
     kind = COMMANDS[args.command][0][args.kind]
     flags = kind.flags + COMMON_FLAGS
     raw = {f.name: getattr(args, f.name) for f in flags}
@@ -114,33 +115,19 @@ def resolve_flags(args: argparse.Namespace) -> catalog.Kind:
         if flag.required and values[flag.name] is None:
             raise ConfigurationError(f"--{flag.name} is required")
     vars(args).update(values)
-    return kind
-
-
-def resolve_mode(args, kind: catalog.Kind) -> FieldMode:
-    exact = kind.over_q(vars(args))
-    if exact and (args.field == "two-prime" or args.seed is not None):
-        flag = "--seed" if args.seed is not None else "--field two-prime"
+    z, u = values["zmax"], values["umax"]
+    if kind.finite:
+        z = values["qmax"] if z is None else z
+        u = z if u is None else u
+    exact, seed = kind.over_q(values), values["seed"]
+    if exact and (values["field"] == "two-prime" or seed is not None):
+        flag = "--seed" if seed is not None else "--field two-prime"
         raise ConfigurationError(f"{args.command} {args.kind} runs over the "
                                  f"rationals alone and takes no {flag}")
-    if exact or args.field == "exact":
-        return FieldMode.exact()
-    return FieldMode.two_prime(0 if args.seed is None else args.seed)
-
-
-def resolve_window(args, finite: bool) -> Truncation:
-    z, u = args.zmax, args.umax
-    if finite:
-        z = args.qmax if z is None else z
-        u = z if u is None else u
-    return Truncation(args.qmax, z, u)
-
-
-def _case_values(kind: catalog.Kind, args) -> dict:
-    """The kind's flag values plus the window and field mode."""
-    values = {f.name: getattr(args, f.name) for f in kind.flags}
-    values.update(window=resolve_window(args, kind.finite), mode=resolve_mode(args, kind))
-    return values
+    mode = FieldMode.exact() if exact or values["field"] == "exact" else \
+        FieldMode.two_prime(0 if seed is None else seed)
+    return kind, dict({f.name: values[f.name] for f in kind.flags},
+                      window=Truncation(values["qmax"], z, u), mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +200,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parse_argv(argv)
     try:
-        kind = resolve_flags(args)
-        values = _case_values(kind, args)
+        kind, values = resolve(args)
         if args.command == "char":
             # the rule of run_cases: a budget spent before the work starts
             start = time.monotonic()

@@ -326,20 +326,32 @@ def _typed(value, kind, field: str, optional: bool = False):
 
 def presentation_from_json(data: dict) -> Presentation:
     try:
+        _known((data,), Presentation._fields, "a presentation")
         families = [GeneratorFamily(_typed(f["name"], str, "name"),
                                     _typed(f.get("u_increment", 0), int, "u_increment"),
                                     _typed(f.get("min_mode", 0), int, "min_mode"))
-                    for f in data["families"]]
+                    for f in _known(data["families"], GeneratorFamily._fields, "a family")]
         relations = [RelationFamily(tuple((_typed(n, str, "factor name"),
                                            _typed(d, int, "factor derivative"),
                                            _typed(pw, int, "factor power"))
                                           for n, d, pw in rel["factors"]),
                                     _typed(rel.get("low"), int, "low", optional=True),
                                     _typed(rel.get("label", ""), str, "label"))
-                     for rel in data["relations"]]
+                     for rel in _known(data["relations"], RelationFamily._fields,
+                                       "a relation")]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed presentation JSON: {exc}") from exc
     return Presentation.make(families, relations)
+
+
+def _known(objs, fields: tuple, what: str):
+    """objs, JSON values; a key of one that names none of fields is a
+    ValueError, so that a typo cannot change the presentation."""
+    for obj in objs:
+        for key in obj if isinstance(obj, dict) else ():
+            if key not in fields:
+                raise ValueError(f"{what} has no key {key!r}")
+    return objs
 
 
 # ---------------------------------------------------------------------------

@@ -370,32 +370,30 @@ def verify_custom(left_desc: dict, right_desc: dict, window: Truncation,
 
 
 def _algebra_vs_sum(case: str, window: Truncation, mode: FieldMode,
-                    lam: Partition, ic: InitialConditions, spec) -> list:
-    """The algebra of (lam, ic) against the closed sum spec on window; the
-    sum of a partition that is not convex is only an upper bound (LE)."""
+                    lam: Partition, ic: InitialConditions) -> list:
+    """The algebra of (lam, ic) against its closed sum on window; the sum of
+    a partition that is not convex is only an upper bound (LE)."""
     routes = (_brute("algebra-bruteforce", build_presentation_A(lam, ic), window, mode),
-              _closed("fermionic-sum", spec, window))
+              _closed("fermionic-sum", fermionic.gmf_spec(lam, ic), window))
     return _compare_routes(case, routes, ((0, 1),), mode,
                            "EQUAL" if lam.is_convex() else "LE")
 
 
 def verify_gordon(k: int, window: Truncation, mode: FieldMode) -> list:
-    spec = fermionic.gordon_spec(k)  # refuse k < 1 as char gordon does, before the algebra
+    fermionic.gordon_spec(k)  # refuse k < 1 as char gordon does, before the algebra
     return _algebra_vs_sum(f"gordon k={k}", _brute_window(window, 0), mode,
-                           *_lambda_cd((k,), None, None), spec)
+                           *_lambda_cd((k,), None, None))
 
 
 def verify_mf(parts, window: Truncation, mode: FieldMode) -> list:
-    lam = Partition.make(parts)
-    return _algebra_vs_sum(f"mf lambda={lam.parts}", _brute_window(window, None), mode,
-                           *_lambda_cd(lam.parts, None, None), fermionic.mf_spec(lam))
+    lam, ic = _lambda_cd(parts, None, None)
+    return _algebra_vs_sum(f"mf lambda={lam.parts}", window, mode, lam, ic)
 
 
 def verify_gmf(parts, c, d, window: Truncation, mode: FieldMode) -> list:
     lam, ic = _lambda_cd(parts, c, d)
-    return _algebra_vs_sum(f"gmf lambda={lam.parts} c={ic.c} d={ic.d}",
-                           _brute_window(window, None), mode, lam, ic,
-                           fermionic.gmf_spec(lam, ic))
+    return _algebra_vs_sum(f"gmf lambda={lam.parts} c={ic.c} d={ic.d}", window, mode,
+                           lam, ic)
 
 
 # A fusion scan meets each cyclic module and each predicted algebra (which
@@ -406,11 +404,14 @@ _fusion_algebra = run_cache(graded_character)
 
 def verify_fusion(i1: int, k1: int, i2: int, k2: int, window: Truncation,
                   mode: FieldMode, points=None) -> list:
+    """The filtration, the closed sum and the algebra of the (lambda, c, d)
+    that fusion_rule predicts, compared pairwise."""
     w = _brute_window(window, None)
+    lam, ic = fermionic.fusion_rule(i1, k1, i2, k2)
     routes = (_fused("fusion-bruteforce", ((i1, k1), (i2, k2)), w, mode, points),
-              _closed("w-fusion-sum", fermionic.w_fusion_spec(i1, k1, i2, k2), w),
-              ("algebra-bruteforce", lambda: _fusion_algebra(build_presentation_A(
-                  *fermionic.fusion_rule(i1, k1, i2, k2)), w, mode)))
+              _closed("w-fusion-sum", fermionic.gmf_spec(lam, ic), w),
+              ("algebra-bruteforce", lambda: _fusion_algebra(
+                  build_presentation_A(lam, ic), w, mode)))
     return _compare_routes(f"fusion ({i1},{k1})x({i2},{k2})", routes,
                            ((0, 1), (0, 2), (1, 2)), mode)
 

@@ -461,3 +461,28 @@ def test_filtration_u0_layer_is_the_principal_subspace(k1, k2):
             Partition.make((k1 + k2,)),
             InitialConditions.make(delta_vector(a1 + a2 + 1, k1 + k2), ()), layer_window)
         assert compare(layer, closed).verdict == "EQUAL", (a1, a2)
+
+
+# ---------------------------------------------------------------------------
+# where the closed rule of fermionic.fusion_rule is reproduced
+
+
+def closed_rule_holds(i1: int, k1: int, i2: int, k2: int) -> bool:
+    """The match rule, for k1 <= k2: the two vacuum principal subspaces
+    (i1, i2) = (k1, k2); or i1 = 0 and i2 <= k2 - k1 + 1; or k1 = k2, i2 = 0
+    and i1 <= 1."""
+    return ((i1, i2) == (k1, k2) or (i1 == 0 and i2 <= k2 - k1 + 1)
+            or (k1 == k2 and i2 == 0 and i1 <= 1))
+
+
+def test_closed_fusion_rule_holds_on_the_match_rule():
+    # every tuple with k1 <= k2 <= 3: the filtration equals the closed sum on
+    # the match rule, and is at most it at every key elsewhere
+    verdicts = {}
+    for k1, k2 in itertools.combinations_with_replacement(range(1, 4), 2):
+        for i1, i2 in itertools.product(range(k1 + 1), range(k2 + 1)):
+            a = (i1, k1, i2, k2)
+            verdicts[a] = compare(fused(*a), character_W_fusion(*a, RECURSION_WINDOW)).verdict
+    assert len(verdicts) == 55
+    assert [(a, v) for a, v in verdicts.items()
+            if v not in (("EQUAL",) if closed_rule_holds(*a) else ("EQUAL", "LE"))] == []

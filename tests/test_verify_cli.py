@@ -807,6 +807,29 @@ def test_malformed_case_values_exit_2(tmp_path, capsys):
             ("", "configuration error: matrix entries must be nonnegative\n")
 
 
+def test_presentation_file_refuses_unknown_keys(tmp_path, capsys):
+    # a misspelt key would be dropped and change the algebra: with "lo" for
+    # "low", a(z)^2 would vanish at every power of z, not at z^0 alone
+    relation = {"factors": [["a", 0, 2]]}
+    argv = ["char", "presentation", "--file", str(tmp_path / "p.json"), "--qmax", "3",
+            "--zmax", "2", "--format", "csv"]
+    (tmp_path / "p.json").write_text(json.dumps(
+        {"families": [{"name": "a"}], "relations": [{**relation, "low": 1}]}))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == ["2,0,1,1", "2,0,2,2", "2,0,3,2"]
+    for data, message in (
+            ({"families": [{"name": "a"}], "relations": [{**relation, "lo": 1}]},
+             "a relation has no key 'lo'"),
+            ({"families": [{"name": "a", "u": 1}], "relations": [relation]},
+             "a family has no key 'u'"),
+            ({"families": [{"name": "a"}], "relation": [relation], "relations": []},
+             "a presentation has no key 'relation'")):
+        (tmp_path / "p.json").write_text(json.dumps(data))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == \
+            ("", f"configuration error: malformed presentation JSON: {message}\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (("verify", "custom", "--left", '{"kind": "algebra", "lambda": [1]}', "--right",
       '{"kind": "gordon", "k": 1}', "--qmax", "3", "--zmax", "2"),
