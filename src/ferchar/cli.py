@@ -4,22 +4,23 @@ Three commands: `char` evaluates a single character (brute force or
 closed sum) and prints it; `verify` runs one catalog case and reports
 verdicts; `scan` sweeps a family of cases.  Their kinds and flags come
 from the registries in `ferchar.verify`.  A command, one of its kinds and
-that kind's flags are parsed by the kind's parser alone; any other argv,
-such as help or an error, by the whole argparse tree.  `--timeout` is
-checked before `char` evaluates and before each case of `verify` and
-`scan`, and is spent once the elapsed time reaches it; `--jobs`, a flag
-of the `scan` kinds alone, sets its worker count (0 means 1).  Exit codes:
-0 all passed, 1 a required comparison mismatched, 2 bad configuration,
-3 a resource or stabilization limit was hit, or memory ran out.
+that kind's flags are read by a small flag reader that builds no parser;
+any other argv, such as help or an error, goes to the whole argparse tree,
+the only code that imports argparse.  `--timeout` is checked before `char`
+evaluates and before each case of `verify` and `scan`, and is spent once
+the elapsed time reaches it; `--jobs`, a flag of the `scan` kinds alone,
+sets its worker count (0 means 1).  Exit codes: 0 all passed, 1 a
+required comparison mismatched, 2 bad configuration, 3 a resource or
+stabilization limit was hit, or memory ran out.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from . import verify as catalog
 from .errors import ConfigurationError, ResourceLimitError, StabilizationError
@@ -44,16 +45,9 @@ COMMON_FLAGS = (
 )
 
 
-def _add_flags(parser, kind: catalog.Kind) -> argparse.ArgumentParser:
-    # argparse keeps the text: values are parsed after the config merge,
-    # so that --config files can supply them too
-    for flag in kind.flags + COMMON_FLAGS:
-        parser.add_argument("--" + flag.name, dest=flag.name)
-    return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The whole argparse tree: every command, kind and flag."""
+    import argparse  # imported here: a well-formed command never loads it
     parser = argparse.ArgumentParser(
         prog="ferchar",
         description="exact verification of graded character formulas")
@@ -62,33 +56,67 @@ def build_parser() -> argparse.ArgumentParser:
         kinds = commands.add_parser(command, help=help_text).add_subparsers(
             dest="kind", required=True)
         for name, kind in registry.items():
-            _add_flags(kinds.add_parser(name), kind)
+            sp = kinds.add_parser(name)
+            # argparse keeps the text: values are parsed after the config
+            # merge, so that --config files can supply them too
+            for flag in kind.flags + COMMON_FLAGS:
+                sp.add_argument("--" + flag.name, dest=flag.name)
     return parser
 
 
-def parse_argv(argv: list) -> argparse.Namespace:
-    """argv parsed as the whole tree parses it.  When argv is a command,
-    one of its kinds and then that kind's flags alone, the kind's own
-    parser, the one the tree descends into, parses them; any other argv,
-    leftover arguments and any "--" (whose handling differs between
-    Python versions) go to the whole tree, so that help, usage and error
-    text are its own."""
+def _read_flags(tokens: list, kind: catalog.Kind) -> dict | None:
+    """{flag name: its text, or None} as the kind's argparse parser reads
+    tokens, or None when tokens hold anything that parser might read
+    otherwise: a token that is not "--name" or "--name=value" for one
+    of the kind's flags or an abbreviation of one (as argparse resolves
+    it: an exact name, else a prefix of just one flag name and not of
+    "help"), a flag with no value left, a value token that starts with
+    "-", which argparse may take for an option or, as a negative number
+    on some Python versions, for a value, or a value "--", which some
+    Python versions drop."""
+    names = [flag.name for flag in kind.flags + COMMON_FLAGS]
+    values = dict.fromkeys(names)
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("--"):
+            return None
+        name, equals, value = token[2:].partition("=")
+        if name not in values:
+            matches = [n for n in names + ["help"] if n.startswith(name)]
+            if len(matches) != 1 or matches == ["help"]:
+                return None
+            name = matches[0]
+        if not equals:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        elif value == "--":
+            return None
+        values[name] = value  # argparse keeps a repeated flag's last value
+    return values
+
+
+def parse_argv(argv: list) -> SimpleNamespace:
+    """argv parsed as the whole argparse tree parses it: `command`, `kind`
+    and one attribute per flag, its text or None.  When argv is a command,
+    one of its kinds and then flags that `_read_flags` reads with
+    certainty, no parser is built and argparse is not imported; any other
+    argv, such as help, an error, leftover arguments or "--" (whose
+    handling differs between Python versions), goes to the whole tree, so
+    that help, usage and error text are its own."""
     registry = COMMANDS[argv[0]][0] if argv and argv[0] in COMMANDS else {}
-    if len(argv) > 1 and argv[1] in registry and "--" not in argv:
-        command, kind = argv[:2]
-        parser = argparse.ArgumentParser(prog=f"ferchar {command} {kind}")
-        args, rest = _add_flags(parser, registry[kind]).parse_known_args(argv[2:])
-        if not rest:
-            args.command, args.kind = command, kind
-            return args
-    return build_parser().parse_args(argv)
+    if len(argv) > 1 and argv[1] in registry:
+        values = _read_flags(argv[2:], registry[argv[1]])
+        if values is not None:
+            return SimpleNamespace(command=argv[0], kind=argv[1], **values)
+    return SimpleNamespace(**vars(build_parser().parse_args(argv)))
 
 
 # ---------------------------------------------------------------------------
 # flag resolution
 
 
-def resolve(args: argparse.Namespace) -> tuple[catalog.Kind, dict]:
+def resolve(args: SimpleNamespace) -> tuple[catalog.Kind, dict]:
     """The kind that args names and the values it runs on: its flags'
     values plus "window" and "mode".  Each flag, the common ones too, is
     parsed from argv or else from the --config file (whose keys are flag

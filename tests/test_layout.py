@@ -86,8 +86,8 @@ def test_library_imports_only_the_standard_library():
 def test_import_loads_no_dataclasses_logging_or_pool():
     # a fresh interpreter without site (-S), whose .pth hooks may preload
     # typing and so hide its cost, counting what importing ferchar.cli adds
-    # to sys.modules: logging comes with the exact-recompute warning and
-    # the pool with --jobs > 1
+    # to sys.modules: logging comes with the exact-recompute warning, the
+    # pool with --jobs > 1, and argparse and its gettext with the whole tree
     code = ("import sys; before = set(sys.modules); import ferchar.cli; "
             "print(*sorted(set(sys.modules) - before))")
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
@@ -96,5 +96,15 @@ def test_import_loads_no_dataclasses_logging_or_pool():
                          check=True).stdout
     added = set(out.split())
     assert "ferchar.cli" in added
-    assert {"dataclasses", "logging", "concurrent.futures", "typing"} & added == set()
+    assert {"dataclasses", "logging", "concurrent.futures", "typing",
+            "argparse", "gettext"} & added == set()
+    # a well-formed command runs without argparse, which only help, usage
+    # and error text need
+    code = ("import sys, ferchar.cli; "
+            "code = ferchar.cli.main(['char', 'gordon', '--k', '1', '--qmax', '3']); "
+            "print(code, 'argparse' in sys.modules, file=sys.stderr)")
+    err = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path},
+                         check=True).stderr
+    assert err == "0 False\n"
     assert [p.name for p in sorted(SRC.glob("*.py")) if "dataclass" in p.read_text()] == []
