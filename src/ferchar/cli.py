@@ -118,18 +118,19 @@ def parse_argv(argv: list) -> SimpleNamespace:
 
 def resolve(args: SimpleNamespace) -> tuple[catalog.Kind, dict]:
     """The kind that args names and the values it runs on: its flags'
-    values plus "window" and "mode".  Each flag, the common ones too, is
-    parsed from argv or else from the --config file (whose keys are flag
-    names, with - or _) and set on args."""
+    values plus "window" (--qmax/--zmax/--umax as given) and "mode".  Each
+    flag, the common ones too, is parsed from argv or else from the --config
+    file (whose keys are flag names, with - or _) and set on args."""
     kind = COMMANDS[args.command][0][args.kind]
     flags = kind.flags + COMMON_FLAGS
     raw = {f.name: getattr(args, f.name) for f in flags}
     if args.config is not None:
+        path = parse_text(args.config)
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 config = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise ConfigurationError(f"cannot read config {args.config}: {exc}")
+            raise ConfigurationError(f"cannot read config {path}: {exc}")
         if not isinstance(config, dict):
             raise ConfigurationError("config must be a JSON object")
         for key, value in config.items():
@@ -143,10 +144,6 @@ def resolve(args: SimpleNamespace) -> tuple[catalog.Kind, dict]:
         if flag.required and values[flag.name] is None:
             raise ConfigurationError(f"--{flag.name} is required")
     vars(args).update(values)
-    z, u = values["zmax"], values["umax"]
-    if kind.finite:
-        z = values["qmax"] if z is None else z
-        u = z if u is None else u
     exact, seed = kind.over_q(values), values["seed"]
     if exact and (values["field"] == "two-prime" or seed is not None):
         flag = "--seed" if seed is not None else "--field two-prime"
@@ -155,7 +152,8 @@ def resolve(args: SimpleNamespace) -> tuple[catalog.Kind, dict]:
     mode = FieldMode.exact() if exact or values["field"] == "exact" else \
         FieldMode.two_prime(0 if seed is None else seed)
     return kind, dict({f.name: values[f.name] for f in kind.flags},
-                      window=Truncation(values["qmax"], z, u), mode=mode)
+                      window=Truncation(values["qmax"], values["zmax"], values["umax"]),
+                      mode=mode)
 
 
 # ---------------------------------------------------------------------------

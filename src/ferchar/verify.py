@@ -50,24 +50,15 @@ class VerificationReport(namedtuple(
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
+        """The fields in order, less passed, and informational only when true."""
+        out = self._asdict()
         w = self.window
-        fd = None
+        out["window"] = {"q": w.q_max, "z": w.z_max, "u": w.u_max}
         if self.first_diff is not None:
-            z, u, q, left, right = self.first_diff
-            fd = {"z": z, "u": u, "q": q, "left": left, "right": right}
-        out = {
-            "case": self.case,
-            "left": self.left,
-            "right": self.right,
-            "window": {"q": w.q_max, "z": w.z_max, "u": w.u_max},
-            "verdict": self.verdict,
-            "first_diff": fd,
-            "millis": self.millis,
-            "field": self.field,
-            "seed": self.seed,
-        }
-        if self.informational:
-            out["informational"] = True
+            out["first_diff"] = dict(zip("z u q left right".split(), self.first_diff))
+        del out["passed"]
+        if not self.informational:
+            del out["informational"]
         return out
 
 
@@ -100,12 +91,12 @@ def _compare_routes(case, routes, pairs, mode: FieldMode, expected="EQUAL",
 
 
 def _brute_window(window: Truncation, u_max: int | None) -> Truncation:
-    if window.z_max is None:
-        raise ConfigurationError("brute-force cases need a finite z window")
+    """The finite window of a brute-force route: z runs to q_max and u to
+    z, unless window bounds them; u_max, when given, is the u bound (0 for
+    an algebra whose every element has u-degree 0)."""
+    z = window.q_max if window.z_max is None else window.z_max
     u = window.u_max if u_max is None else u_max
-    if u is None:
-        raise ConfigurationError("brute-force cases need a finite u window")
-    return Truncation(window.q_max, window.z_max, u)
+    return Truncation(window.q_max, z, z if u is None else u)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +201,14 @@ class Flag(namedtuple("Flag", "name parse required", defaults=(False,))):
     __slots__ = ()
 
 
-class Kind(namedtuple("Kind", "flags finite run exact", defaults=(False,))):
+class Kind(namedtuple("Kind", "flags run exact", defaults=(False,))):
     """One registered evaluator, case or scan.
 
-    flags, a tuple of Flag; finite, a bool: without --zmax/--umax, z runs to
-    q_max and u to z_max; run, a Callable: flag values, "window", "mode" ->
-    evaluator, reports or cases; exact, a bool or a Callable: flag values ->
-    bool: over Q alone or with no linear algebra at all, so --field
-    two-prime and --seed are refused."""
+    flags, a tuple of Flag; run, a Callable: flag values, "window", "mode"
+    -> evaluator, reports or cases, each brute-force route on its own
+    default window (see _brute_window); exact, a bool or a Callable: flag
+    values -> bool: over Q alone or with no linear algebra at all, so
+    --field two-prime and --seed are refused."""
 
     __slots__ = ()
 
@@ -303,27 +294,27 @@ def _limform(v):
 
 
 EVALUATORS = {
-    "gordon": Kind((K,), False, lambda v: _closed(
+    "gordon": Kind((K,), lambda v: _closed(
         f"gordon(k={v['k']})", fermionic.gordon_spec(v["k"]), v["window"]), exact=True),
-    "algebra": Kind((LAMBDA, C, D), True, _algebra),
-    "mf": Kind((LAMBDA,), False, lambda v: _closed(
+    "algebra": Kind((LAMBDA, C, D), _algebra),
+    "mf": Kind((LAMBDA,), lambda v: _closed(
         f"mf(lambda={v['lambda']})", fermionic.mf_spec(Partition.make(v["lambda"])),
         v["window"]), exact=True),
-    "gmf": Kind((LAMBDA, Flag("c", parse_ints, True), D), False, _gmf, exact=True),
-    "fusion-w": Kind(LEVELS, False, lambda v: _closed(
+    "gmf": Kind((LAMBDA, Flag("c", parse_ints, True), D), _gmf, exact=True),
+    "fusion-w": Kind(LEVELS, lambda v: _closed(
         f"fusion-w{_levels(v)}", fermionic.w_fusion_spec(*_levels(v)), v["window"]),
         exact=True),
-    "fusion": Kind(LEVELS + (POINTS,), True, lambda v: _fused(
+    "fusion": Kind(LEVELS + (POINTS,), lambda v: _fused(
         f"fusion{_levels(v)}", ((v["i1"], v["k1"]), (v["i2"], v["k2"])), v["window"],
         v["mode"], v["points"])),
-    "limform": Kind(LEVELS + (NMAX,), False, _limform, exact=True),
-    "lattice": Kind(LATTICE, False, lambda v: _closed(
+    "limform": Kind(LEVELS + (NMAX,), _limform, exact=True),
+    "lattice": Kind(LATTICE, lambda v: _closed(
         "lattice", fermionic.LatticeSpec.make(v["matrix"], v["shifts"]), v["window"]),
         exact=True),
-    "quadratic": Kind(LATTICE, True, lambda v: _brute(
+    "quadratic": Kind(LATTICE, lambda v: _brute(
         "quadratic", build_presentation_quadratic(v["matrix"], v["shifts"]),
         _brute_window(v["window"], 0), v["mode"])),
-    "presentation": Kind((Flag("file", load_presentation, True),), True, lambda v: _brute(
+    "presentation": Kind((Flag("file", load_presentation, True),), lambda v: _brute(
         "presentation", v["file"], v["window"], v["mode"])),
 }
 
@@ -362,8 +353,9 @@ def verify_custom(left_desc: dict, right_desc: dict, window: Truncation,
                   mode: FieldMode) -> list:
     """One report comparing two evaluator descriptors on window.
 
-    Both are built on window and mode, and so validated, window included,
-    before either runs."""
+    Both are built on window and mode, and so validated, before either
+    runs; a brute-force side runs on its default window (_brute_window)
+    and the comparison on the meet of the two."""
     routes = [build_evaluator(desc, window, mode) for desc in (left_desc, right_desc)]
     return _compare_routes(f"custom {routes[0][0]} vs {routes[1][0]}", routes,
                            ((0, 1),), mode)
@@ -371,10 +363,12 @@ def verify_custom(left_desc: dict, right_desc: dict, window: Truncation,
 
 def _algebra_vs_sum(case: str, window: Truncation, mode: FieldMode,
                     lam: Partition, ic: InitialConditions) -> list:
-    """The algebra of (lam, ic) against its closed sum on window; the sum of
-    a partition that is not convex is only an upper bound (LE)."""
-    routes = (_brute("algebra-bruteforce", build_presentation_A(lam, ic), window, mode),
-              _closed("fermionic-sum", fermionic.gmf_spec(lam, ic), window))
+    """The algebra of (lam, ic) against its closed sum, both on the algebra's
+    window; the sum of a partition that is not convex is only an upper
+    bound (LE)."""
+    w = _brute_window(window, None)
+    routes = (_brute("algebra-bruteforce", build_presentation_A(lam, ic), w, mode),
+              _closed("fermionic-sum", fermionic.gmf_spec(lam, ic), w))
     return _compare_routes(case, routes, ((0, 1),), mode,
                            "EQUAL" if lam.is_convex() else "LE")
 
@@ -458,25 +452,24 @@ def verify_points(levels, window: Truncation, points_a, points_b) -> list:
 
 
 CASES = {
-    "gordon": Kind((K,), True, lambda v: verify_gordon(v["k"], v["window"], v["mode"])),
-    "mf": Kind((LAMBDA,), True, lambda v: verify_mf(v["lambda"], v["window"], v["mode"])),
-    "gmf": Kind(EVALUATORS["gmf"].flags, True, lambda v: verify_gmf(
+    "gordon": Kind((K,), lambda v: verify_gordon(v["k"], v["window"], v["mode"])),
+    "mf": Kind((LAMBDA,), lambda v: verify_mf(v["lambda"], v["window"], v["mode"])),
+    "gmf": Kind(EVALUATORS["gmf"].flags, lambda v: verify_gmf(
         v["lambda"], v["c"], v["d"], v["window"], v["mode"])),
-    "fusion": Kind(LEVELS + (POINTS,), True, lambda v: verify_fusion(
+    "fusion": Kind(LEVELS + (POINTS,), lambda v: verify_fusion(
         *_levels(v), v["window"], v["mode"], v.get("points"))),
-    "lattice": Kind(LATTICE, True, lambda v: verify_lattice(
+    "lattice": Kind(LATTICE, lambda v: verify_lattice(
         v["matrix"], v["shifts"], v["window"], v["mode"])),
-    "limform": Kind(LEVELS + (NMAX,), False, lambda v: verify_limform(
+    "limform": Kind(LEVELS + (NMAX,), lambda v: verify_limform(
         *_levels(v), v["window"].q_max, _every_z(v["window"]).u_max, _n_max(v)),
         exact=True),
     "points": Kind((Flag("levels", parse_matrix, True), Flag("points", parse_ints, True),
-                    Flag("alt-points", parse_ints, True)), True,
+                    Flag("alt-points", parse_ints, True)),
                    lambda v: verify_points(v["levels"], v["window"], v["points"],
                                            v["alt-points"]), exact=True),
     # two closed evaluators do no linear algebra, so the pair is exact
     "custom": Kind((Flag("left", parse_json, True), Flag("right", parse_json, True)),
-                   False, lambda v: verify_custom(v["left"], v["right"], v["window"],
-                                                  v["mode"]),
+                   lambda v: verify_custom(v["left"], v["right"], v["window"], v["mode"]),
                    exact=lambda v: all(evaluator_kind(v[side]).exact
                                        for side in ("left", "right"))),
 }
@@ -523,9 +516,9 @@ def scan_fusion_cases(kmax: int, window: Truncation, mode: FieldMode) -> list:
 
 JOBS = Flag("jobs", parse_size)  # the worker count; 0 means 1
 SCANS = {
-    "mf": Kind((Flag("max-size", parse_size, True), JOBS), True,
+    "mf": Kind((Flag("max-size", parse_size, True), JOBS),
                lambda v: scan_mf_cases(v["max-size"], v["window"], v["mode"])),
-    "fusion": Kind((Flag("kmax", parse_size, True), JOBS), True,
+    "fusion": Kind((Flag("kmax", parse_size, True), JOBS),
                    lambda v: scan_fusion_cases(v["kmax"], v["window"], v["mode"])),
 }
 

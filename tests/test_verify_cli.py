@@ -586,9 +586,9 @@ ALGEBRA_42 = json.dumps({"kind": "algebra", "lambda": [4, 2]})
     # limform refuses the z bound; the algebra alone takes seconds
     ["--left", ALGEBRA_42, "--right", json.dumps({"kind": "limform", **LIMFORM}),
      "--qmax", "12", "--zmax", "8", "--umax", "4"],
-    # the algebra needs the z bound that custom does not default
-    ["--left", json.dumps({"kind": "limform", **LIMFORM}), "--right", ALGEBRA_42,
-     "--qmax", "12", "--umax", "4"],
+    # the algebra refuses a partition with no positive part
+    ["--left", json.dumps({"kind": "limform", **LIMFORM}), "--right",
+     json.dumps({"kind": "algebra", "lambda": [0]}), "--qmax", "12", "--umax", "4"],
 ])
 def test_custom_checks_both_sides_before_either_runs(capsys, monkeypatch, argv):
     def never(*args, **kwargs):
@@ -599,6 +599,44 @@ def test_custom_checks_both_sides_before_either_runs(capsys, monkeypatch, argv):
     assert cli.main(["verify", "custom", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("configuration error: ")
+
+
+BRUTE_LEVELS = ["--i1", "0", "--k1", "1", "--i2", "0", "--k2", "1"]
+BRUTE_KINDS = [
+    ["char", "algebra", "--lambda", "2,1"],
+    ["char", "fusion", *BRUTE_LEVELS],
+    ["char", "quadratic", "--matrix", "2", "--shifts", "0"],
+    ["char", "presentation"],
+    ["verify", "gordon", "--k", "1"],
+    ["verify", "mf", "--lambda", "2,1"],
+    ["verify", "gmf", "--lambda", "2,1", "--c", "0,1"],
+    ["verify", "fusion", *BRUTE_LEVELS],
+    ["verify", "lattice", "--matrix", "2", "--shifts", "0"],
+    ["verify", "points", "--levels", "0,1;0,1", "--points", "1,0", "--alt-points", "2,5"],
+    ["verify", "custom", "--left", '{"kind": "algebra", "lambda": [2]}',
+     "--right", '{"kind": "gordon", "k": 2}'],
+    ["scan", "mf", "--max-size", "2"],
+    ["scan", "fusion", "--kmax", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", BRUTE_KINDS, ids=[" ".join(a[:2]) for a in BRUTE_KINDS])
+def test_brute_force_window_defaults_to_qmax(tmp_path, capsys, argv):
+    # without --zmax and --umax a brute-force route runs on z, u <= q_max
+    if argv[1] == "presentation":
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"families": [{"name": "a"}],
+                                    "relations": [{"factors": [["a", 0, 2]]}]}))
+        argv = [*argv, "--file", str(path)]
+    outputs = []
+    for window in (["--qmax", "4"], ["--qmax", "4", "--zmax", "4", "--umax", "4"]):
+        code, out = run_cli(capsys, *argv, *window, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        if argv[0] != "char":
+            data = [{k: v for k, v in r.items() if k != "millis"} for r in data]
+        outputs.append(data)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -782,16 +820,19 @@ def test_negative_window_exits_2(capsys, argv):
 
 
 def test_malformed_case_values_exit_2(tmp_path, capsys):
-    # levels that are not (i, k) pairs; an unknown descriptor key; an unwritable --out
+    # levels that are not (i, k) pairs; an unknown descriptor key; an unwritable
+    # --out; a --config value "--", which some Python versions store as []
     for argv in (("verify", "points", "--levels", "1,1,1;0,1", "--points", "1,0",
                   "--alt-points", "2,5", "--qmax", "3", "--zmax", "2"),
                  ("verify", "custom", "--left", '{"kind": "gordon", "k": 1, "lamda": [1]}',
                   "--right", '{"kind": "algebra", "lambda": [1]}', "--qmax", "2",
                   "--zmax", "2", "--umax", "0"),
                  ("char", "gordon", "--k", "1", "--qmax", "1",
-                  "--out", str(tmp_path / "missing" / "out.txt"))):
+                  "--out", str(tmp_path / "missing" / "out.txt")),
+                 ("verify", "gordon", "--k", "1", "--qmax", "2", "--config=--")):
         assert cli.main(list(argv)) == 2
-        assert capsys.readouterr().err.startswith("configuration error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
     # a negative matrix entry, refused by the lattice sum and the quadratic
     # presentation alike, as kinds and in custom descriptors
     lattice = {"matrix": [[2, -1], [-1, 2]], "shifts": [0, 0]}
@@ -831,9 +872,11 @@ def test_presentation_file_refuses_unknown_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("verify", "custom", "--left", '{"kind": "algebra", "lambda": [1]}', "--right",
+    # a brute-force descriptor runs on its default window, so its own
+    # values are what it refuses
+    (("verify", "custom", "--left", '{"kind": "algebra", "lambda": [0]}', "--right",
       '{"kind": "gordon", "k": 1}', "--qmax", "3", "--zmax", "2"),
-     "brute-force cases need a finite u window"),
+     "largest part must be >= 1"),
     (("verify", "points", "--levels", "1,1", "--points", "1", "--alt-points", "2",
       "--qmax", "3"), "need at least two (i, k) pairs"),
     # one rule, one message: the fused modules' levels, the brute-force and
